@@ -33,6 +33,7 @@ from .errors import (
     InnerSolverStall,
     InvalidParams,
     NeedsShift,
+    NonFinite,
     NotConverged,
     NotPD,
     NotPSD,
@@ -117,7 +118,7 @@ __all__ = [
     "NotPSD", "NotPD", "DiagonalNotPD", "ShiftNotPSD", "OmegaOutOfRange",
     "TauOutOfRange", "FirstBlockMismatch", "NeedsShift", "InnerSolverStall",
     "IdentityViolation", "RangeDeficiency", "InvalidParams",
-    "UnboundedObjective", "NotConverged",
+    "UnboundedObjective", "NotConverged", "NonFinite",
     "ProxSpec", "prox", "prox_value", "subgrad_residual", "solve_block1",
     "svec", "smat", "svec_dim",
     "CompositeQP", "CycleResult", "ExactMode", "IterativeMode", "NoisyMode",

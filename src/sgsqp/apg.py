@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh, eigvalsh
 
-from .blockla import BlockVector
+from .blockla import BlockVector, finite
 from .errors import IdentityViolation, InvalidParams, NotPD
 from .sgs import ExactMode, IterativeMode, _cycle
 
@@ -203,7 +203,7 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
     ----------
     prob : CompositeQP
     x0 : BlockVector or array_like, optional
-        Start point; must be feasible for an indicator first block
+        Finite start point; must be feasible for an indicator first block
         (defaults to the prox of zero, which always is).
     steps : StepSchedule (default Nesterov)
     tols : ToleranceSchedule (default exact; pick a summable schedule for
@@ -242,6 +242,7 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
         x0 = BlockVector(part, z)
     elif not isinstance(x0, BlockVector):
         x0 = BlockVector(part, x0)
+    finite(x0.data, "x0")
 
     xs_vec = None
     dist0 = np.nan

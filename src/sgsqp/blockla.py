@@ -15,20 +15,27 @@ splitting ``Q = U + D + U^*`` (``U`` the strict upper block triangle,
   ``Qhat = (tau D+U)(rho D)^{-1}(tau D+U^*)``
 
 In every case ``Qhat = Q + T`` and ``Qhat`` is positive definite as soon
-as the diagonal blocks are.  Nothing is densified unless the ``densify``
-test hook is called explicitly.
+as the diagonal blocks are.
+
+An operator keeps one dense row-major store of ``Q``, built on first use,
+with views of the row panels ``Q[i, :i]`` and ``Q[i, i+1:]`` of each block.
+Every sweep runs through :func:`sweep`, one block substitution kernel: per
+block one panel product per side and one solve through the cached
+Cholesky factor, so a cycle costs two passes over ``Q`` whatever the
+number of blocks.  ``matvec`` is one product on the store.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh
+from scipy.linalg import block_diag, cho_factor, eigvalsh
+from scipy.linalg.lapack import dpotrs
 
 from .errors import (
     DiagonalNotPD,
     DimensionMismatch,
     InvalidParams,
-    NotPSD,
+    NonFinite,
     NotSymmetric,
     OmegaOutOfRange,
     ShapeMismatch,
@@ -46,6 +53,7 @@ __all__ = [
     "shifted_sgs_operator",
     "conservative_shifts",
     "quad_norm",
+    "sweep",
 ]
 
 _SYM_RTOL = 1e-12
@@ -162,6 +170,14 @@ class BlockVector:
         return f"BlockVector(dims={self.partition.dims}, data={self.data!r})"
 
 
+def finite(arr, what):
+    """``arr`` as a float array; :class:`NonFinite` if it holds NaN or inf."""
+    arr = np.asarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        raise NonFinite(f"{what} contains NaN or inf")
+    return arr
+
+
 def _check_symmetric(M, what):
     nrm = np.linalg.norm(M)
     if nrm == 0.0:
@@ -171,13 +187,14 @@ def _check_symmetric(M, what):
 
 
 class BlockSymOperator:
-    """Symmetric operator stored by its upper block triangle.
+    """Symmetric operator given by its upper block triangle.
 
-    Only blocks ``(i, j)`` with ``i <= j`` may be supplied; the lower
-    triangle is served as transposed views.  Diagonal blocks must be
-    symmetric (relative tolerance 1e-12) and positive definite — they are
-    Cholesky-factored once at assembly.  Semidefiniteness of the full
-    operator is *not* assumed; call :meth:`check_psd` when needed.
+    Only blocks ``(i, j)`` with ``i <= j`` may be supplied, all finite; the
+    lower triangle is their transpose.  Diagonal blocks must be symmetric
+    (relative tolerance 1e-12) and positive definite — they are
+    Cholesky-factored once at assembly.  The dense store and its row
+    panels (:meth:`panels`) are built on first use.  Semidefiniteness of
+    the full operator is *not* assumed.
 
     Parameters
     ----------
@@ -208,9 +225,13 @@ class BlockSymOperator:
                 raise DimensionMismatch(
                     f"block {key} has shape {arr.shape}, expected {want}"
                 )
-            if np.any(arr != 0.0):
+            big = np.abs(arr).max()     # NaN propagates
+            if not big < np.inf:
+                raise NonFinite(f"block {key} contains NaN or inf")
+            if big > 0.0:
                 self._blocks[(i, j)] = arr
         self._chol = None
+        self._panels = None
         for i in range(s):
             if (i, i) not in self._blocks:
                 if factor_diag:
@@ -228,8 +249,6 @@ class BlockSymOperator:
                     c = cho_factor(self._blocks[(i, i)], lower=True)
                 except np.linalg.LinAlgError as exc:
                     raise DiagonalNotPD(i) from exc
-                except ValueError as exc:  # scipy raises this for NaN/inf
-                    raise DiagonalNotPD(i, f"diagonal block {i}: {exc}") from exc
                 self._chol.append(c)
                 # cho_factor succeeds on some indefinite inputs only when
                 # the trailing pivot is tiny; double-check positivity
@@ -247,16 +266,9 @@ class BlockSymOperator:
         return self.partition.total
 
     def block(self, i, j):
-        """The ``(i, j)`` block; transposed view below the diagonal."""
-        if i <= j:
-            got = self._blocks.get((i, j))
-            if got is None:
-                return np.zeros((self.partition.dims[i], self.partition.dims[j]))
-            return got
-        got = self._blocks.get((j, i))
-        if got is None:
-            return np.zeros((self.partition.dims[i], self.partition.dims[j]))
-        return got.T
+        """The ``(i, j)`` block, a view into the dense store."""
+        P = self.partition
+        return self.panels()[0][P.slice(i), P.slice(j)]
 
     def has_block(self, i, j):
         return ((i, j) if i <= j else (j, i)) in self._blocks
@@ -264,57 +276,66 @@ class BlockSymOperator:
     def stored_items(self):
         return self._blocks.items()
 
+    def panels(self):
+        """``(S, lower, upper, diag)``: the dense row-major store ``S`` of
+        ``Q`` and, per block ``i``, views of ``Q[i, :i]``, ``Q[i, i+1:]``
+        and ``Q_ii`` into it.
+
+        Built on first use and cached; the stored blocks then become views
+        into ``S`` as well, so the operator keeps one copy of ``Q``.
+        """
+        if self._panels is None:
+            P = self.partition
+            S = np.zeros((self.n, self.n))
+            for (i, j), arr in self._blocks.items():
+                S[P.slice(i), P.slice(j)] = arr
+                S[P.slice(j), P.slice(i)] = arr.T
+            self._blocks = {(i, j): S[P.slice(i), P.slice(j)]
+                            for i, j in self._blocks}
+            rows = [(S[P.slice(i)], P.slice(i)) for i in range(self.s)]
+            self._panels = (S, [r[:, :sl.start] for r, sl in rows],
+                            [r[:, sl.stop:] for r, sl in rows],
+                            [r[:, sl] for r, sl in rows])
+        return self._panels
+
     def dense(self):
         """Full symmetric matrix (test/certification hook)."""
-        N = self.n
-        M = np.zeros((N, N))
-        for (i, j), arr in self._blocks.items():
-            M[self.partition.slice(i), self.partition.slice(j)] = arr
-            if i != j:
-                M[self.partition.slice(j), self.partition.slice(i)] = arr.T
-        return M
+        return self.panels()[0].copy()
 
     # -- products -----------------------------------------------------
 
     def matvec(self, x):
-        """``Q x`` for a flat vector ``x``, using only stored blocks."""
+        """``Q x`` for a flat vector ``x``: one product on the dense store."""
         x = np.asarray(x, dtype=float)
-        xb = self.partition.split(x)
-        yb = [np.zeros(n) for n in self.partition.dims]
-        for (i, j), arr in self._blocks.items():
-            yb[i] += arr @ xb[j]
-            if i != j:
-                yb[j] += arr.T @ xb[i]
-        return np.concatenate(yb)
+        if x.shape != (self.n,):
+            raise DimensionMismatch(f"expected length {self.n}, got shape {x.shape}")
+        return self.panels()[0] @ x
 
     def apply(self, x):
         """``Q x`` for a :class:`BlockVector`."""
         return BlockVector(self.partition, self.matvec(x.data), tags=x.tags)
 
     def upper_matvec_blocks(self, xb):
-        """``U x`` blockwise (strict upper triangle only)."""
-        yb = [np.zeros(n) for n in self.partition.dims]
-        for (i, j), arr in self._blocks.items():
-            if i < j:
-                yb[i] += arr @ xb[j]
-        return yb
+        """``U x`` blockwise (strict upper triangle only), one upper
+        panel product per block."""
+        x, off, upper = np.concatenate(xb), self.partition.offsets, self.panels()[2]
+        return [upper[i] @ x[off[i + 1]:] for i in range(self.s)]
 
     def upper_t_matvec_blocks(self, xb):
-        """``U^* x`` blockwise."""
-        yb = [np.zeros(n) for n in self.partition.dims]
-        for (i, j), arr in self._blocks.items():
-            if i < j:
-                yb[j] += arr.T @ xb[i]
-        return yb
+        """``U^* x`` blockwise, one lower panel product per block."""
+        x, off, lower = np.concatenate(xb), self.partition.offsets, self.panels()[1]
+        return [lower[i] @ x[:off[i]] for i in range(self.s)]
 
     def diag_matvec_blocks(self, xb):
-        return [self._blocks[(i, i)] @ xb[i] for i in range(self.s)]
+        diag = self.panels()[3]
+        return [diag[i] @ xb[i] for i in range(self.s)]
 
     def diag_solve(self, i, rhs):
-        """``Q_{ii}^{-1} rhs`` through the cached Cholesky factor."""
+        """``Q_{ii}^{-1} rhs`` through the cached Cholesky factor, with no
+        per-call finiteness check (inputs are checked where they enter)."""
         if self._chol is None:
             raise InvalidParams("operator was assembled with factor_diag=False")
-        return cho_solve(self._chol[i], rhs)
+        return dpotrs(self._chol[i][0], rhs, lower=1)[0]
 
     # -- derived operators -------------------------------------------
 
@@ -332,7 +353,7 @@ class BlockSymOperator:
         for i, J in enumerate(shifts):
             if J is None:
                 continue
-            J = np.asarray(J, dtype=float)
+            J = finite(J, f"shift block {i}")
             if J.shape != blocks[(i, i)].shape:
                 raise ShapeMismatch(
                     f"shift {i} has shape {J.shape}, expected {blocks[(i, i)].shape}"
@@ -344,19 +365,39 @@ class BlockSymOperator:
             blocks[(i, i)] = blocks[(i, i)] + 0.5 * (J + J.T)
         return BlockSymOperator(self.partition, blocks)
 
-    def diag_spectral_norms(self):
-        return [np.linalg.norm(self._blocks[(i, i)], 2) for i in range(self.s)]
 
-    def check_psd(self, rtol=_PSD_RTOL):
-        """Raise :class:`NotPSD` unless ``Q`` is PSD to ``rtol`` (relative)."""
-        M = self.dense()
-        scale = max(np.linalg.norm(M, 2), 1.0)
-        lo = eigvalsh(M).min()
-        if lo < -rtol * scale:
-            raise NotPSD(
-                f"operator has eigenvalue {lo:.3e} < -{rtol:.1e} * {scale:.3e}"
-            )
-        return lo
+def sweep(op, y, a, lower, w=None, solve=None, start=0, out=None):
+    """Block substitution over the row panels of ``op``, the kernel of
+    every sweep.
+
+    With ``L = U^*`` below the block diagonal ``D``, a forward pass
+    (``lower``, blocks ``start..s-1``) solves ``(a D + L) z = y - ((1-a) D
+    + U) w``, a backward pass (blocks ``s-1..start``) ``(a D + U) z = y -
+    ((1-a) D + L) w``; no ``w``, no such term.  Per block: one panel
+    product per side and one ``solve(i, rhs)`` returning ``z_i`` (default:
+    ``a Q_ii z_i = rhs`` by the cached factor).  ``z`` is written into
+    ``out``, whose blocks before ``start`` a forward pass reads as known.
+    """
+    _, low, up, diag = op.panels()
+    off = op.partition.offsets
+    z = np.zeros(op.n) if out is None else out
+    if solve is None:
+        def solve(i, rhs):
+            return op.diag_solve(i, rhs) / a
+    for i in range(start, op.s) if lower else range(op.s - 1, start - 1, -1):
+        lo, hi = off[i], off[i + 1]
+        if lower:
+            r = y[lo:hi] - low[i] @ z[:lo]
+            if w is not None:
+                r -= up[i] @ w[hi:]
+        else:
+            r = y[lo:hi] - up[i] @ z[hi:]
+            if w is not None:
+                r -= low[i] @ w[:lo]
+        if w is not None and a != 1.0:
+            r -= (1.0 - a) * (diag[i] @ w[lo:hi])
+        z[lo:hi] = solve(i, r)
+    return z
 
 
 def assemble(partition, blocks):
@@ -398,10 +439,11 @@ class Majorizer:
     """Implicit proximal weight ``T`` and majorized operator ``Qhat = Q + T``.
 
     Built by :func:`sgs_operator`, :func:`ssor_operator` or
-    :func:`shifted_sgs_operator`; never instantiated directly.  All
-    applications and solves run through block triangular substitutions
-    with the factored (shifted) diagonal.  ``densify`` is the only way
-    to obtain dense matrices, and exists for certification.
+    :func:`shifted_sgs_operator`; never instantiated directly.  Solves
+    with ``Qhat`` are two passes of the :func:`sweep` kernel over the row
+    panels of the (shifted) operator with its factored diagonal;
+    applications of ``T`` and ``Qhat`` are per-block panel products.
+    ``densify`` forms the dense weights, for certification only.
     """
 
     def __init__(self, base, eff, kind, a, c, shifts=None, omega=None):
@@ -414,45 +456,23 @@ class Majorizer:
         self._c = c               # diagonal scale in the middle inverse
         self.partition = base.partition
 
-    # -- triangular substitutions ------------------------------------
+    # -- factored products --------------------------------------------
 
-    def _solve_scaled_upper(self, yb, a):
-        """Solve ``(a*Dhat + U) z = y`` (backward block substitution)."""
-        op, s = self.eff, self.eff.s
-        zb = [None] * s
-        for i in range(s - 1, -1, -1):
-            rhs = yb[i].copy()
-            for j in range(i + 1, s):
-                if op.has_block(i, j):
-                    rhs -= op.block(i, j) @ zb[j]
-            zb[i] = op.diag_solve(i, rhs) / a
-        return zb
-
-    def _solve_scaled_lower(self, yb, a):
-        """Solve ``(a*Dhat + U^*) z = y`` (forward block substitution)."""
-        op, s = self.eff, self.eff.s
-        zb = [None] * s
-        for i in range(s):
-            rhs = yb[i].copy()
-            for j in range(i):
-                if op.has_block(j, i):
-                    rhs -= op.block(j, i).T @ zb[j]
-            zb[i] = op.diag_solve(i, rhs) / a
-        return zb
+    def _upper_apply(self, zb, g):
+        """``(g*Dhat + U) z`` blockwise, by upper and diagonal panels."""
+        yb = self.eff.upper_matvec_blocks(zb)
+        if g == 0.0:
+            return yb
+        return [y + g * d for y, d in zip(yb, self.eff.diag_matvec_blocks(zb))]
 
     def _factored_apply(self, xb, g):
         """``(g*Dhat + U)(c*Dhat)^{-1}(g*Dhat + U^*) x`` blockwise."""
-        op, c = self.eff, self._c
+        op = self.eff
         wb = op.upper_t_matvec_blocks(xb)
         if g != 0.0:
-            db = op.diag_matvec_blocks(xb)
-            wb = [w + g * d for w, d in zip(wb, db)]
-        zb = [op.diag_solve(i, wb[i]) / c for i in range(op.s)]
-        yb = op.upper_matvec_blocks(zb)
-        if g != 0.0:
-            db = op.diag_matvec_blocks(zb)
-            yb = [y + g * d for y, d in zip(yb, db)]
-        return yb
+            wb = [w + g * d for w, d in zip(wb, op.diag_matvec_blocks(xb))]
+        return self._upper_apply(
+            [op.diag_solve(i, w) / self._c for i, w in enumerate(wb)], g)
 
     # -- public operator interface -----------------------------------
 
@@ -477,14 +497,12 @@ class Majorizer:
         return BlockVector(self.partition, out) if isinstance(x, BlockVector) else out
 
     def solve_Qhat(self, y):
-        """``Qhat^{-1} y`` via two triangular sweeps and a diagonal product."""
+        """``Qhat^{-1} y``: a backward and a forward :func:`sweep` around
+        a block diagonal product."""
         vec = y.data if isinstance(y, BlockVector) else np.asarray(y, dtype=float)
-        yb = self.partition.split(vec)
-        zb = self._solve_scaled_upper(yb, self._a)
-        wb = self.eff.diag_matvec_blocks(zb)
-        wb = [self._c * w for w in wb]
-        xb = self._solve_scaled_lower(wb, self._a)
-        out = np.concatenate(xb)
+        z = sweep(self.eff, vec, self._a, lower=False)
+        wb = self.eff.diag_matvec_blocks(self.partition.split(z))
+        out = sweep(self.eff, self._c * np.concatenate(wb), self._a, lower=True)
         return BlockVector(self.partition, out) if isinstance(y, BlockVector) else out
 
     def dinv_norm(self, v):
@@ -495,10 +513,8 @@ class Majorizer:
         perturbation bound.
         """
         vec = v.data if isinstance(v, BlockVector) else np.asarray(v, dtype=float)
-        vb = self.partition.split(vec)
-        acc = 0.0
-        for i in range(self.eff.s):
-            acc += float(vb[i] @ self.eff.diag_solve(i, vb[i]))
+        acc = sum(float(v @ self.eff.diag_solve(i, v))
+                  for i, v in enumerate(self.partition.split(vec)))
         return np.sqrt(max(acc, 0.0) / self._c)
 
     def perturbation(self, delta_prime, delta):
@@ -512,17 +528,9 @@ class Majorizer:
         dp = delta_prime.data if isinstance(delta_prime, BlockVector) else delta_prime
         d = delta.data if isinstance(delta, BlockVector) else delta
         diffb = self.partition.split(np.asarray(d) - np.asarray(dp))
-        op = self.eff
-        if self.kind == "ssor":
-            zb = [op.diag_solve(i, diffb[i]) / self._c for i in range(op.s)]
-            yb = op.upper_matvec_blocks(zb)
-            db = op.diag_matvec_blocks(zb)
-            out = np.asarray(dp) + np.concatenate(
-                [y + self._a * dd for y, dd in zip(yb, db)]
-            )
-        else:
-            zb = [op.diag_solve(i, diffb[i]) for i in range(op.s)]
-            out = np.asarray(d) + np.concatenate(op.upper_matvec_blocks(zb))
+        g, base = (self._a, dp) if self.kind == "ssor" else (0.0, d)
+        zb = [self.eff.diag_solve(i, v) / self._c for i, v in enumerate(diffb)]
+        out = np.asarray(base) + np.concatenate(self._upper_apply(zb, g))
         return BlockVector(self.partition, out)
 
     # -- norms and dense hooks ---------------------------------------
@@ -548,15 +556,10 @@ class Majorizer:
         """Dense ``T``, ``Qhat`` or ``Q`` — certification hook only."""
         if which == "Q":
             return self.base.dense()
-        P, op = self.partition, self.eff
-        N = P.total
-        Dh = np.zeros((N, N))
-        Uf = np.zeros((N, N))
-        for (i, j), arr in op.stored_items():
-            if i == j:
-                Dh[P.slice(i), P.slice(i)] = arr
-            else:
-                Uf[P.slice(i), P.slice(j)] = arr
+        P = self.partition
+        S, _, _, diag = self.eff.panels()
+        Dh = block_diag(*diag)
+        Uf = np.triu(S - Dh)     # the diagonal blocks of S - Dh are zero
         if which == "Qhat":
             F = self._a * Dh + Uf
         elif which == "T":

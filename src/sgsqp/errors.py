@@ -25,6 +25,10 @@ class NotPD(SgsQpError):
     pass
 
 
+class NonFinite(SgsQpError):
+    """An input array holds NaN or inf."""
+
+
 class DiagonalNotPD(SgsQpError):
     """A diagonal block is not positive definite.
 

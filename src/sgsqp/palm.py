@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .blockla import BlockPartition, BlockSymOperator, BlockVector
+from .blockla import BlockPartition, BlockSymOperator, BlockVector, finite
 from .errors import (DimensionMismatch, InvalidParams, ShapeMismatch,
                      TauOutOfRange)
 from .oracle import psd_project, range_basis, spectral_norm
@@ -43,7 +43,7 @@ class LinConQP:
 
     ``P`` is block symmetric PSD (diagonal blocks may be singular — they
     are never factored here); ``A`` maps the full variable to the
-    constraint space.
+    constraint space.  All data must be finite (:class:`NonFinite`).
     """
 
     def __init__(self, P, A, g, d, prox=None):
@@ -51,17 +51,17 @@ class LinConQP:
             raise InvalidParams("P must be a BlockSymOperator")
         self.P = P
         part = P.partition
-        A = np.atleast_2d(np.asarray(A, dtype=float))
+        A = np.atleast_2d(finite(A, "A"))
         if A.shape[1] != part.total:
             raise DimensionMismatch(
                 f"A has {A.shape[1]} columns for a variable of size {part.total}"
             )
         self.A = A
-        g = g.data if isinstance(g, BlockVector) else np.asarray(g, dtype=float)
+        g = finite(g.data if isinstance(g, BlockVector) else g, "g")
         if g.shape != (part.total,):
             raise DimensionMismatch("g length does not match the partition")
         self.g = g
-        d = np.asarray(d, dtype=float).ravel()
+        d = finite(d, "d").ravel()
         if d.shape != (A.shape[0],):
             raise DimensionMismatch("d length does not match the rows of A")
         self.d = d
@@ -211,7 +211,8 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
             x.set_block(0, _prox(prob.prox, 1.0, np.zeros(part.dims[0])))
     else:
         x = x0.copy() if isinstance(x0, BlockVector) else BlockVector(part, np.array(x0, dtype=float))
-    y = np.zeros(prob.A.shape[0]) if y0 is None else np.array(y0, dtype=float).ravel()
+        finite(x.data, "x0")
+    y = np.zeros(prob.A.shape[0]) if y0 is None else np.array(finite(y0, "y0")).ravel()
 
     trace = PalmTrace()
     t0 = time.perf_counter()

@@ -28,6 +28,7 @@ __all__ = [
     "prox_value",
     "subgrad_residual",
     "solve_block1",
+    "prepare_block1",
     "svec",
     "smat",
     "svec_dim",
@@ -269,38 +270,25 @@ def _identity_multiple(A):
     return None
 
 
-def solve_block1(spec, Q11, c1, J1=None, xbar1=None):
-    """Exactly minimize ``p(x) + 0.5 <x, Q11 x> - <c1, x>`` over the first
-    block, optionally with a proximal shift ``0.5 ||x - xbar1||^2_{J1}``.
+@dataclass(frozen=True)
+class Block1:
+    """A first-block quadratic ``A`` prepared for repeated solves: its
+    Cholesky factor for the zero ``p``, its identity multiple otherwise."""
 
-    For a nonsmooth ``p`` the (shifted) quadratic ``Q11 + J1`` must be a
-    positive multiple of the identity so the minimizer is a single prox
-    evaluation; otherwise :class:`NeedsShift` is raised.  Returns the
-    minimizer together with the certifying subgradient
-    ``gamma1 = c1 + J1 xbar1 - (Q11 + J1) x``.
-    """
-    Q11 = np.asarray(Q11, dtype=float)
-    c1 = np.asarray(c1, dtype=float)
-    if J1 is not None:
-        J1 = np.asarray(J1, dtype=float)
-        if xbar1 is None:
-            raise InvalidParams("a shift J1 requires the anchor point xbar1")
-        scale = max(np.linalg.norm(J1, 2), 1.0)
-        if eigvalsh(0.5 * (J1 + J1.T)).min() < -1e-10 * scale:
-            raise ShiftNotPSD(0)
-        A = Q11 + J1
-        rhs = c1 + J1 @ np.asarray(xbar1, dtype=float)
-    else:
-        A = Q11
-        rhs = c1
+    A: np.ndarray
+    chol: tuple = None
+    mu: float = None
 
+
+def prepare_block1(spec, A):
+    """Factor ``A`` (zero ``p``) or find ``mu`` with ``A = mu I``, raising
+    :class:`DiagonalNotPD` or :class:`NeedsShift` as :func:`solve_block1` does."""
+    A = np.asarray(A, dtype=float)
     if spec.kind == "zero":
         try:
-            x = cho_solve(cho_factor(0.5 * (A + A.T), lower=True), rhs)
+            return Block1(A, chol=cho_factor(0.5 * (A + A.T), lower=True))
         except np.linalg.LinAlgError as exc:
             raise DiagonalNotPD(0) from exc
-        return x, rhs - A @ x
-
     mu = _identity_multiple(A)
     if mu is None:
         raise NeedsShift(
@@ -309,10 +297,43 @@ def solve_block1(spec, Q11, c1, J1=None, xbar1=None):
         )
     if mu <= 0:
         raise DiagonalNotPD(0)
+    return Block1(A, mu=mu)
+
+
+def solve_block1(spec, Q11, c1, J1=None, xbar1=None):
+    """Exactly minimize ``p(x) + 0.5 <x, Q11 x> - <c1, x>`` over the first
+    block, optionally with a proximal shift ``0.5 ||x - xbar1||^2_{J1}``.
+
+    For a nonsmooth ``p`` the (shifted) quadratic ``Q11 + J1`` must be a
+    positive multiple of the identity so the minimizer is a single prox
+    evaluation; otherwise :class:`NeedsShift` is raised.  ``Q11`` may be a
+    :class:`Block1` from :func:`prepare_block1`, so that repeated solves
+    with one quadratic factor it once.  Returns the minimizer together
+    with the certifying subgradient ``gamma1 = c1 + J1 xbar1 - (Q11 + J1) x``.
+    """
+    c1 = np.asarray(c1, dtype=float)
+    if isinstance(Q11, Block1):
+        head, rhs = Q11, c1
+    elif J1 is not None:
+        Q11 = np.asarray(Q11, dtype=float)
+        J1 = np.asarray(J1, dtype=float)
+        if xbar1 is None:
+            raise InvalidParams("a shift J1 requires the anchor point xbar1")
+        scale = max(np.linalg.norm(J1, 2), 1.0)
+        if eigvalsh(0.5 * (J1 + J1.T)).min() < -1e-10 * scale:
+            raise ShiftNotPSD(0)
+        head = prepare_block1(spec, Q11 + J1)
+        rhs = c1 + J1 @ np.asarray(xbar1, dtype=float)
+    else:
+        head, rhs = prepare_block1(spec, Q11), c1
+
+    if head.chol is not None:
+        x = cho_solve(head.chol, rhs, check_finite=False)
+        return x, rhs - head.A @ x
     want = spec.block_dim()
     if want is not None and c1.shape != (want,):
         raise ShapeMismatch(
             f"first block has length {c1.shape[0]}, prox expects {want}"
         )
-    x = prox(spec, mu, rhs / mu)
-    return x, rhs - mu * x
+    x = prox(spec, head.mu, rhs / head.mu)
+    return x, rhs - head.mu * x

@@ -17,11 +17,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from scipy.sparse.linalg import cg
 
-from .blockla import (
-    BlockVector,
-    sgs_operator,
-    ssor_operator,
-)
+from .blockla import BlockVector, finite, sgs_operator, ssor_operator, sweep
 from .errors import (
     DimensionMismatch,
     FirstBlockMismatch,
@@ -29,7 +25,8 @@ from .errors import (
     InvalidParams,
     OmegaOutOfRange,
 )
-from .proxmap import ProxSpec, prox_value, solve_block1, subgrad_residual
+from .proxmap import (ProxSpec, prepare_block1, prox_value, solve_block1,
+                      subgrad_residual)
 
 __all__ = [
     "CompositeQP",
@@ -97,7 +94,8 @@ class CompositeQP:
     supported proximal kinds.  Optional PSD diagonal shifts ``J_i`` are
     folded into the sweeps (they enlarge the proximal weight, never the
     objective); a nonsmooth ``p`` whose ``Q_11`` is not a multiple of the
-    identity needs ``J_1 = ||Q_11|| I - Q_11`` to become solvable.
+    identity needs ``J_1 = ||Q_11|| I - Q_11`` to become solvable.  ``b``
+    and the shifts must be finite (:class:`NonFinite` otherwise).
 
     Parameters
     ----------
@@ -114,6 +112,7 @@ class CompositeQP:
             b = BlockVector(part, b)
         if b.partition.dims != part.dims:
             raise DimensionMismatch("b is partitioned differently from Q")
+        finite(b.data, "b")
         self.b = b
         self.prox = p if p is not None else ProxSpec.zero()
         want = self.prox.block_dim()
@@ -127,11 +126,14 @@ class CompositeQP:
                 raise DimensionMismatch(
                     f"expected {part.s} shifts, got {len(shifts)}"
                 )
+            shifts = [None if J is None else finite(J, f"shift {i}")
+                      for i, J in enumerate(shifts)]
             if all(J is None for J in shifts):
                 shifts = None
         self.shifts = shifts
         self._eff = None
         self._majs = {}
+        self._heads = {}
 
     @property
     def partition(self):
@@ -156,6 +158,16 @@ class CompositeQP:
             else:
                 raise InvalidParams(f"unknown majorizer kind {kind!r}")
         return self._majs[key]
+
+    def _head(self, kind="sgs", omega=None):
+        """The cycle's first-block quadratic ``(tau^2/rho) Dhat_11`` for the
+        majorizer ``(kind, omega)``, prepared once by :func:`prepare_block1`."""
+        key = (kind, omega)
+        if key not in self._heads:
+            maj = self.majorizer(kind, omega)
+            A00 = (maj._a * maj._a / maj._c) * self.shifted_Q.block(0, 0)
+            self._heads[key] = prepare_block1(self.prox, A00)
+        return self._heads[key]
 
     def effective_b(self, xbar):
         """``b + diag(J) xbar`` — the sweeps' right-hand side."""
@@ -237,135 +249,96 @@ def _cg_solve(M, rhs, rel_tol, max_inner):
 def _cycle(prob, xbar, mode, tau, variant, omega=None, reuse_c=None):
     mode = _as_mode(mode)
     part = prob.partition
-    s = part.s
+    s, off, n1 = part.s, part.offsets, part.dims[0]
     A = prob.shifted_Q
+    _, low, _, diag = A.panels()
     maj = prob.majorizer(variant, omega)
+    head = prob._head(variant, omega)
     if not isinstance(xbar, BlockVector):
         xbar = BlockVector(part, xbar)
-    xb = [xbar.block(i).copy() for i in range(s)]
-    beff = prob.effective_b(xbar)
-    be = [beff.block(i) for i in range(s)]
+    xb = xbar.data
+    be = prob.effective_b(xbar).data
     rho = 2.0 * tau - 1.0
-    one_m_tau = 1.0 - tau
-
     rng = np.random.default_rng(mode.seed) if isinstance(mode, NoisyMode) else None
 
-    def _solve_block(i, rhs):
-        """Solve ``tau * A_ii x = rhs`` per mode; returns (x, resid, iters, stall)."""
-        if isinstance(mode, ExactMode):
-            return A.diag_solve(i, rhs) / tau, None, 0, False
-        if isinstance(mode, IterativeMode):
-            M = tau * A.block(i, i)
-            x, it, stall = _cg_solve(M, rhs, mode.rel_tol, mode.max_inner)
-            return x, M @ x - rhs, it, stall
-        # NoisyMode: exact solve plus a relative perturbation, honest resid
-        x = A.diag_solve(i, rhs) / tau
-        noise = rng.standard_normal(x.shape[0])
-        x = x + mode.scale * max(1.0, np.linalg.norm(x)) * noise / max(
-            np.linalg.norm(noise), np.finfo(float).tiny
-        )
-        return x, tau * (A.block(i, i) @ x) - rhs, 0, False
-
-    xp = [None] * s          # backward intermediates
-    dprime = [np.zeros(n) for n in part.dims]
-    delta = [np.zeros(n) for n in part.dims]
+    dprime = np.zeros(part.total)     # backward residuals
+    delta = np.zeros(part.total)      # forward residuals
     stalled = []
     inner = [0] * s
+    gamma1 = None
 
-    # backward sweep over blocks s..2
-    for i in range(s - 1, 0, -1):
-        rhs = be[i].copy()
-        if one_m_tau != 0.0:
-            rhs -= one_m_tau * (A.block(i, i) @ xb[i])
-        for j in range(i):
-            if A.has_block(j, i):
-                rhs -= A.block(j, i).T @ xb[j]
-        for j in range(i + 1, s):
-            if A.has_block(i, j):
-                rhs -= A.block(i, j) @ xp[j]
-        xp[i], resid, it, stall = _solve_block(i, rhs)
-        if resid is not None:
-            dprime[i] = resid
+    def cg_block(i, M, rhs, resid):
+        x, it, stall = _cg_solve(M, rhs, mode.rel_tol, mode.max_inner)
+        resid[off[i]:off[i + 1]] = M @ x - rhs
         inner[i] += it
         if stall:
             stalled.append(i)
+        return x
 
-    # first block: exact composite minimization
-    c1_raw = be[0].copy()
-    for j in range(1, s):
-        if A.has_block(0, j):
-            c1_raw -= A.block(0, j) @ xp[j]
-    A00 = A.block(0, 0)
-    c1 = c1_raw.copy()
-    if one_m_tau != 0.0:
-        c1 = c1 + (one_m_tau * one_m_tau / rho) * (A00 @ xb[0])
-    scale1 = tau * tau / rho
-    if prob.prox.kind == "zero" and isinstance(mode, IterativeMode):
-        M = scale1 * A00
-        x1, it, stall = _cg_solve(M, c1, mode.rel_tol, mode.max_inner)
-        d1 = M @ x1 - c1
-        gamma1 = np.zeros_like(x1)
-        inner[0] += it
-        if stall:
-            stalled.append(0)
-    else:
-        x1, gamma1 = solve_block1(prob.prox, scale1 * A00, c1)
-        d1 = np.zeros_like(x1)
-    delta[0] = d1
-    dprime[0] = d1
+    def solve_block(i, rhs, resid):
+        """Solve ``tau * A_ii x = rhs`` per mode; an inexact solve writes
+        its honest residual into block ``i`` of ``resid``."""
+        if isinstance(mode, IterativeMode):
+            return cg_block(i, tau * diag[i], rhs, resid)
+        x = A.diag_solve(i, rhs) / tau
+        if rng is not None:
+            # exact solve plus a relative perturbation, honest residual
+            noise = rng.standard_normal(x.shape[0])
+            x = x + mode.scale * max(1.0, np.linalg.norm(x)) * noise / max(
+                np.linalg.norm(noise), np.finfo(float).tiny
+            )
+            resid[off[i]:off[i + 1]] = tau * (diag[i] @ x) - rhs
+        return x
 
-    xplus = [None] * s
-    xplus[0] = x1
-    if tau == 1.0:
-        xp[0] = x1
-    else:
+    def backward(i, rhs):
+        """Blocks s..2 per mode; block 1 is the exact composite minimization,
+        returning the backward intermediate ``x'_1``."""
+        nonlocal gamma1
+        if i > 0:
+            return solve_block(i, rhs, dprime)
+        # ``rhs`` holds ``-(1 - tau) A_11 xbar_1``; the head needs
+        # ``+((1 - tau)^2 / rho) A_11 xbar_1`` instead
+        c1 = rhs if tau == 1.0 else rhs + ((1.0 - tau) * tau / rho) * (
+            diag[0] @ xb[:n1])
+        if prob.prox.kind == "zero" and isinstance(mode, IterativeMode):
+            x1 = cg_block(0, head.A, c1, dprime)
+            gamma1 = np.zeros_like(x1)
+        else:
+            x1, gamma1 = solve_block1(prob.prox, head, c1)
+        delta[:n1] = dprime[:n1]
+        xplus[:n1] = x1
+        if tau == 1.0:
+            return x1
         # backward row-1 identity recovers the intermediate first block
-        rhs = c1_raw + d1 - gamma1
-        if one_m_tau != 0.0:
-            rhs -= one_m_tau * (A00 @ xb[0])
-        xp[0] = A.diag_solve(0, rhs) / tau
+        return A.diag_solve(0, rhs + dprime[:n1] - gamma1) / tau
 
-    # forward sweep over blocks 2..s
+    xplus = np.empty(part.total)
+    xp = sweep(A, be, tau, lower=False, w=xb, solve=backward)
+
     reuse_thresh = None
     reused = []
     if reuse_c is not None:
         if variant != "sgs":
             raise InvalidParams("forward reuse applies to the Gauss-Seidel cycle")
-        dp_norm = np.sqrt(sum(float(d @ d) for d in dprime))
-        reuse_thresh = (reuse_c / np.sqrt(s)) * dp_norm
-    for i in range(1, s):
-        coupling = np.zeros(part.dims[i])
-        for j in range(i):
-            if A.has_block(j, i):
-                coupling += A.block(j, i).T @ (xplus[j] - xb[j])
-        if reuse_thresh is not None and np.linalg.norm(coupling) <= reuse_thresh:
-            xplus[i] = xp[i]
-            delta[i] = dprime[i] + coupling
-            reused.append(i)
-            continue
-        rhs = be[i].copy()
-        if one_m_tau != 0.0:
-            rhs -= one_m_tau * (A.block(i, i) @ xp[i])
-        for j in range(i):
-            if A.has_block(j, i):
-                rhs -= A.block(j, i).T @ xplus[j]
-        for j in range(i + 1, s):
-            if A.has_block(i, j):
-                rhs -= A.block(i, j) @ xp[j]
-        if reuse_thresh is not None:
-            # under reuse the fresh path must stay exact so the enlarged
-            # error budget remains certifiable
-            xplus[i] = A.diag_solve(i, rhs) / tau
-        else:
-            xplus[i], resid, it, stall = _solve_block(i, rhs)
-            if resid is not None:
-                delta[i] = resid
-            inner[i] += it
-            if stall:
-                stalled.append(i)
+        reuse_thresh = (reuse_c / np.sqrt(s)) * np.linalg.norm(dprime)
 
-    dp_vec = BlockVector.from_blocks(part, dprime)
-    d_vec = BlockVector.from_blocks(part, delta)
+    def forward(i, rhs):
+        if reuse_thresh is None:
+            return solve_block(i, rhs, delta)
+        sl = part.slice(i)
+        coupling = low[i] @ (xplus[:off[i]] - xb[:off[i]])
+        if np.linalg.norm(coupling) <= reuse_thresh:
+            delta[sl] = dprime[sl] + coupling
+            reused.append(i)
+            return xp[sl]
+        # under reuse the fresh path must stay exact so the enlarged
+        # error budget remains certifiable
+        return A.diag_solve(i, rhs) / tau
+
+    sweep(A, be, tau, lower=True, w=xp, solve=forward, start=1, out=xplus)
+
+    dp_vec = BlockVector(part, dprime)
+    d_vec = BlockVector(part, delta)
     if dp_vec.norm() == 0.0 and d_vec.norm() == 0.0:
         Dl = BlockVector.zeros(part)
         xi = 0.0
@@ -377,8 +350,8 @@ def _cycle(prob, xbar, mode, tau, variant, omega=None, reuse_c=None):
             dp_vec, "Qhat_inv"
         )
     return CycleResult(
-        x_plus=BlockVector.from_blocks(part, xplus),
-        x_prime=BlockVector.from_blocks(part, xp),
+        x_plus=BlockVector(part, xplus),
+        x_prime=BlockVector(part, xp),
         delta_prime=dp_vec,
         delta=d_vec,
         gamma1=gamma1,
@@ -512,11 +485,10 @@ def forward_reuse_delta(Q, xbar, xplus_partial, delta_prime, i):
 
 
 def _reuse_coupling(Q, xbar, xplus_partial, i):
-    out = np.zeros(Q.partition.dims[i])
-    for j in range(i):
-        if Q.has_block(j, i):
-            out += Q.block(j, i).T @ (xplus_partial.block(j) - xbar.block(j))
-    return out
+    """``sum_{j<i} Q_{ji}^* (xplus_j - xbar_j)``: one lower panel product,
+    the same one the cycle's forward pass evaluates."""
+    o = Q.partition.offsets[i]
+    return Q.panels()[1][i] @ (xplus_partial.data[:o] - xbar.data[:o])
 
 
 def subproblem_kkt(prob, xbar, result):
@@ -553,18 +525,14 @@ class SsorTuning:
 
 
 def ssor_tuning(Q):
-    from scipy.linalg import eigh, solve as _dsolve
+    from scipy.linalg import block_diag, eigh, solve as _dsolve
 
-    part = Q.partition
     Qd = Q.dense()
     scale = max(np.linalg.norm(Qd, 2), np.finfo(float).tiny)
     if np.linalg.eigvalsh(Qd).min() <= 1e-10 * scale:
         from .errors import NotPD
         raise NotPD("relaxation tuning needs a positive definite operator")
-    Dd = np.zeros_like(Qd)
-    for i in range(part.s):
-        sl = part.slice(i)
-        Dd[sl, sl] = Qd[sl, sl]
+    Dd = block_diag(*Q.panels()[3])
     U = np.triu(Qd - Dd)
     gamma = float(eigh(Qd, Dd, eigvals_only=True).min())
     half = 0.5 * Dd + U

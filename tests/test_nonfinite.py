@@ -1,0 +1,91 @@
+"""NaN and inf are refused with :class:`NonFinite` where they enter.
+
+The sweeps call LAPACK without per-call finiteness checks, so every entry
+point that accepts numbers checks them once, up front.
+"""
+
+import numpy as np
+import pytest
+
+from sgsqp import (
+    BlockPartition,
+    BlockSymOperator,
+    BlockVector,
+    CompositeQP,
+    LinConQP,
+    NonFinite,
+    palm_solve,
+    solve,
+)
+from sgsqp.instances import gen_lincon
+
+from conftest import random_problem
+
+BAD = (np.nan, np.inf, -np.inf)
+
+
+def _blocks():
+    return {(0, 0): 2.0 * np.eye(2), (0, 1): np.ones((2, 1)),
+            (1, 1): np.array([[3.0]])}
+
+
+def _poison(arr, bad):
+    arr = np.array(arr, dtype=float)
+    arr.flat[arr.size // 2] = bad
+    return arr
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("key", [(0, 0), (0, 1), (1, 1)])
+def test_operator_blocks(key, bad):
+    """Diagonal NaN is NonFinite, not DiagonalNotPD; off-diagonal NaN
+    no longer waits for a sweep to trip over it."""
+    blocks = _blocks()
+    blocks[key] = _poison(blocks[key], bad)
+    with pytest.raises(NonFinite, match=rf"block \({key[0]}, {key[1]}\)"):
+        BlockSymOperator(BlockPartition((2, 1)), blocks)
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_operator_shift(bad):
+    Q = BlockSymOperator(BlockPartition((2, 1)), _blocks())
+    with pytest.raises(NonFinite, match="shift block 0"):
+        Q.with_added_diag([_poison(np.eye(2), bad), None])
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_composite_rhs_and_shifts(bad):
+    Q = BlockSymOperator(BlockPartition((2, 1)), _blocks())
+    with pytest.raises(NonFinite, match="b contains"):
+        CompositeQP(Q, _poison(np.ones(3), bad))
+    with pytest.raises(NonFinite, match="shift 1"):
+        CompositeQP(Q, np.ones(3), shifts=[None, np.array([[bad]])])
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("field", ["A", "g", "d"])
+def test_lincon_data(field, bad):
+    lp = gen_lincon((2, 2), m=2, seed=0).lincon_problem()
+    data = {"A": lp.A, "g": lp.g, "d": lp.d}
+    data[field] = _poison(data[field], bad)
+    with pytest.raises(NonFinite, match=f"{field} contains"):
+        LinConQP(lp.P, data["A"], data["g"], data["d"])
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_solve_start_point(bad):
+    prob = random_problem(0)
+    for x0 in (_poison(np.zeros(prob.partition.total), bad),
+               BlockVector(prob.partition,
+                           _poison(np.zeros(prob.partition.total), bad))):
+        with pytest.raises(NonFinite, match="x0"):
+            solve(prob, x0=x0)
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_palm_start_points(bad):
+    lp = gen_lincon((2, 2), m=2, seed=0).lincon_problem()
+    with pytest.raises(NonFinite, match="x0"):
+        palm_solve(lp, 1.0, 1.0, x0=_poison(np.zeros(4), bad))
+    with pytest.raises(NonFinite, match="y0"):
+        palm_solve(lp, 1.0, 1.0, y0=_poison(np.zeros(2), bad))

@@ -287,8 +287,9 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
             raise InvalidParams(f"unknown mode {mode!r}")
 
         x_new = res.x_plus
-        Fv = prob.objective(x_new)
-        kkt = prob.kkt_residual(x_new)
+        Qx = prob.Q.matvec(x_new.data)
+        Fv = prob.objective(x_new, Qx)
+        kkt = prob.kkt_residual(x_new, Qx)
         t_next, restarted = steps.advance(t, k)
         beta = 0.0 if restarted else (t - 1.0) / t_next
         dist = np.nan

@@ -6,7 +6,9 @@ exactly; keys are sorted and the layout is fixed, so identical seeds
 produce byte-identical files.
 """
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,12 +46,23 @@ def _earr(a):
     return rec(np.asarray(a, dtype=float).tolist())
 
 
-def _darr(v):
-    def rec(u):
-        if isinstance(u, list):
-            return [rec(w) for w in u]
-        return float(u)
-    return np.array(rec(v), dtype=float)
+def _darr(v, what):
+    """Decode a list (vector) or list of equal-length lists (matrix) of
+    numbers; :class:`InvalidParams` naming ``what`` otherwise."""
+    if not isinstance(v, list):
+        raise InvalidParams(f"{what} must be a list of numbers")
+    shape = (len(v),)
+    if v and isinstance(v[0], list):
+        shape = (len(v), len(v[0]))
+        if not all(isinstance(row, list) and len(row) == shape[1] for row in v):
+            raise InvalidParams(f"{what} has rows of different lengths")
+        v = itertools.chain.from_iterable(v)
+    try:
+        flat = np.fromiter(map(float, v), dtype=float,
+                           count=math.prod(shape))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParams(f"{what} has a non-numeric entry: {exc}") from None
+    return flat.reshape(shape)
 
 
 def _enc_prox(spec):
@@ -73,7 +86,8 @@ def _dec_prox(doc):
     if kind == "nonneg":
         return ProxSpec.nonneg()
     if kind == "box":
-        return ProxSpec.box(_darr(doc["lo"]), _darr(doc["hi"]))
+        return ProxSpec.box(_darr(doc["lo"], "prox.lo"),
+                            _darr(doc["hi"], "prox.hi"))
     if kind == "psd_cone":
         return ProxSpec.psd_cone(int(doc["side"]))
     raise InvalidParams(f"unknown prox kind {kind!r} in instance file")
@@ -83,11 +97,11 @@ def _enc_blocks(blocks):
     return {f"{i},{j}": _earr(M) for (i, j), M in sorted(blocks.items())}
 
 
-def _dec_blocks(doc):
+def _dec_blocks(doc, what):
     out = {}
     for key, M in doc.items():
         i, j = (int(t) for t in key.split(","))
-        out[(i, j)] = _darr(M)
+        out[(i, j)] = _darr(M, f"{what} block {key}")
     return out
 
 
@@ -170,17 +184,18 @@ def loads_instance(text):
     lincon = None
     if "lincon" in doc:
         lc = doc["lincon"]
-        lincon = {"P": _dec_blocks(lc["P"]), "A": _darr(lc["A"]),
-                  "g": _darr(lc["g"]), "d": _darr(lc["d"])}
+        lincon = {"P": _dec_blocks(lc["P"], "lincon.P")}
+        for k in ("A", "g", "d"):
+            lincon[k] = _darr(lc[k], f"lincon.{k}")
     qsdp = None
     if "qsdp" in doc:
         qd = doc["qsdp"]
-        qsdp = QsdpData(int(qd["n"]), _darr(qd["H"]), _darr(qd["B"]),
-                        _darr(qd["h"]), _darr(qd["C"]))
+        qsdp = QsdpData(int(qd["n"]), *(_darr(qd[k], f"qsdp.{k}")
+                                        for k in ("H", "B", "h", "C")))
     return Instance(
         dims=tuple(int(n) for n in doc["partition"]["dims"]),
-        Q=_dec_blocks(doc["Q"]),
-        b=_darr(doc["b"]),
+        Q=_dec_blocks(doc["Q"], "Q"),
+        b=_darr(doc["b"], "b"),
         prox=_dec_prox(doc["prox"]),
         lincon=lincon,
         qsdp=qsdp,

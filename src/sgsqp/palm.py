@@ -76,30 +76,38 @@ class LinConQP:
     def partition(self):
         return self.P.partition
 
-    def objective(self, x):
+    def objective(self, x, Px=None):
+        """``p(x_1) + (1/2) <x, P x> - <g, x>``; ``Px``, when given, is the
+        precomputed product ``P x``."""
         xd = x.data if isinstance(x, BlockVector) else np.asarray(x)
         n1 = self.partition.dims[0]
-        return (prox_value(self.prox, xd[:n1])
-                + 0.5 * xd @ self.P.matvec(xd) - self.g @ xd)
+        if Px is None:
+            Px = self.P.matvec(xd)
+        return prox_value(self.prox, xd[:n1]) + 0.5 * xd @ Px - self.g @ xd
 
     def constraint_residual(self, x):
         xd = x.data if isinstance(x, BlockVector) else np.asarray(x)
         return self.A @ xd - self.d
 
-    def kkt(self, x, y):
+    def kkt(self, x, y, Px=None, resid=None):
         """(dual residual, primal infeasibility) at a primal-dual pair.
 
         The dual part measures the distance of ``g - P x - A^T y`` to
         the subdifferential of the nonsmooth term on block 1 (and to
         zero elsewhere); both parts vanish exactly at KKT points.
+        ``Px`` and ``resid``, when given, are the precomputed ``P x`` and
+        :meth:`constraint_residual` at ``x``.
         """
         xd = x.data if isinstance(x, BlockVector) else np.asarray(x)
-        r = self.g - self.P.matvec(xd) - self.A.T @ y
+        if Px is None:
+            Px = self.P.matvec(xd)
+        r = self.g - Px - self.A.T @ y
         n1 = self.partition.dims[0]
         dual = np.hypot(subgrad_residual(self.prox, xd[:n1], r[:n1]),
                         np.linalg.norm(r[n1:]))
-        primal = np.linalg.norm(self.constraint_residual(xd))
-        return dual, primal
+        if resid is None:
+            resid = self.constraint_residual(xd)
+        return dual, np.linalg.norm(resid)
 
 
 def assemble_penalized(prob, sigma):
@@ -214,6 +222,7 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
         finite(x.data, "x0")
     y = np.zeros(prob.A.shape[0]) if y0 is None else np.array(finite(y0, "y0")).ravel()
 
+    fresh = multiplier_update == "new"
     trace = PalmTrace()
     t0 = time.perf_counter()
     for k in range(1, stop.max_iter + 1):
@@ -221,14 +230,15 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
         inner.b.data[:] = prob.g + prob.A.T @ (sigma * prob.d - y)
         res = sgs_cycle(inner, x, mode="exact")
         x_new = res.x_plus
-        # Step 2: multiplier ascent
-        x_for_y = x_new if multiplier_update == "new" else x
-        y = y + tau * sigma * prob.constraint_residual(x_for_y)
+        # Step 2: multiplier ascent; the "new" residual is also kkt's
+        resid = prob.constraint_residual(x_new if fresh else x)
+        y = y + tau * sigma * resid
         x = x_new
 
-        dual, primal = prob.kkt(x, y)
+        Px = prob.P.matvec(x.data)
+        dual, primal = prob.kkt(x, y, Px, resid if fresh else None)
         trace.rows.append(PalmRow(
-            k=k, F=prob.objective(x), primal_inf=primal, kkt=dual,
+            k=k, F=prob.objective(x, Px), primal_inf=primal, kkt=dual,
             y_norm=np.linalg.norm(y), time_s=time.perf_counter() - t0,
         ))
         if max(dual, primal) <= stop.kkt_tol:
@@ -268,27 +278,28 @@ class QsdpData:
     """min  delta_PSD(Z) + (1/2)<W, H W> - <h, xi>
     s.t.  Z + B^T xi + H W = C   (all matrices in packed symmetric
     coordinates; ``H`` acts on that space, ``B`` maps it to R^p).
+    All data must be finite (:class:`NonFinite`).
     """
 
     def __init__(self, n, H, B, h, C):
         self.n = int(n)
         dim = svec_dim(self.n)
-        H = np.asarray(H, dtype=float)
+        H = finite(H, "H")
         if H.shape != (dim, dim):
             raise ShapeMismatch(f"H must be {dim}x{dim} for n={n}")
         if np.linalg.norm(H - H.T) > 1e-12 * max(1.0, np.linalg.norm(H)):
             raise ShapeMismatch("H must be symmetric")
         self.H = 0.5 * (H + H.T)
-        B = np.atleast_2d(np.asarray(B, dtype=float))
+        B = np.atleast_2d(finite(B, "B"))
         if B.shape[1] != dim:
             raise DimensionMismatch(f"B must have {dim} columns")
         self.B = B
         self.p = B.shape[0]
-        h = np.asarray(h, dtype=float).ravel()
+        h = finite(h, "h").ravel()
         if h.shape != (self.p,):
             raise DimensionMismatch("h length must match the rows of B")
         self.h = h
-        C = np.asarray(C, dtype=float)
+        C = finite(C, "C")
         if C.shape != (self.n, self.n):
             raise ShapeMismatch("C must be n x n")
         self.C = 0.5 * (C + C.T)

@@ -9,6 +9,7 @@ scales off-diagonal entries by ``sqrt(2)`` so Euclidean norms equal
 Frobenius norms.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,15 +47,26 @@ def svec_dim(n):
     return n * (n + 1) // 2
 
 
+@functools.lru_cache(maxsize=64)
+def _triu(n):
+    """Packed upper-triangle indices of side ``n`` and the off-diagonal
+    mask, built once per side (read-only: every caller shares them)."""
+    iu, ju = np.triu_indices(n)
+    off = iu != ju
+    for a in (iu, ju, off):
+        a.flags.writeable = False
+    return iu, ju, off
+
+
 def svec(S):
     """Packed upper-triangle vectorization with off-diagonals scaled by
     ``sqrt(2)``, so that ``<svec(A), svec(B)> = <A, B>_F``."""
     S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    iu, ju = np.triu_indices(n)
-    v = S[iu, ju].copy()
-    v[iu != ju] *= _SQRT2
+    iu, ju, off = _triu(S.shape[0])
+    v = S[iu, ju]
+    v[off] *= _SQRT2
     return v
+
 
 def smat(v, n):
     """Inverse of :func:`svec`."""
@@ -64,9 +76,9 @@ def smat(v, n):
             f"expected packed length {svec_dim(n)} for side {n}, got {v.shape}"
         )
     S = np.zeros((n, n))
-    iu, ju = np.triu_indices(n)
+    iu, ju, off = _triu(n)
     w = v.copy()
-    w[iu != ju] /= _SQRT2
+    w[off] /= _SQRT2
     S[iu, ju] = w
     S[ju, iu] = w
     return S

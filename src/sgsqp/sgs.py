@@ -13,9 +13,10 @@ ones report honest residual vectors from which ``Delta`` and its weighted
 norm bound are formed.
 """
 
+import numbers
+
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.sparse.linalg import cg
 
 from .blockla import BlockVector, finite, sgs_operator, ssor_operator, sweep
 from .errors import (
@@ -57,13 +58,25 @@ class ExactMode:
 class IterativeMode:
     """Solve block systems by conjugate gradients from a zero start.
 
-    ``rel_tol`` is the relative residual target per block; a block that
-    still misses it after ``max_inner`` iterations is flagged as stalled
-    (its honest residual is reported either way).
+    ``rel_tol`` is the relative residual target per block, finite and
+    positive; a block that still misses it after ``max_inner`` (an int
+    ``>= 1``) iterations is flagged as stalled (its honest residual is
+    reported either way).  Other values raise :class:`InvalidParams`.
     """
 
     rel_tol: float = 1e-8
     max_inner: int = 500
+
+    def __post_init__(self):
+        if not (isinstance(self.rel_tol, numbers.Real)
+                and np.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise InvalidParams(
+                f"rel_tol must be finite and positive, got {self.rel_tol!r}")
+        if (isinstance(self.max_inner, bool)
+                or not isinstance(self.max_inner, numbers.Integral)
+                or self.max_inner < 1):
+            raise InvalidParams(
+                f"max_inner must be an int >= 1, got {self.max_inner!r}")
 
 
 @dataclass(frozen=True)
@@ -179,19 +192,23 @@ class CompositeQP:
                 out.set_block(i, out.block(i) + J @ xbar.block(i))
         return out
 
-    def objective(self, x):
-        """``F(x) = p(x_1) + 0.5 <x, Q x> - <b, x>`` (original operator)."""
+    def objective(self, x, Qx=None):
+        """``F(x) = p(x_1) + 0.5 <x, Q x> - <b, x>`` (original operator);
+        ``Qx``, when given, is the precomputed product ``Q x``."""
         vec = x.data if isinstance(x, BlockVector) else np.asarray(x, dtype=float)
         n1 = self.partition.dims[0]
         head = prox_value(self.prox, vec[:n1])
         if not np.isfinite(head):
             return np.inf
-        return float(head + 0.5 * (vec @ self.Q.matvec(vec)) - self.b.data @ vec)
+        if Qx is None:
+            Qx = self.Q.matvec(vec)
+        return float(head + 0.5 * (vec @ Qx) - self.b.data @ vec)
 
-    def kkt_residual(self, x):
-        """Distance of ``b - Q x`` from ``partial p(x_1) x {0} x ...``."""
+    def kkt_residual(self, x, Qx=None):
+        """Distance of ``b - Q x`` from ``partial p(x_1) x {0} x ...``;
+        ``Qx`` as in :meth:`objective`."""
         vec = x.data if isinstance(x, BlockVector) else np.asarray(x, dtype=float)
-        r = self.b.data - self.Q.matvec(vec)
+        r = self.b.data - (self.Q.matvec(vec) if Qx is None else Qx)
         n1 = self.partition.dims[0]
         head = subgrad_residual(self.prox, vec[:n1], r[:n1])
         if not np.isfinite(head):
@@ -233,16 +250,50 @@ class CycleResult:
         return self.delta.norm()
 
 
+def cg(A, b, *, rtol, maxiter, callback):
+    """Conjugate gradients on a dense SPD ``A`` from a zero start.
+
+    The recurrence and stopping test are those of SciPy's ``cg``
+    without a preconditioner, so iterates, iteration counts and ``info``
+    agree bit for bit; only the operator wrapping is gone.  Stops once
+    ``||r|| < rtol ||b||``, checked before each iteration;
+    ``callback(x)`` runs after each one.  Returns ``(x, 0)``, or
+    ``(x, maxiter)`` when the cap is reached.
+    """
+    b = np.asarray(b, dtype=float)
+    x = np.zeros_like(b)
+    bnrm = np.linalg.norm(b)
+    if bnrm == 0.0:
+        return x, 0
+    tol = float(rtol) * float(bnrm)
+    r = b.copy()
+    p = None
+    rho_prev = None
+    for _ in range(maxiter):
+        rho = np.dot(r, r)
+        if np.sqrt(rho) < tol:
+            return x, 0
+        if p is None:
+            p = r.copy()
+        else:
+            p *= rho / rho_prev
+            p += r
+        q = A.dot(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        callback(x)
+    return x, maxiter
+
+
 def _cg_solve(M, rhs, rel_tol, max_inner):
-    nrm = np.linalg.norm(rhs)
-    if nrm == 0.0:
-        return np.zeros_like(rhs), 0, False
     iters = [0]
 
     def _cb(_):
         iters[0] += 1
 
-    x, info = cg(M, rhs, rtol=rel_tol, atol=0.0, maxiter=max_inner, callback=_cb)
+    x, info = cg(M, rhs, rtol=rel_tol, maxiter=max_inner, callback=_cb)
     return x, iters[0], info != 0
 
 

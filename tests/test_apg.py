@@ -89,6 +89,25 @@ class TestSolve:
         assert objective(prob, x) == pytest.approx(prob.objective(x))
         assert kkt_residual(prob, x) == pytest.approx(prob.kkt_residual(x))
 
+    @pytest.mark.parametrize("prox_kind", ["zero", "l1"])
+    def test_precomputed_product_is_bit_identical(self, prox_kind):
+        prob = random_problem(4, prox_kind=prox_kind)
+        x = BlockVector(prob.partition,
+                        np.random.default_rng(2).standard_normal(7))
+        Qx = prob.Q.matvec(x.data)
+        assert prob.objective(x, Qx) == prob.objective(x)
+        assert prob.kkt_residual(x, Qx) == prob.kkt_residual(x)
+
+    def test_one_product_per_iteration(self, monkeypatch):
+        prob = random_problem(1, prox_kind="l1")
+        calls = []
+        orig = prob.Q.matvec
+        monkeypatch.setattr(prob.Q, "matvec",
+                            lambda v: calls.append(1) or orig(v))
+        tr = solve(prob, stop=StopRule(kkt_tol=1e-10, max_iter=50))
+        assert tr.termination == "tol"
+        assert len(calls) == tr.iterations
+
     def test_max_iter_termination(self):
         prob = random_problem(0)
         tr = solve(prob, stop=StopRule(kkt_tol=1e-14, max_iter=3))

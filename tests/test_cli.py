@@ -51,6 +51,15 @@ class TestSolve:
         path.write_text("{ not json")
         assert main(["solve", str(path)]) == 1
 
+    def test_exit_1_on_ragged_matrix(self, tmp_path, capsys):
+        import json
+        path = _gen(tmp_path, "a.json", "--dims", "2,2")
+        doc = json.loads((tmp_path / "a.json").read_text())
+        doc["Q"]["0,0"][1].pop()
+        (tmp_path / "a.json").write_text(json.dumps(doc))
+        assert main(["solve", path]) == 1
+        assert "Q block 0,0" in capsys.readouterr().err
+
     def test_trace_written(self, tmp_path):
         path = _gen(tmp_path, "a.json", "--dims", "2,2")
         trace = tmp_path / "trace.csv"

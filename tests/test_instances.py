@@ -156,3 +156,60 @@ class TestFileFormat:
         broken = text.replace('"nonneg"', '"simplex"')
         with pytest.raises(InvalidParams):
             loads_instance(broken)
+
+
+def _nested_decode(v):
+    """Element-by-element reference decoder for the flat one."""
+    def rec(u):
+        return [rec(w) for w in u] if isinstance(u, list) else float(u)
+    return np.array(rec(v), dtype=float)
+
+
+class TestDecoder:
+    @pytest.mark.parametrize("inst", [
+        gen((3, 2, 2), seed=3, prox_kind="box"),
+        gen_lincon((2, 3), m=2, seed=1),
+        gen_qsdp(3, 2, seed=5),
+    ], ids=["box", "lincon", "qsdp"])
+    def test_flat_decoder_matches_nested_reference(self, inst):
+        import json
+        text = dumps_instance(inst)
+        doc, back = json.loads(text), loads_instance(text)
+        pairs = [(back.b, doc["b"])]
+        pairs += [(back.Q[tuple(int(t) for t in k.split(","))], M)
+                  for k, M in doc["Q"].items()]
+        if "lincon" in doc:
+            pairs += [(back.lincon[k], doc["lincon"][k]) for k in "Agd"]
+        if "qsdp" in doc:
+            pairs += [(back.qsdp.H, doc["qsdp"]["H"]),
+                      (back.qsdp.B, doc["qsdp"]["B"])]
+        if back.prox.kind == "box":
+            pairs += [(np.array(back.prox.lo), doc["prox"]["lo"])]
+        for got, raw in pairs:
+            want = _nested_decode(raw)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("section,key,what", [
+        (None, "b", "b"), ("Q", "0,1", "Q block 0,1"),
+        ("lincon", "A", "lincon.A"), ("qsdp", "B", "qsdp.B")])
+    @pytest.mark.parametrize("fault", ["ragged", "text", "huge"])
+    def test_bad_array_named(self, section, key, what, fault):
+        import json
+        if section in ("lincon", "qsdp"):
+            inst = (gen_lincon((2, 2), m=2, seed=0) if section == "lincon"
+                    else gen_qsdp(3, 2, seed=0))
+        else:
+            inst = gen((2, 2), seed=0, coupling=1.0)
+        doc = json.loads(dumps_instance(inst))
+        holder = doc if section is None else doc[section]
+        arr = holder[key]
+        if fault == "ragged" and isinstance(arr[0], list):
+            arr[-1] = arr[-1][:-1]
+        elif fault == "ragged":
+            arr[-1] = [arr[-1]]
+        else:
+            bad = "1.0x" if fault == "text" else 10 ** 400
+            (arr[0] if isinstance(arr[0], list) else arr)[0] = bad
+        with pytest.raises(InvalidParams, match=what):
+            loads_instance(json.dumps(doc))

@@ -14,10 +14,11 @@ from sgsqp import (
     CompositeQP,
     LinConQP,
     NonFinite,
+    QsdpData,
     palm_solve,
     solve,
 )
-from sgsqp.instances import gen_lincon
+from sgsqp.instances import gen_lincon, gen_qsdp
 
 from conftest import random_problem
 
@@ -89,3 +90,13 @@ def test_palm_start_points(bad):
         palm_solve(lp, 1.0, 1.0, x0=_poison(np.zeros(4), bad))
     with pytest.raises(NonFinite, match="y0"):
         palm_solve(lp, 1.0, 1.0, y0=_poison(np.zeros(2), bad))
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("field", ["H", "B", "h", "C"])
+def test_qsdp_data(field, bad):
+    q = gen_qsdp(3, 2, seed=0).qsdp
+    data = {"H": q.H, "B": q.B, "h": q.h, "C": q.C}
+    data[field] = _poison(data[field], bad)
+    with pytest.raises(NonFinite, match=f"{field} contains"):
+        QsdpData(3, **data)

@@ -53,6 +53,35 @@ class TestLinConQP:
         dual, primal = lp.kkt(BlockVector(lp.partition, xs), ys)
         assert dual <= 1e-9 and primal <= 1e-9
 
+    def test_precomputed_terms_are_bit_identical(self):
+        lp = gen_qsdp(4, 3, seed=2).lincon_problem()
+        rng = np.random.default_rng(5)
+        x = BlockVector(lp.partition, rng.standard_normal(lp.partition.total))
+        y = rng.standard_normal(lp.A.shape[0])
+        Px = lp.P.matvec(x.data)
+        assert lp.objective(x, Px) == lp.objective(x)
+        assert lp.kkt(x, y, Px, lp.constraint_residual(x)) == lp.kkt(x, y)
+
+    @pytest.mark.parametrize("update,residuals", [("new", 1), ("previous", 2)])
+    def test_products_per_iteration(self, monkeypatch, update, residuals):
+        lp = gen_lincon((2, 3), m=2, seed=3).lincon_problem()
+        calls = {"matvec": 0, "residual": 0}
+        matvec, resid = lp.P.matvec, lp.constraint_residual
+
+        def count(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(lp.P, "matvec", count("matvec", matvec))
+        monkeypatch.setattr(lp, "constraint_residual", count("residual", resid))
+        _, _, tr = palm_solve(lp, 1.0, 1.0, multiplier_update=update,
+                              stop=PalmStop(kkt_tol=1e-8, max_iter=200))
+        assert tr.termination == "tol"
+        assert calls == {"matvec": tr.iterations,
+                         "residual": residuals * tr.iterations}
+
     def test_shape_validation(self):
         from sgsqp.errors import DimensionMismatch
         part = BlockPartition((2, 2))

@@ -35,6 +35,16 @@ class TestSvec:
         X, Y = A + A.T, B + B.T
         assert svec(X) @ svec(Y) == pytest.approx(np.sum(X * Y), rel=1e-13)
 
+    def test_outputs_do_not_share_cached_tables(self, rng):
+        X = rng.standard_normal((4, 4))
+        X = X + X.T
+        v = svec(X)
+        v[:] = 0.0
+        np.testing.assert_allclose(smat(svec(X), 4), X, atol=1e-14)
+        S = smat(svec(X), 4)
+        S[:] = 0.0
+        np.testing.assert_array_equal(svec(X), svec(X.copy()))
+
     def test_diag_entries_unscaled(self):
         v = svec(np.diag([1.0, -1.0]))
         np.testing.assert_array_equal(v, [1.0, 0.0, -1.0])

@@ -18,7 +18,8 @@ from sgsqp import (
     ssor_tuning,
     subproblem_kkt,
 )
-from sgsqp.errors import FirstBlockMismatch, NotPD, OmegaOutOfRange
+from sgsqp.errors import (FirstBlockMismatch, InvalidParams, NotPD,
+                          OmegaOutOfRange)
 from sgsqp.oracle import dense_subproblem_solve
 
 from conftest import anchor_2x2, random_problem, random_point, shifted_problem
@@ -130,6 +131,26 @@ class TestInexactCycle:
         res = sgs_cycle(prob, xbar, mode=IterativeMode(rel_tol=1e-12,
                                                        max_inner=1))
         assert len(res.stalled) > 0
+
+
+class TestIterativeModeParams:
+    """Settings under which CG cannot produce a certified cycle are refused:
+    ``max_inner=0`` used to return ``x = 0`` with nothing flagged, and a
+    negative tolerance flagged every block as stalled."""
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-6, np.nan, np.inf, "1e-6"])
+    def test_bad_rel_tol(self, rel_tol):
+        with pytest.raises(InvalidParams, match="rel_tol"):
+            IterativeMode(rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("max_inner", [0, -3, 2.5, True])
+    def test_bad_max_inner(self, max_inner):
+        with pytest.raises(InvalidParams, match="max_inner"):
+            IterativeMode(max_inner=max_inner)
+
+    def test_smallest_valid_settings(self):
+        mode = IterativeMode(rel_tol=np.float64(1e-300), max_inner=np.int64(1))
+        assert mode.max_inner == 1
 
 
 class TestPerturbationAlgebra:

@@ -17,12 +17,8 @@ from .blockla import (
     BlockSymOperator,
     BlockVector,
     Majorizer,
-    assemble,
     conservative_shifts,
-    from_dense,
-    quad_norm,
     sgs_operator,
-    shifted_sgs_operator,
     ssor_operator,
 )
 from .errors import (
@@ -30,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     FirstBlockMismatch,
     IdentityViolation,
-    InnerSolverStall,
     InvalidParams,
     NeedsShift,
     NonFinite,
@@ -66,8 +61,6 @@ from .sgs import (
     classical_sgs_step,
     error_bound,
     exact_xi,
-    forward_reuse_check,
-    forward_reuse_delta,
     perturbation,
     sgs_cycle,
     ssor_cycle,
@@ -83,8 +76,6 @@ from .apg import (
     ToleranceSchedule,
     complexity_certificates,
     contraction_factor,
-    kkt_residual,
-    objective,
     solve,
 )
 from .palm import (
@@ -112,24 +103,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockPartition", "BlockSymOperator", "BlockVector", "Majorizer",
-    "assemble", "conservative_shifts", "from_dense", "quad_norm",
-    "sgs_operator", "shifted_sgs_operator", "ssor_operator",
+    "conservative_shifts", "sgs_operator", "ssor_operator",
     "SgsQpError", "DimensionMismatch", "ShapeMismatch", "NotSymmetric",
     "NotPSD", "NotPD", "DiagonalNotPD", "ShiftNotPSD", "OmegaOutOfRange",
-    "TauOutOfRange", "FirstBlockMismatch", "NeedsShift", "InnerSolverStall",
+    "TauOutOfRange", "FirstBlockMismatch", "NeedsShift",
     "IdentityViolation", "RangeDeficiency", "InvalidParams",
     "UnboundedObjective", "NotConverged", "NonFinite",
     "ProxSpec", "prox", "prox_value", "subgrad_residual", "solve_block1",
     "svec", "smat", "svec_dim",
     "CompositeQP", "CycleResult", "ExactMode", "IterativeMode", "NoisyMode",
     "sgs_cycle", "ssor_cycle", "classical_sgs_step", "perturbation",
-    "exact_xi", "error_bound", "forward_reuse_check", "forward_reuse_delta",
-    "subproblem_kkt", "SsorTuning", "ssor_tuning",
+    "exact_xi", "error_bound", "subproblem_kkt", "SsorTuning", "ssor_tuning",
     "ScbFactors", "ScbResult", "build_factors", "scb_eliminate",
     "verify_identities",
     "SolveTrace", "StepSchedule", "StopRule", "ToleranceSchedule",
-    "solve", "objective", "kkt_residual", "contraction_factor",
-    "complexity_certificates", "CertificateReport",
+    "solve", "contraction_factor", "complexity_certificates",
+    "CertificateReport",
     "LinConQP", "PalmStop", "PalmTrace", "QsdpData", "assemble_penalized",
     "palm_solve", "lagrangian", "qsdp_assemble", "qsdp_sgs_step",
     "qsdp_to_lincon",

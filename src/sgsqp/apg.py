@@ -11,9 +11,10 @@ restarts periodically); the emitted pairs always satisfy
 ``t_{k+1}^2 - t_{k+1} <= t_k^2``.
 """
 
+import contextlib
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import eigh, eigvalsh
@@ -29,8 +30,6 @@ __all__ = [
     "TraceRow",
     "SolveTrace",
     "solve",
-    "objective",
-    "kkt_residual",
     "contraction_factor",
     "complexity_certificates",
     "CertificateReport",
@@ -146,7 +145,17 @@ class TraceRow:
     time_s: float
 
 
-_TRACE_HEADER = "k,F,kkt,delta_tilde,delta,t,beta,dist_qhat,time_s"
+def write_csv(rows, row_type, path_or_file):
+    """Write trace rows as CSV: a header of ``row_type``'s field names, then
+    ``k`` as an int and every other field as ``repr(float)``."""
+    names = [f.name for f in fields(row_type)]
+    own = isinstance(path_or_file, (str, bytes))
+    with (open(path_or_file, "w", newline="") if own
+          else contextlib.nullcontext(path_or_file)) as fh:
+        w = csv.writer(fh)
+        w.writerow(names)
+        for r in rows:
+            w.writerow([r.k] + [repr(float(getattr(r, n))) for n in names[1:]])
 
 
 @dataclass
@@ -166,37 +175,11 @@ class SolveTrace:
         return len(self.rows)
 
     def to_csv(self, path_or_file):
-        close = False
-        if isinstance(path_or_file, (str, bytes)):
-            fh = open(path_or_file, "w", newline="")
-            close = True
-        else:
-            fh = path_or_file
-        try:
-            w = csv.writer(fh)
-            w.writerow(_TRACE_HEADER.split(","))
-            for r in self.rows:
-                w.writerow([r.k] + [repr(float(v)) for v in (
-                    r.F, r.kkt, r.delta_tilde, r.delta, r.t, r.beta,
-                    r.dist_qhat, r.time_s)])
-        finally:
-            if close:
-                fh.close()
-
-
-def objective(prob, x):
-    """Full objective ``F(x)`` of the composite program."""
-    return prob.objective(x)
-
-
-def kkt_residual(prob, x):
-    """Composite KKT residual (zero exactly at minimizers)."""
-    return prob.kkt_residual(x)
+        write_csv(self.rows, TraceRow, path_or_file)
 
 
 def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
-          omega=None, mode="exact", inner_cap=1e-2, inner_max=500,
-          x_star=None):
+          omega=None, mode="exact", inner_cap=1e-2, x_star=None):
     """Run the accelerated (or plain) outer loop on a composite program.
 
     Parameters
@@ -221,8 +204,11 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
     Returns
     -------
     SolveTrace
-        With ``termination`` in ``{"tol", "max_iter", "stall"}`` and the
-        final iterate in ``x_final``.
+        With ``termination`` in ``{"tol", "max_iter", "stall",
+        "nonfinite"}`` and the final iterate in ``x_final``; a
+        ``"nonfinite"`` run stops at the first iterate whose KKT residual
+        is not finite, records no row for it and returns the iterate
+        before it.
     """
     part = prob.partition
     steps = steps if steps is not None else StepSchedule.nesterov()
@@ -272,8 +258,8 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
                 if rt < 1e-15:
                     res = None
                     break
-                res = _cycle(prob, xt, IterativeMode(rt, inner_max), tau,
-                             variant, omega=omega)
+                res = _cycle(prob, xt, IterativeMode(rt), tau, variant,
+                             omega=omega)
                 realized = max(res.delta_tilde_norm, res.delta_norm)
                 if realized <= budget:
                     break
@@ -290,6 +276,11 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
         Qx = prob.Q.matvec(x_new.data)
         Fv = prob.objective(x_new, Qx)
         kkt = prob.kkt_residual(x_new, Qx)
+        if not np.isfinite(kkt):
+            # diverged (e.g. an indefinite Q): keep the last finite iterate
+            trace.termination = "nonfinite"
+            trace.x_final = x_cur
+            return trace
         t_next, restarted = steps.advance(t, k)
         beta = 0.0 if restarted else (t - 1.0) / t_next
         dist = np.nan

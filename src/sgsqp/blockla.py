@@ -8,7 +8,7 @@ splitting ``Q = U + D + U^*`` (``U`` the strict upper block triangle,
 ``D`` the block diagonal) induces the majorizers handled here:
 
 * ``sgs``:          ``T = U D^{-1} U^*`` and ``Qhat = (D+U) D^{-1} (D+U^*)``
-* ``sgs-shifted``:  ``D`` replaced by ``Dhat = D + diag(J_i)`` with PSD
+* ``sgs`` shifted:  ``D`` replaced by ``Dhat = D + diag(J_i)`` with PSD
   shifts, ``T = diag(J) + U Dhat^{-1} U^*``
 * ``ssor``:         with ``tau = 1/omega``, ``rho = 2 tau - 1``,
   ``T = ((1-tau)D+U)(rho D)^{-1}((1-tau)D+U^*)`` and
@@ -25,7 +25,7 @@ Cholesky factor, so a cycle costs two passes over ``Q`` whatever the
 number of blocks.  ``matvec`` is one product on the store.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag, cho_factor, eigvalsh
@@ -47,12 +47,10 @@ __all__ = [
     "BlockVector",
     "BlockSymOperator",
     "Majorizer",
-    "assemble",
     "sgs_operator",
     "ssor_operator",
-    "shifted_sgs_operator",
     "conservative_shifts",
-    "quad_norm",
+    "block_split",
     "sweep",
 ]
 
@@ -104,14 +102,11 @@ class BlockVector:
     ----------
     partition : BlockPartition
     data : array_like, shape (partition.total,)
-    tags : tuple or None
-        Optional per-block shape metadata (e.g. a symmetric-matrix block
-        stored in packed form); carried along, never interpreted here.
     """
 
-    __slots__ = ("partition", "data", "tags")
+    __slots__ = ("partition", "data")
 
-    def __init__(self, partition, data, tags=None):
+    def __init__(self, partition, data):
         data = np.ascontiguousarray(data, dtype=float)
         if data.shape != (partition.total,):
             raise DimensionMismatch(
@@ -119,19 +114,18 @@ class BlockVector:
             )
         self.partition = partition
         self.data = data
-        self.tags = tags
 
     @classmethod
-    def zeros(cls, partition, tags=None):
-        return cls(partition, np.zeros(partition.total), tags=tags)
+    def zeros(cls, partition):
+        return cls(partition, np.zeros(partition.total))
 
     @classmethod
-    def from_blocks(cls, partition, blocks, tags=None):
+    def from_blocks(cls, partition, blocks):
         if len(blocks) != partition.s:
             raise DimensionMismatch(
                 f"expected {partition.s} blocks, got {len(blocks)}"
             )
-        return cls(partition, np.concatenate([np.ravel(b) for b in blocks]), tags=tags)
+        return cls(partition, np.concatenate([np.ravel(b) for b in blocks]))
 
     def block(self, i):
         return self.data[self.partition.slice(i)]
@@ -143,7 +137,7 @@ class BlockVector:
         return self.partition.split(self.data)
 
     def copy(self):
-        return BlockVector(self.partition, self.data.copy(), tags=self.tags)
+        return BlockVector(self.partition, self.data.copy())
 
     def norm(self):
         return float(np.linalg.norm(self.data))
@@ -154,14 +148,14 @@ class BlockVector:
 
     def __add__(self, other):
         other = other.data if isinstance(other, BlockVector) else other
-        return BlockVector(self.partition, self.data + other, tags=self.tags)
+        return BlockVector(self.partition, self.data + other)
 
     def __sub__(self, other):
         other = other.data if isinstance(other, BlockVector) else other
-        return BlockVector(self.partition, self.data - other, tags=self.tags)
+        return BlockVector(self.partition, self.data - other)
 
     def __rmul__(self, alpha):
-        return BlockVector(self.partition, float(alpha) * self.data, tags=self.tags)
+        return BlockVector(self.partition, float(alpha) * self.data)
 
     def __len__(self):
         return self.data.shape[0]
@@ -270,9 +264,6 @@ class BlockSymOperator:
         P = self.partition
         return self.panels()[0][P.slice(i), P.slice(j)]
 
-    def has_block(self, i, j):
-        return ((i, j) if i <= j else (j, i)) in self._blocks
-
     def stored_items(self):
         return self._blocks.items()
 
@@ -313,7 +304,7 @@ class BlockSymOperator:
 
     def apply(self, x):
         """``Q x`` for a :class:`BlockVector`."""
-        return BlockVector(self.partition, self.matvec(x.data), tags=x.tags)
+        return BlockVector(self.partition, self.matvec(x.data))
 
     def upper_matvec_blocks(self, xb):
         """``U x`` blockwise (strict upper triangle only), one upper
@@ -400,46 +391,28 @@ def sweep(op, y, a, lower, w=None, solve=None, start=0, out=None):
     return z
 
 
-def assemble(partition, blocks):
-    """Build a :class:`BlockSymOperator` from its upper-triangle blocks."""
-    return BlockSymOperator(partition, blocks)
-
-
-def from_dense(partition, M, factor_diag=True):
-    """Cut a dense symmetric matrix into a :class:`BlockSymOperator`."""
-    M = np.asarray(M, dtype=float)
-    N = partition.total
-    if M.shape != (N, N):
-        raise DimensionMismatch(f"expected shape {(N, N)}, got {M.shape}")
-    _check_symmetric(M, "matrix")
-    M = 0.5 * (M + M.T)
-    blocks = {}
-    for i in range(partition.s):
-        for j in range(i, partition.s):
-            blocks[(i, j)] = M[partition.slice(i), partition.slice(j)].copy()
-    return BlockSymOperator(partition, blocks, factor_diag=factor_diag)
-
-
-def conservative_shifts(Q, blocks=None):
-    """Shifts ``J_i = ||Q_ii||_2 I - Q_ii`` (PSD by construction).
-
-    ``blocks`` limits the construction to the given indices, leaving the
-    others ``None``.
-    """
-    out = [None] * Q.s
-    todo = range(Q.s) if blocks is None else blocks
-    for i in todo:
+def conservative_shifts(Q):
+    """Shifts ``J_i = ||Q_ii||_2 I - Q_ii`` (PSD by construction)."""
+    out = []
+    for i in range(Q.s):
         Qii = Q.block(i, i)
-        mu = np.linalg.norm(Qii, 2)
-        out[i] = mu * np.eye(Qii.shape[0]) - Qii
+        out.append(np.linalg.norm(Qii, 2) * np.eye(Qii.shape[0]) - Qii)
     return out
+
+
+def block_split(op):
+    """Dense block diagonal ``D`` and strict upper block triangle ``U`` of
+    ``op`` (certification and tuning only)."""
+    S, _, _, diag = op.panels()
+    D = block_diag(*diag)
+    return D, np.triu(S - D)     # the diagonal blocks of S - D are zero
 
 
 class Majorizer:
     """Implicit proximal weight ``T`` and majorized operator ``Qhat = Q + T``.
 
-    Built by :func:`sgs_operator`, :func:`ssor_operator` or
-    :func:`shifted_sgs_operator`; never instantiated directly.  Solves
+    Built by :func:`sgs_operator` or :func:`ssor_operator`; never
+    instantiated directly.  Solves
     with ``Qhat`` are two passes of the :func:`sweep` kernel over the row
     panels of the (shifted) operator with its factored diagonal;
     applications of ``T`` and ``Qhat`` are per-block panel products.
@@ -557,9 +530,7 @@ class Majorizer:
         if which == "Q":
             return self.base.dense()
         P = self.partition
-        S, _, _, diag = self.eff.panels()
-        Dh = block_diag(*diag)
-        Uf = np.triu(S - Dh)     # the diagonal blocks of S - Dh are zero
+        Dh, Uf = block_split(self.eff)
         if which == "Qhat":
             F = self._a * Dh + Uf
         elif which == "T":
@@ -584,18 +555,19 @@ class Majorizer:
         return 2.0 / np.sqrt(self._c * lam_d) + 1.0 / np.sqrt(lam_qhat)
 
 
+def _majorizer(Q, shifts, kind, a, c, omega=None):
+    """A :class:`Majorizer` of ``Q``, with the PSD ``shifts`` (if any is
+    not None) folded into the diagonal of its operator."""
+    if shifts is None or all(J is None for J in shifts):
+        return Majorizer(Q, Q, kind, a, c, omega=omega)
+    kept = [None if J is None else np.asarray(J, dtype=float) for J in shifts]
+    return Majorizer(Q, Q.with_added_diag(shifts), kind, a, c, shifts=kept,
+                     omega=omega)
+
+
 def sgs_operator(Q, shifts=None):
     """Symmetric Gauss-Seidel majorizer of ``Q`` (optionally shifted)."""
-    if shifts is not None and any(J is not None for J in shifts):
-        return shifted_sgs_operator(Q, shifts)
-    return Majorizer(Q, Q, "sgs", 1.0, 1.0)
-
-
-def shifted_sgs_operator(Q, shifts):
-    """Gauss-Seidel majorizer with PSD diagonal shifts folded in."""
-    eff = Q.with_added_diag(shifts)
-    kept = [None if J is None else np.asarray(J, dtype=float) for J in shifts]
-    return Majorizer(Q, eff, "sgs-shifted", 1.0, 1.0, shifts=kept)
+    return _majorizer(Q, shifts, "sgs", 1.0, 1.0)
 
 
 def ssor_operator(Q, omega, shifts=None):
@@ -604,14 +576,4 @@ def ssor_operator(Q, omega, shifts=None):
     if not (1.0 <= omega < 2.0):
         raise OmegaOutOfRange(f"omega must lie in [1, 2), got {omega}")
     tau = 1.0 / omega
-    rho = 2.0 * tau - 1.0
-    if shifts is not None and any(J is not None for J in shifts):
-        eff = Q.with_added_diag(shifts)
-        kept = [None if J is None else np.asarray(J, dtype=float) for J in shifts]
-        return Majorizer(Q, eff, "ssor", tau, rho, shifts=kept, omega=omega)
-    return Majorizer(Q, Q, "ssor", tau, rho, omega=omega)
-
-
-def quad_norm(maj, x, which):
-    """Functional form of :meth:`Majorizer.quad_norm`."""
-    return maj.quad_norm(x, which)
+    return _majorizer(Q, shifts, "ssor", tau, 2.0 * tau - 1.0, omega=omega)

@@ -3,12 +3,12 @@ verification, and benchmarking.
 
 Exit codes: 0 solved to tolerance (or command succeeded), 1 file/parse/
 usage errors, 2 iteration budget exhausted, 3 inner-solver stall, 4
-identity violation.  Set ``SGSQP_LOG`` (DEBUG/INFO/WARNING) for logging.
+identity violation, 5 iterate went non-finite.  Set ``SGSQP_LOG``
+(DEBUG/INFO/WARNING) for logging.
 """
 
 import argparse
 import csv
-import json
 import logging
 import os
 import sys
@@ -27,6 +27,7 @@ EXIT_FILE = 1
 EXIT_MAXITER = 2
 EXIT_STALL = 3
 EXIT_IDENTITY = 4
+EXIT_NONFINITE = 5
 
 log = logging.getLogger("sgsqp")
 
@@ -78,8 +79,6 @@ def _read(path):
         return instances.read_instance(path)
     except OSError as exc:
         raise FileNotFoundError(f"cannot read instance {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        raise ValueError(f"cannot parse instance {path!r}: {exc}") from exc
 
 
 def cmd_gen(args):
@@ -140,11 +139,8 @@ def cmd_solve(args):
               f"F={last.F:.12g} kkt={last.kkt:.3e}")
     else:
         print(f"termination={trace.termination} iterations=0")
-    if trace.termination == "tol":
-        return EXIT_OK
-    if trace.termination == "stall":
-        return EXIT_STALL
-    return EXIT_MAXITER
+    return {"tol": EXIT_OK, "stall": EXIT_STALL,
+            "nonfinite": EXIT_NONFINITE}.get(trace.termination, EXIT_MAXITER)
 
 
 def cmd_verify(args):

@@ -67,10 +67,6 @@ class NeedsShift(SgsQpError):
     """Nonsmooth first block requires its quadratic to be a multiple of the identity."""
 
 
-class InnerSolverStall(SgsQpError):
-    pass
-
-
 class IdentityViolation(SgsQpError):
     """A structural matrix identity failed beyond the certification tolerance.
 

@@ -65,6 +65,26 @@ def _darr(v, what):
     return flat.reshape(shape)
 
 
+def _get(doc, key, where=""):
+    """``doc[key]`` of the object at field ``where``; :class:`InvalidParams`
+    naming the field when that is not a JSON object or lacks ``key``."""
+    if not isinstance(doc, dict):
+        raise InvalidParams(f"{where} must be a JSON object")
+    if key not in doc:
+        path = f"{where}.{key}" if where else key
+        raise InvalidParams(f"instance has no field {path}")
+    return doc[key]
+
+
+def _conv(fn, v, what):
+    """``fn(v)``, with a builtin conversion error re-raised as
+    :class:`InvalidParams` naming ``what``."""
+    try:
+        return fn(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParams(f"{what} is invalid ({v!r}): {exc}") from None
+
+
 def _enc_prox(spec):
     doc = {"kind": spec.kind}
     if spec.kind == "l1":
@@ -78,18 +98,19 @@ def _enc_prox(spec):
 
 
 def _dec_prox(doc):
-    kind = doc["kind"]
+    kind = _get(doc, "kind", "prox")
     if kind == "zero":
         return ProxSpec.zero()
     if kind == "l1":
-        return ProxSpec.l1(float(doc["lam"]))
+        return ProxSpec.l1(_conv(float, _get(doc, "lam", "prox"), "prox.lam"))
     if kind == "nonneg":
         return ProxSpec.nonneg()
     if kind == "box":
-        return ProxSpec.box(_darr(doc["lo"], "prox.lo"),
-                            _darr(doc["hi"], "prox.hi"))
+        return ProxSpec.box(_darr(_get(doc, "lo", "prox"), "prox.lo"),
+                            _darr(_get(doc, "hi", "prox"), "prox.hi"))
     if kind == "psd_cone":
-        return ProxSpec.psd_cone(int(doc["side"]))
+        return ProxSpec.psd_cone(_conv(int, _get(doc, "side", "prox"),
+                                       "prox.side"))
     raise InvalidParams(f"unknown prox kind {kind!r} in instance file")
 
 
@@ -97,10 +118,17 @@ def _enc_blocks(blocks):
     return {f"{i},{j}": _earr(M) for (i, j), M in sorted(blocks.items())}
 
 
+def _block_key(key):
+    i, j = key.split(",")
+    return int(i), int(j)
+
+
 def _dec_blocks(doc, what):
+    if not isinstance(doc, dict):
+        raise InvalidParams(f"{what} must be a JSON object of blocks")
     out = {}
     for key, M in doc.items():
-        i, j = (int(t) for t in key.split(","))
+        i, j = _conv(_block_key, key, f"{what} block key")
         out[(i, j)] = _darr(M, f"{what} block {key}")
     return out
 
@@ -180,23 +208,32 @@ def dumps_instance(inst):
 
 
 def loads_instance(text):
-    doc = json.loads(text)
+    """Parse an instance document; :class:`InvalidParams` naming the field
+    for invalid JSON, a missing field or a value of the wrong kind."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise InvalidParams(f"instance is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidParams("instance must be a JSON object")
     lincon = None
     if "lincon" in doc:
         lc = doc["lincon"]
-        lincon = {"P": _dec_blocks(lc["P"], "lincon.P")}
+        lincon = {"P": _dec_blocks(_get(lc, "P", "lincon"), "lincon.P")}
         for k in ("A", "g", "d"):
-            lincon[k] = _darr(lc[k], f"lincon.{k}")
+            lincon[k] = _darr(_get(lc, k, "lincon"), f"lincon.{k}")
     qsdp = None
     if "qsdp" in doc:
         qd = doc["qsdp"]
-        qsdp = QsdpData(int(qd["n"]), *(_darr(qd[k], f"qsdp.{k}")
-                                        for k in ("H", "B", "h", "C")))
+        qsdp = QsdpData(_conv(int, _get(qd, "n", "qsdp"), "qsdp.n"),
+                        *(_darr(_get(qd, k, "qsdp"), f"qsdp.{k}")
+                          for k in ("H", "B", "h", "C")))
+    dims = _get(_get(doc, "partition"), "dims", "partition")
     return Instance(
-        dims=tuple(int(n) for n in doc["partition"]["dims"]),
-        Q=_dec_blocks(doc["Q"], "Q"),
-        b=_darr(doc["b"], "b"),
-        prox=_dec_prox(doc["prox"]),
+        dims=_conv(lambda v: tuple(map(int, v)), dims, "partition.dims"),
+        Q=_dec_blocks(_get(doc, "Q"), "Q"),
+        b=_darr(_get(doc, "b"), "b"),
+        prox=_dec_prox(_get(doc, "prox")),
         lincon=lincon,
         qsdp=qsdp,
         meta=doc.get("meta", {}),

@@ -8,19 +8,18 @@ through ``H W``, solved by the five forward/backward matrix steps, and
 shown equal to the generic cycle on the assembled operator.
 """
 
-import csv
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
 
+from .apg import write_csv
 from .blockla import BlockPartition, BlockSymOperator, BlockVector, finite
 from .errors import (DimensionMismatch, InvalidParams, ShapeMismatch,
                      TauOutOfRange)
-from .oracle import psd_project, range_basis, spectral_norm
-from .proxmap import (ProxSpec, prox_value, smat, subgrad_residual, svec,
-                      svec_dim)
+from .proxmap import (ProxSpec, _identity_multiple, prox, prox_value, smat,
+                      subgrad_residual, svec, svec_dim)
 from .sgs import CompositeQP, sgs_cycle
 
 __all__ = [
@@ -118,8 +117,6 @@ def assemble_penalized(prob, sigma):
     identity, a conservative first-block shift is attached so the prox
     step applies.
     """
-    from .proxmap import _identity_multiple
-
     if sigma <= 0:
         raise InvalidParams(f"sigma must be positive, got {sigma}")
     part = prob.partition
@@ -127,9 +124,8 @@ def assemble_penalized(prob, sigma):
     blocks = {}
     for i in range(part.s):
         for j in range(i, part.s):
-            M = sigma * (cols[i].T @ cols[j])
-            if prob.P.has_block(i, j) or i == j:
-                M = M + prob.P.block(i, j)
+            # ``block`` reads zeros for a block ``P`` does not store
+            M = sigma * (cols[i].T @ cols[j]) + prob.P.block(i, j)
             if i == j:
                 M = 0.5 * (M + M.T)
             blocks[(i, j)] = M
@@ -138,7 +134,7 @@ def assemble_penalized(prob, sigma):
     if prob.prox.kind != "zero":
         Q00 = np.asarray(Q.block(0, 0))
         if _identity_multiple(Q00) is None:
-            J1 = spectral_norm(Q00) * np.eye(part.dims[0]) - Q00
+            J1 = np.linalg.norm(Q00, 2) * np.eye(part.dims[0]) - Q00
             shifts = [J1] + [None] * (part.s - 1)
     return CompositeQP(Q, BlockVector.zeros(part), prob.prox, shifts=shifts)
 
@@ -159,9 +155,6 @@ class PalmRow:
     time_s: float
 
 
-_PALM_HEADER = "k,F,primal_inf,kkt,y_norm,time_s"
-
-
 @dataclass
 class PalmTrace:
     rows: list = field(default_factory=list)
@@ -172,21 +165,7 @@ class PalmTrace:
         return len(self.rows)
 
     def to_csv(self, path_or_file):
-        close = False
-        if isinstance(path_or_file, (str, bytes)):
-            fh = open(path_or_file, "w", newline="")
-            close = True
-        else:
-            fh = path_or_file
-        try:
-            w = csv.writer(fh)
-            w.writerow(_PALM_HEADER.split(","))
-            for r in self.rows:
-                w.writerow([r.k] + [repr(float(v)) for v in (
-                    r.F, r.primal_inf, r.kkt, r.y_norm, r.time_s)])
-        finally:
-            if close:
-                fh.close()
+        write_csv(self.rows, PalmRow, path_or_file)
 
 
 def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
@@ -215,8 +194,7 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
     if x0 is None:
         x = BlockVector.zeros(part)
         if prob.prox.kind != "zero":
-            from .proxmap import prox as _prox
-            x.set_block(0, _prox(prob.prox, 1.0, np.zeros(part.dims[0])))
+            x.set_block(0, prox(prob.prox, 1.0, np.zeros(part.dims[0])))
     else:
         x = x0.copy() if isinstance(x0, BlockVector) else BlockVector(part, np.array(x0, dtype=float))
         finite(x.data, "x0")
@@ -309,8 +287,12 @@ class QsdpData:
         return svec_dim(self.n)
 
     def range_coords(self):
-        """Orthonormal basis of Range(H) in packed coordinates."""
-        return range_basis(self.H)
+        """Orthonormal basis of Range(H) in packed coordinates: the
+        eigenvectors of ``H`` (exactly symmetric here) whose eigenvalues
+        exceed ``1e-12`` times the largest magnitude."""
+        w, V = eigh(self.H)
+        scale = max(abs(w).max() if w.size else 0.0, np.finfo(float).tiny)
+        return V[:, w > 1e-12 * scale]
 
 
 def _qsdp_rhs(q, sigma, Y):
@@ -367,7 +349,7 @@ def qsdp_sgs_step(q, sigma, state, Y):
     bZ, bxi, bW = _qsdp_rhs(q, sigma, Y)
     d = q.dim
 
-    use_w = spectral_norm(q.H) > 0.0
+    use_w = q.H.any()
     if use_w:
         Hfac = cho_factor(np.eye(d) / sigma + q.H, lower=True)
     Bfac = cho_factor(q.B @ q.B.T, lower=True)
@@ -379,8 +361,8 @@ def qsdp_sgs_step(q, sigma, state, Y):
         hw_p = np.zeros(d)
     xi_p = cho_solve(Bfac, bxi / sigma - q.B @ z - q.B @ hw_p)
     # first block: PSD projection
-    Z_new = psd_project(smat(bZ / sigma - q.B.T @ xi_p - hw_p, q.n))
-    z_new = svec(Z_new)
+    z_new = prox(ProxSpec.psd_cone(q.n), 1.0, bZ / sigma - q.B.T @ xi_p - hw_p)
+    Z_new = smat(z_new, q.n)
     # forward sweep
     xi_new = cho_solve(Bfac, bxi / sigma - q.B @ z_new - q.B @ hw_p)
     if use_w:

@@ -4,7 +4,7 @@ nonsmooth terms, plus the special first-block solve used by the sweeps.
 A :class:`ProxSpec` names the convex function ``p`` attached to the first
 block: nothing, an l1 penalty, the nonnegative-orthant indicator, a box
 indicator, or the positive-semidefinite cone indicator on a symmetric
-matrix block.  Matrix blocks travel in vectorized form; the packed form
+matrix block.  Matrix blocks travel in packed form (:func:`svec`), which
 scales off-diagonal entries by ``sqrt(2)`` so Euclidean norms equal
 Frobenius norms.
 """
@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, eigvalsh
 
-from .errors import (
-    DiagonalNotPD,
-    InvalidParams,
-    NeedsShift,
-    ShapeMismatch,
-    ShiftNotPSD,
-)
+from .errors import DiagonalNotPD, InvalidParams, NeedsShift, ShapeMismatch
 
 __all__ = [
     "ProxSpec",
@@ -90,7 +84,7 @@ class ProxSpec:
 
     Use the constructors: ``ProxSpec.zero()``, ``ProxSpec.l1(lam)``,
     ``ProxSpec.nonneg()``, ``ProxSpec.box(lo, hi)``,
-    ``ProxSpec.psd_cone(side, packed=True)``.
+    ``ProxSpec.psd_cone(side)``.
     """
 
     kind: str
@@ -98,7 +92,6 @@ class ProxSpec:
     lo: tuple = None
     hi: tuple = None
     side: int = None
-    packed: bool = True
 
     @classmethod
     def zero(cls):
@@ -126,42 +119,22 @@ class ProxSpec:
         return cls("box", lo=tuple(lo.tolist()), hi=tuple(hi.tolist()))
 
     @classmethod
-    def psd_cone(cls, side, packed=True):
+    def psd_cone(cls, side):
         side = int(side)
         if side < 1:
             raise InvalidParams("matrix side must be positive")
-        return cls("psd_cone", side=side, packed=bool(packed))
+        return cls("psd_cone", side=side)
 
     def block_dim(self):
         """Length the first block must have, or None when unconstrained."""
         if self.kind == "psd_cone":
-            return svec_dim(self.side) if self.packed else self.side * self.side
+            return svec_dim(self.side)
         if self.kind == "box":
             return len(self.lo)
         return None
 
     def _bounds(self):
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
-
-
-def _as_matrix(spec, v):
-    v = np.asarray(v, dtype=float)
-    m = spec.side
-    if spec.packed:
-        return smat(v, m)
-    if v.shape != (m * m,):
-        raise ShapeMismatch(
-            f"expected full vectorization of length {m * m}, got {v.shape}"
-        )
-    S = v.reshape(m, m)
-    nrm = np.linalg.norm(S)
-    if nrm > 0 and np.linalg.norm(S - S.T) > 1e-12 * nrm:
-        raise ShapeMismatch("full vectorization does not encode a symmetric matrix")
-    return 0.5 * (S + S.T)
-
-
-def _from_matrix(spec, S):
-    return svec(S) if spec.packed else S.reshape(-1)
 
 
 def prox(spec, mu, v):
@@ -189,11 +162,10 @@ def prox(spec, mu, v):
         lo, hi = spec._bounds()
         return np.clip(v, lo, hi)
     if spec.kind == "psd_cone":
-        S = _as_matrix(spec, v)
-        w, V = eigh(S)
+        w, V = eigh(smat(v, spec.side))
         pos = w > 0.0
         P = (V[:, pos] * w[pos]) @ V[:, pos].T
-        return _from_matrix(spec, 0.5 * (P + P.T))
+        return svec(0.5 * (P + P.T))
     raise InvalidParams(f"unknown prox kind {spec.kind!r}")
 
 
@@ -210,8 +182,7 @@ def prox_value(spec, x):
         lo, hi = spec._bounds()
         return 0.0 if np.all(x >= lo) and np.all(x <= hi) else np.inf
     if spec.kind == "psd_cone":
-        S = _as_matrix(spec, x)
-        w = eigvalsh(S)
+        w = eigvalsh(smat(x, spec.side))
         scale = max(abs(w).max() if w.size else 0.0, 1.0)
         return 0.0 if w.min() >= -_PSD_FEAS_RTOL * scale else np.inf
     raise InvalidParams(f"unknown prox kind {spec.kind!r}")
@@ -249,9 +220,8 @@ def subgrad_residual(spec, x, g):
                               np.where(at_hi, np.minimum(g, 0.0), g)))
         return float(np.linalg.norm(d))
     if spec.kind == "psd_cone":
-        X = _as_matrix(spec, x)
-        G = _as_matrix(spec, g)
-        w, V = eigh(X)
+        G = smat(g, spec.side)
+        w, V = eigh(smat(x, spec.side))
         scale = max(abs(w).max() if w.size else 0.0, 1.0)
         if w.min() < -_PSD_FEAS_RTOL * scale:
             return np.inf
@@ -312,40 +282,27 @@ def prepare_block1(spec, A):
     return Block1(A, mu=mu)
 
 
-def solve_block1(spec, Q11, c1, J1=None, xbar1=None):
+def solve_block1(spec, Q11, c1):
     """Exactly minimize ``p(x) + 0.5 <x, Q11 x> - <c1, x>`` over the first
-    block, optionally with a proximal shift ``0.5 ||x - xbar1||^2_{J1}``.
+    block (a proximal shift ``J1`` at ``xbar1`` is the same problem with
+    ``Q11 + J1`` and ``c1 + J1 xbar1``).
 
-    For a nonsmooth ``p`` the (shifted) quadratic ``Q11 + J1`` must be a
-    positive multiple of the identity so the minimizer is a single prox
+    For a nonsmooth ``p`` the quadratic ``Q11`` must be a positive
+    multiple of the identity so the minimizer is a single prox
     evaluation; otherwise :class:`NeedsShift` is raised.  ``Q11`` may be a
     :class:`Block1` from :func:`prepare_block1`, so that repeated solves
     with one quadratic factor it once.  Returns the minimizer together
-    with the certifying subgradient ``gamma1 = c1 + J1 xbar1 - (Q11 + J1) x``.
+    with the certifying subgradient ``gamma1 = c1 - Q11 x``.
     """
     c1 = np.asarray(c1, dtype=float)
-    if isinstance(Q11, Block1):
-        head, rhs = Q11, c1
-    elif J1 is not None:
-        Q11 = np.asarray(Q11, dtype=float)
-        J1 = np.asarray(J1, dtype=float)
-        if xbar1 is None:
-            raise InvalidParams("a shift J1 requires the anchor point xbar1")
-        scale = max(np.linalg.norm(J1, 2), 1.0)
-        if eigvalsh(0.5 * (J1 + J1.T)).min() < -1e-10 * scale:
-            raise ShiftNotPSD(0)
-        head = prepare_block1(spec, Q11 + J1)
-        rhs = c1 + J1 @ np.asarray(xbar1, dtype=float)
-    else:
-        head, rhs = prepare_block1(spec, Q11), c1
-
+    head = Q11 if isinstance(Q11, Block1) else prepare_block1(spec, Q11)
     if head.chol is not None:
-        x = cho_solve(head.chol, rhs, check_finite=False)
-        return x, rhs - head.A @ x
+        x = cho_solve(head.chol, c1, check_finite=False)
+        return x, c1 - head.A @ x
     want = spec.block_dim()
     if want is not None and c1.shape != (want,):
         raise ShapeMismatch(
             f"first block has length {c1.shape[0]}, prox expects {want}"
         )
-    x = prox(spec, head.mu, rhs / head.mu)
-    return x, rhs - head.mu * x
+    x = prox(spec, head.mu, c1 / head.mu)
+    return x, c1 - head.mu * x

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .blockla import BlockVector
+from .blockla import BlockVector, block_split
 from .errors import IdentityViolation
 from .proxmap import solve_block1
 
@@ -81,13 +81,7 @@ def build_factors(Q):
     part = Q.partition
     N = part.total
     Qd = Q.dense()
-    D = np.zeros((N, N))
-    for i in range(part.s):
-        sl = part.slice(i)
-        D[sl, sl] = Qd[sl, sl]
-    U = np.triu(Qd - D)
-    # clean the strict block upper triangle: np.triu leaves the upper
-    # triangles of diagonal blocks, already removed by subtracting D
+    D, U = block_split(Q)
     f = ScbFactors(partition=part, D=D, U=U)
     acc = np.zeros((N, N))
     for j in range(1, part.s):

@@ -16,9 +16,10 @@ norm bound are formed.
 import numbers
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .blockla import BlockVector, finite, sgs_operator, ssor_operator, sweep
+from .blockla import (BlockVector, block_split, finite, sgs_operator,
+                      ssor_operator, sweep)
 from .errors import (
     DimensionMismatch,
     FirstBlockMismatch,
@@ -41,8 +42,6 @@ __all__ = [
     "perturbation",
     "exact_xi",
     "error_bound",
-    "forward_reuse_check",
-    "forward_reuse_delta",
     "subproblem_kkt",
     "SsorTuning",
     "ssor_tuning",
@@ -144,7 +143,6 @@ class CompositeQP:
             if all(J is None for J in shifts):
                 shifts = None
         self.shifts = shifts
-        self._eff = None
         self._majs = {}
         self._heads = {}
 
@@ -154,12 +152,9 @@ class CompositeQP:
 
     @property
     def shifted_Q(self):
-        """``Q + diag(J_i)`` (``Q`` itself when unshifted)."""
-        if self.shifts is None:
-            return self.Q
-        if self._eff is None:
-            self._eff = self.Q.with_added_diag(self.shifts)
-        return self._eff
+        """``Q + diag(J_i)`` (``Q`` itself when unshifted): the operator of
+        the Gauss-Seidel majorizer, so a problem holds one shifted copy."""
+        return self.majorizer().eff
 
     def majorizer(self, kind="sgs", omega=None):
         key = (kind, omega)
@@ -397,9 +392,7 @@ def _cycle(prob, xbar, mode, tau, variant, omega=None, reuse_c=None):
     else:
         Dl = maj.perturbation(dp_vec, d_vec)
         xi = maj.quad_norm(Dl, "Qhat_inv")
-        bound = maj.dinv_norm(d_vec.data - dp_vec.data) + maj.quad_norm(
-            dp_vec, "Qhat_inv"
-        )
+        bound = error_bound(maj, dp_vec, d_vec, check=False)
     return CycleResult(
         x_plus=BlockVector(part, xplus),
         x_prime=BlockVector(part, xp),
@@ -512,36 +505,6 @@ def error_bound(maj, delta_prime, delta, check=True):
     return bound
 
 
-def forward_reuse_check(Q, xbar, xplus_partial, delta_prime, c, i):
-    """Whether forward block ``i`` may keep its backward intermediate.
-
-    Accepts when ``||sum_{j<i} Q_{ji}^* (xplus_j - xbar_j)||`` is within
-    ``(c / sqrt(s)) ||delta_prime||``; ``xbar`` is the cycle's input point.
-    """
-    if not 1 <= i < Q.s:
-        raise InvalidParams(f"reuse applies to blocks 2..s, got index {i}")
-    coupling = _reuse_coupling(Q, xbar, xplus_partial, i)
-    thresh = (float(c) / np.sqrt(Q.s)) * (
-        delta_prime.norm() if isinstance(delta_prime, BlockVector)
-        else float(np.linalg.norm(delta_prime))
-    )
-    return bool(np.linalg.norm(coupling) <= thresh)
-
-
-def forward_reuse_delta(Q, xbar, xplus_partial, delta_prime, i):
-    """Realized forward residual for a reused block ``i``."""
-    part = Q.partition
-    dp = delta_prime if isinstance(delta_prime, BlockVector) else BlockVector(part, delta_prime)
-    return dp.block(i) + _reuse_coupling(Q, xbar, xplus_partial, i)
-
-
-def _reuse_coupling(Q, xbar, xplus_partial, i):
-    """``sum_{j<i} Q_{ji}^* (xplus_j - xbar_j)``: one lower panel product,
-    the same one the cycle's forward pass evaluates."""
-    o = Q.partition.offsets[i]
-    return Q.panels()[1][i] @ (xplus_partial.data[:o] - xbar.data[:o])
-
-
 def subproblem_kkt(prob, xbar, result):
     """Composite KKT residual of ``result.x_plus`` for the proximal
     subproblem it claims to minimize (with its own ``Delta``)."""
@@ -576,15 +539,14 @@ class SsorTuning:
 
 
 def ssor_tuning(Q):
-    from scipy.linalg import block_diag, eigh, solve as _dsolve
+    from scipy.linalg import eigh, solve as _dsolve
 
     Qd = Q.dense()
     scale = max(np.linalg.norm(Qd, 2), np.finfo(float).tiny)
     if np.linalg.eigvalsh(Qd).min() <= 1e-10 * scale:
         from .errors import NotPD
         raise NotPD("relaxation tuning needs a positive definite operator")
-    Dd = block_diag(*Q.panels()[3])
-    U = np.triu(Qd - Dd)
+    Dd, U = block_split(Q)
     gamma = float(eigh(Qd, Dd, eigvals_only=True).min())
     half = 0.5 * Dd + U
     W = half @ _dsolve(Dd, half.T, assume_a="pos")

@@ -22,6 +22,15 @@ def anchor_2x2():
     return CompositeQP(Q, BlockVector(part, np.array([1.0, 1.0])))
 
 
+def indefinite_2x2():
+    """Q=[[1,3],[3,1]] with unit blocks: PD diagonal blocks, indefinite Q,
+    so the iterates of ``solve`` diverge."""
+    part = BlockPartition((1, 1))
+    Q = BlockSymOperator(part, {(0, 0): np.eye(1), (0, 1): 3.0 * np.eye(1),
+                                (1, 1): np.eye(1)})
+    return CompositeQP(Q, BlockVector(part, np.array([1.0, 2.0])))
+
+
 def random_problem(seed, dims=(2, 3, 2), prox_kind="zero", kappa=10.0,
                    coupling=1.0, singular=False):
     inst = gen(dims, kappa=kappa, coupling=coupling, prox_kind=prox_kind,

@@ -26,8 +26,6 @@ from sgsqp import (
     classical_sgs_step,
     complexity_certificates,
     contraction_factor,
-    forward_reuse_check,
-    forward_reuse_delta,
     palm_solve,
     qsdp_sgs_step,
     qsdp_to_lincon,
@@ -422,11 +420,14 @@ def test_criterion_09_forward_reuse_soundness():
             * np.linalg.norm(res.delta_prime.data) + 1e-12
         norm_ok = norm_ok and lhs <= rhs
         budget_ok = budget_ok and res.xi <= res.xi_bound + 1e-12
+        # each reused block against the coupling recomputed from Q.dense()
+        Qd, off = prob.Q.dense(), part.offsets
+        step = res.x_plus.data - xbar.data
         for i in res.reused:
-            helper_ok = helper_ok and forward_reuse_check(
-                prob.Q, xbar, res.x_plus, res.delta_prime, c, i)
-            di = forward_reuse_delta(prob.Q, xbar, res.x_plus,
-                                     res.delta_prime, i)
+            coupling = Qd[off[i]:off[i + 1], :off[i]] @ step[:off[i]]
+            helper_ok = helper_ok and np.linalg.norm(coupling) <= (
+                c / np.sqrt(s)) * np.linalg.norm(res.delta_prime.data)
+            di = res.delta_prime.block(i) + coupling
             helper_ok = helper_ok and np.allclose(di, res.delta.block(i),
                                                   atol=1e-13)
     ok = accepted >= 30 and norm_ok and budget_ok and helper_ok

@@ -5,21 +5,21 @@ import pytest
 
 from sgsqp import (
     BlockVector,
+    SolveTrace,
     StepSchedule,
     StopRule,
     ToleranceSchedule,
     classical_sgs_step,
     complexity_certificates,
     contraction_factor,
-    kkt_residual,
-    objective,
     solve,
     sgs_operator,
 )
+from sgsqp.apg import TraceRow
 from sgsqp.errors import InvalidParams, NotPD
 from sgsqp.oracle import dense_optimum
 
-from conftest import anchor_2x2, random_problem
+from conftest import anchor_2x2, indefinite_2x2, random_problem
 
 
 class TestSchedules:
@@ -83,11 +83,18 @@ class TestSolve:
         ks = [r.k for r in tr.rows]
         assert ks == list(range(1, tr.iterations + 1))
 
-    def test_delegating_helpers(self):
-        prob = anchor_2x2()
-        x = BlockVector(prob.partition, np.array([0.1, 0.2]))
-        assert objective(prob, x) == pytest.approx(prob.objective(x))
-        assert kkt_residual(prob, x) == pytest.approx(prob.kkt_residual(x))
+    def test_nonfinite_stops_at_last_finite_iterate(self):
+        prob = indefinite_2x2()
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = solve(prob, stop=StopRule(max_iter=1000))
+        assert tr.termination == "nonfinite"
+        assert 0 < tr.iterations < 1000
+        assert all(np.isfinite(r.kkt) for r in tr.rows)
+        # x_final is the iterate of the last recorded row
+        capped = solve(prob, stop=StopRule(max_iter=tr.iterations))
+        assert capped.termination == "max_iter"
+        assert np.isfinite(tr.x_final.data).all()
+        np.testing.assert_array_equal(tr.x_final.data, capped.x_final.data)
 
     @pytest.mark.parametrize("prox_kind", ["zero", "l1"])
     def test_precomputed_product_is_bit_identical(self, prox_kind):
@@ -173,6 +180,15 @@ class TestTrace:
         assert int(first[0]) == 1
         for cell in first[1:]:
             float(cell)  # plain decimal text, no numpy repr noise
+
+    def test_csv_bytes(self):
+        tr = SolveTrace(rows=[TraceRow(k=3, F=0.5, kkt=1e-9, delta_tilde=0,
+                                       delta=2, t=1.5, beta=np.nan,
+                                       dist_qhat=0.1, time_s=7)])
+        buf = io.StringIO()
+        tr.to_csv(buf)
+        assert buf.getvalue() == (self._HEADER + "\r\n"
+                                  "3,0.5,1e-09,0.0,2.0,1.5,nan,0.1,7.0\r\n")
 
     def test_distance_column_needs_reference(self):
         prob = random_problem(0)

@@ -3,6 +3,8 @@ import pytest
 
 from sgsqp.cli import main
 
+from conftest import indefinite_2x2
+
 
 def _gen(tmp_path, name, *args):
     path = tmp_path / name
@@ -42,6 +44,17 @@ class TestSolve:
         path = _gen(tmp_path, "a.json", "--dims", "2,3")
         assert main(["solve", path, "--mode", "inexact",
                      "--eps0", "1e-300"]) == 3
+
+    def test_exit_5_on_nonfinite_iterate(self, tmp_path, capsys):
+        from sgsqp.instances import Instance, write_instance
+        prob = indefinite_2x2()
+        path = str(tmp_path / "indefinite.json")
+        write_instance(Instance(dims=prob.partition.dims, b=prob.b.data,
+                                Q=dict(prob.Q.stored_items()),
+                                prox=prob.prox), path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["solve", path]) == 5
+        assert "termination=nonfinite" in capsys.readouterr().out
 
     def test_exit_1_on_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1

@@ -190,6 +190,32 @@ class TestDecoder:
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("edit,what", [
+        (lambda d: d["prox"].update(lam="x"), "prox.lam"),
+        (lambda d: d["prox"].pop("lam"), "prox.lam"),
+        (lambda d: d["partition"].update(dims=["2", "two"]),
+         "partition.dims"),
+        (lambda d: d["Q"].update({"0;0": d["Q"].pop("0,0")}), "Q block key"),
+        (lambda d: d.update(partition=[2, 2]), "partition"),
+        (lambda d: d.update(Q=[]), "Q"),
+        ("{}", "partition"),
+        ("[1]", "JSON object"),
+        ('{"b": [1,', "not valid JSON"),
+    ], ids=["lam-text", "lam-missing", "dims-text", "block-key",
+            "partition-list", "Q-list", "empty", "list", "syntax"])
+    def test_bad_field_named(self, edit, what):
+        """A malformed document (an edit of a valid one, or raw text)
+        raises InvalidParams naming the field."""
+        import json
+        doc = json.loads(dumps_instance(gen((2, 2), seed=0, prox_kind="l1")))
+        if isinstance(edit, str):
+            text = edit
+        else:
+            edit(doc)
+            text = json.dumps(doc)
+        with pytest.raises(InvalidParams, match=what):
+            loads_instance(text)
+
     @pytest.mark.parametrize("section,key,what", [
         (None, "b", "b"), ("Q", "0,1", "Q block 0,1"),
         ("lincon", "A", "lincon.A"), ("qsdp", "B", "qsdp.B")])

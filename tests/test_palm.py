@@ -189,7 +189,19 @@ class TestLagrangian:
         assert a == pytest.approx(b, rel=1e-12)
 
 
+def test_palm_binds_no_oracle_helper():
+    from sgsqp import oracle, palm
+    for name in ("psd_project", "range_basis", "spectral_norm"):
+        assert not hasattr(palm, name)
+        assert getattr(oracle, name) not in vars(palm).values()
+
+
 class TestQsdp:
+    def test_range_coords_bit_identical_to_oracle(self):
+        from sgsqp.oracle import range_basis
+        q = gen_qsdp(20, 10).qsdp
+        np.testing.assert_array_equal(q.range_coords(), range_basis(q.H))
+
     def test_data_validation(self):
         from sgsqp.errors import ShapeMismatch
         d = svec_dim(3)

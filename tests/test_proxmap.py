@@ -157,7 +157,7 @@ class TestBlock1Solve:
         J1 = mu * np.eye(2) - Q11
         c1 = rng.standard_normal(2)
         xbar1 = rng.standard_normal(2)
-        x, g = solve_block1(spec, Q11, c1, J1=J1, xbar1=xbar1)
+        x, g = solve_block1(spec, Q11 + J1, c1 + J1 @ xbar1)
         resid = (Q11 + J1) @ x - (c1 + J1 @ xbar1) + g
         np.testing.assert_allclose(resid, 0.0, atol=1e-12)
         assert subgrad_residual(spec, x, g) <= 1e-12

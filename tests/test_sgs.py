@@ -9,10 +9,7 @@ from sgsqp import (
     classical_sgs_step,
     error_bound,
     exact_xi,
-    forward_reuse_check,
-    forward_reuse_delta,
     perturbation,
-    quad_norm,
     sgs_cycle,
     ssor_cycle,
     ssor_tuning,
@@ -102,7 +99,7 @@ class TestInexactCycle:
         target = dense_subproblem_solve(prob, xbar)
         maj = prob.majorizer()
         diff = BlockVector(prob.partition, res.x_plus.data - target.data)
-        dist = quad_norm(maj, diff, "Qhat")
+        dist = maj.quad_norm(diff, "Qhat")
         assert dist == pytest.approx(res.xi, rel=1e-6, abs=1e-12)
 
     def test_noise_respects_error_bound(self):
@@ -228,6 +225,17 @@ class TestSsor:
             ssor_cycle(prob, xbar, omega=2.0)
 
 
+class TestShiftedOperator:
+    def test_one_shifted_operator_per_problem(self):
+        prob = shifted_problem(0)
+        assert prob.shifted_Q is prob.majorizer().eff
+        assert prob.shifted_Q is not prob.Q
+
+    def test_unshifted_problem_sweeps_its_own_operator(self):
+        prob = random_problem(0)
+        assert prob.shifted_Q is prob.Q is prob.majorizer().eff
+
+
 class TestClassicalStep:
     def test_equals_cycle_for_smooth_problems(self):
         prob = random_problem(3, prox_kind="zero")
@@ -281,15 +289,20 @@ class TestForwardReuse:
         assert res.reused == ()
 
     def test_check_and_delta_helpers(self):
+        """Each reused block passes the threshold test and reports
+        ``delta_i = delta'_i + coupling``, the coupling recomputed from the
+        dense matrix."""
         prob, xbar = self._weak_coupling_problem()
         res = sgs_cycle(prob, xbar, mode=NoisyMode(seed=3, scale=1e-2),
                         forward_reuse=1.0)
+        Qd, off, s = prob.Q.dense(), prob.partition.offsets, prob.partition.s
+        step = res.x_plus.data - xbar.data
         for i in res.reused:
-            assert forward_reuse_check(prob.Q, xbar, res.x_plus,
-                                       res.delta_prime, 1.0, i)
-            di = forward_reuse_delta(prob.Q, xbar, res.x_plus,
-                                     res.delta_prime, i)
-            np.testing.assert_allclose(di, res.delta.block(i), atol=1e-14)
+            coupling = Qd[off[i]:off[i + 1], :off[i]] @ step[:off[i]]
+            assert np.linalg.norm(coupling) <= (1.0 / np.sqrt(s)) \
+                * np.linalg.norm(res.delta_prime.data)
+            np.testing.assert_allclose(res.delta_prime.block(i) + coupling,
+                                       res.delta.block(i), atol=1e-14)
 
 
 class TestTuning:

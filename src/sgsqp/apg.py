@@ -274,8 +274,10 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
 
         x_new = res.x_plus
         Qx = prob.Q.matvec(x_new.data)
-        Fv = prob.objective(x_new, Qx)
-        kkt = prob.kkt_residual(x_new, Qx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a diverging run overflows here first; the stop below names it
+            Fv = prob.objective(x_new, Qx)
+            kkt = prob.kkt_residual(x_new, Qx)
         if not np.isfinite(kkt):
             # diverged (e.g. an indefinite Q): keep the last finite iterate
             trace.termination = "nonfinite"

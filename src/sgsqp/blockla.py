@@ -22,14 +22,18 @@ with views of the row panels ``Q[i, :i]`` and ``Q[i, i+1:]`` of each block.
 Every sweep runs through :func:`sweep`, one block substitution kernel: per
 block one panel product per side and one solve through the cached
 Cholesky factor, so a cycle costs two passes over ``Q`` whatever the
-number of blocks.  ``matvec`` is one product on the store.
+number of blocks.  ``matvec`` is one product on the stored span of the
+store.  A majorizer factors ``Qhat = Y Y^T`` once, on first use, with
+``Y`` upper triangular (:meth:`Majorizer.factor`), so a solve with
+``Qhat`` is two triangular solves and involves no sweep.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag, cho_factor, eigvalsh
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .errors import (
     DiagonalNotPD,
@@ -224,6 +228,11 @@ class BlockSymOperator:
                 raise NonFinite(f"block {key} contains NaN or inf")
             if big > 0.0:
                 self._blocks[(i, j)] = arr
+        # rows/columns of the principal sub-block holding every stored block
+        off = partition.offsets
+        self._span = (0, 0) if not self._blocks else (
+            off[min(i for i, _ in self._blocks)],
+            off[max(j for _, j in self._blocks) + 1])
         self._chol = None
         self._panels = None
         for i in range(s):
@@ -296,11 +305,16 @@ class BlockSymOperator:
     # -- products -----------------------------------------------------
 
     def matvec(self, x):
-        """``Q x`` for a flat vector ``x``: one product on the dense store."""
+        """``Q x`` for a flat vector ``x``: one product on the principal
+        sub-block of the store that spans the stored blocks, zeros
+        outside it."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"expected length {self.n}, got shape {x.shape}")
-        return self.panels()[0] @ x
+        lo, hi = self._span
+        out = np.zeros(self.n)
+        out[lo:hi] = self.panels()[0][lo:hi, lo:hi] @ x[lo:hi]
+        return out
 
     def apply(self, x):
         """``Q x`` for a :class:`BlockVector`."""
@@ -412,11 +426,11 @@ class Majorizer:
     """Implicit proximal weight ``T`` and majorized operator ``Qhat = Q + T``.
 
     Built by :func:`sgs_operator` or :func:`ssor_operator`; never
-    instantiated directly.  Solves
-    with ``Qhat`` are two passes of the :func:`sweep` kernel over the row
-    panels of the (shifted) operator with its factored diagonal;
-    applications of ``T`` and ``Qhat`` are per-block panel products.
-    ``densify`` forms the dense weights, for certification only.
+    instantiated directly.  Solves with ``Qhat`` and the norm
+    ``||Qhat^{-1/2} v||`` go through the triangular factor ``Qhat = Y
+    Y^T`` (:meth:`factor`), built once on first use; applications of
+    ``T`` and ``Qhat`` are per-block panel products.  ``densify`` forms
+    the dense weights, for certification only.
     """
 
     def __init__(self, base, eff, kind, a, c, shifts=None, omega=None):
@@ -428,6 +442,41 @@ class Majorizer:
         self._a = a               # diagonal scale in the outer factors
         self._c = c               # diagonal scale in the middle inverse
         self.partition = base.partition
+        self._factor = None
+
+    def relaxed(self, omega):
+        """The over-relaxed majorizer, ``omega in [1, 2)``, of the same
+        (shifted) operator, sharing its store and diagonal factors."""
+        omega = float(omega)
+        if not (1.0 <= omega < 2.0):
+            raise OmegaOutOfRange(f"omega must lie in [1, 2), got {omega}")
+        tau = 1.0 / omega
+        return Majorizer(self.base, self.eff, "ssor", tau, 2.0 * tau - 1.0,
+                         shifts=self.shifts, omega=omega)
+
+    def factor(self):
+        """``(Y, T)``, Fortran-ordered for :func:`dtrsv` and cached: ``Y``
+        upper triangular with ``Y Y^T = Qhat``, and the block diagonal
+        ``T`` with ``Dhat = T T^T``, each ``T_i`` upper triangular.
+
+        ``T_i = J chol(J Dhat_i J) J`` (``J`` the reversal) and ``Y =
+        c^{-1/2} (a Dhat + U) T^{-T}``: its diagonal blocks are ``(a /
+        sqrt(c)) T_i``, its column panels above them ``c^{-1/2} U_{:,i}
+        T_i^{-T}``, so ``Y Y^T = (a Dhat + U)(c Dhat)^{-1}(a Dhat + U^*)``.
+        """
+        if self._factor is None:
+            S, off, r = self.eff.panels()[0], self.partition.offsets, self._c ** -0.5
+            Y, T = (np.zeros(S.shape, order="F") for _ in range(2))
+            for i in range(self.eff.s):
+                lo, hi = off[i], off[i + 1]
+                L, info = dpotrf(S[lo:hi, lo:hi][::-1, ::-1], lower=1)
+                if info != 0:
+                    raise DiagonalNotPD(i)
+                Ti = T[lo:hi, lo:hi] = L[::-1, ::-1]
+                Y[lo:hi, lo:hi] = (self._a * r) * Ti
+                Y[:lo, lo:hi] = S[:lo, lo:hi] @ (r * dtrtri(Ti)[0].T)
+            self._factor = (Y, T)
+        return self._factor
 
     # -- factored products --------------------------------------------
 
@@ -470,12 +519,10 @@ class Majorizer:
         return BlockVector(self.partition, out) if isinstance(x, BlockVector) else out
 
     def solve_Qhat(self, y):
-        """``Qhat^{-1} y``: a backward and a forward :func:`sweep` around
-        a block diagonal product."""
+        """``Qhat^{-1} y = Y^{-T} Y^{-1} y``, two triangular solves."""
         vec = y.data if isinstance(y, BlockVector) else np.asarray(y, dtype=float)
-        z = sweep(self.eff, vec, self._a, lower=False)
-        wb = self.eff.diag_matvec_blocks(self.partition.split(z))
-        out = sweep(self.eff, self._c * np.concatenate(wb), self._a, lower=True)
+        Y = self.factor()[0]
+        out = dtrsv(Y, dtrsv(Y, vec), trans=1)
         return BlockVector(self.partition, out) if isinstance(y, BlockVector) else out
 
     def dinv_norm(self, v):
@@ -518,7 +565,7 @@ class Majorizer:
         elif which == "Qhat":
             val = vec @ self.apply_Qhat(vec)
         elif which == "Qhat_inv":
-            val = vec @ self.solve_Qhat(vec)
+            return float(np.linalg.norm(dtrsv(self.factor()[0], vec)))
         elif which == "Dinv":
             return self.dinv_norm(vec)
         else:
@@ -555,25 +602,15 @@ class Majorizer:
         return 2.0 / np.sqrt(self._c * lam_d) + 1.0 / np.sqrt(lam_qhat)
 
 
-def _majorizer(Q, shifts, kind, a, c, omega=None):
-    """A :class:`Majorizer` of ``Q``, with the PSD ``shifts`` (if any is
-    not None) folded into the diagonal of its operator."""
-    if shifts is None or all(J is None for J in shifts):
-        return Majorizer(Q, Q, kind, a, c, omega=omega)
-    kept = [None if J is None else np.asarray(J, dtype=float) for J in shifts]
-    return Majorizer(Q, Q.with_added_diag(shifts), kind, a, c, shifts=kept,
-                     omega=omega)
-
-
 def sgs_operator(Q, shifts=None):
-    """Symmetric Gauss-Seidel majorizer of ``Q`` (optionally shifted)."""
-    return _majorizer(Q, shifts, "sgs", 1.0, 1.0)
+    """Symmetric Gauss-Seidel majorizer of ``Q``, with the PSD ``shifts``
+    (if any is not None) folded into the diagonal of its operator."""
+    if shifts is None or all(J is None for J in shifts):
+        return Majorizer(Q, Q, "sgs", 1.0, 1.0)
+    kept = [None if J is None else np.asarray(J, dtype=float) for J in shifts]
+    return Majorizer(Q, Q.with_added_diag(shifts), "sgs", 1.0, 1.0, shifts=kept)
 
 
 def ssor_operator(Q, omega, shifts=None):
     """Symmetric over-relaxed majorizer, ``omega in [1, 2)``."""
-    omega = float(omega)
-    if not (1.0 <= omega < 2.0):
-        raise OmegaOutOfRange(f"omega must lie in [1, 2), got {omega}")
-    tau = 1.0 / omega
-    return _majorizer(Q, shifts, "ssor", tau, 2.0 * tau - 1.0, omega=omega)
+    return sgs_operator(Q, shifts).relaxed(omega)

@@ -11,6 +11,13 @@ where ``T`` is the cycle's majorizer weight and ``Delta`` aggregates the
 per-block solve errors.  Exact block solves give ``Delta = 0``; inexact
 ones report honest residual vectors from which ``Delta`` and its weighted
 norm bound are formed.
+
+With no nonsmooth term (``p = 0``) and exact solves the cycle is, by the
+block sGS decomposition theorem, the step ``x+ = xbar + Qhat^{-1}(b_e - A
+xbar)``.  That case skips the sweeps: with the majorizer's factor ``Qhat =
+Y Y^T`` it is one product with the (shifted) operator ``A`` and three
+triangular solves, ``z = Y^{-1}(b_e - A xbar)``, ``x+ = xbar + Y^{-T} z``
+and ``x' = xbar + c^{-1/2} T^{-T} z``.
 """
 
 import numbers
@@ -18,8 +25,9 @@ import numbers
 import numpy as np
 from dataclasses import dataclass
 
-from .blockla import (BlockVector, block_split, finite, sgs_operator,
-                      ssor_operator, sweep)
+from scipy.linalg.blas import dtrsv
+
+from .blockla import BlockVector, block_split, finite, sgs_operator, sweep
 from .errors import (
     DimensionMismatch,
     FirstBlockMismatch,
@@ -162,7 +170,7 @@ class CompositeQP:
             if kind == "sgs":
                 self._majs[key] = sgs_operator(self.Q, self.shifts)
             elif kind == "ssor":
-                self._majs[key] = ssor_operator(self.Q, omega, self.shifts)
+                self._majs[key] = self.majorizer().relaxed(omega)
             else:
                 raise InvalidParams(f"unknown majorizer kind {kind!r}")
         return self._majs[key]
@@ -297,13 +305,23 @@ def _cycle(prob, xbar, mode, tau, variant, omega=None, reuse_c=None):
     part = prob.partition
     s, off, n1 = part.s, part.offsets, part.dims[0]
     A = prob.shifted_Q
-    _, low, _, diag = A.panels()
     maj = prob.majorizer(variant, omega)
-    head = prob._head(variant, omega)
     if not isinstance(xbar, BlockVector):
         xbar = BlockVector(part, xbar)
     xb = xbar.data
     be = prob.effective_b(xbar).data
+    if isinstance(mode, ExactMode) and prob.prox.kind == "zero" and reuse_c is None:
+        # no head term to minimize: the factored step of the module docstring
+        Y, T = maj.factor()
+        z = dtrsv(Y, be - A.matvec(xb))
+        return CycleResult(
+            x_plus=BlockVector(part, xb + dtrsv(Y, z, trans=1)),
+            x_prime=BlockVector(part, xb + maj._c ** -0.5 * dtrsv(T, z, trans=1)),
+            delta_prime=BlockVector.zeros(part), delta=BlockVector.zeros(part),
+            gamma1=np.zeros(n1), Delta=BlockVector.zeros(part), xi=0.0,
+            xi_bound=0.0, variant=variant, omega=omega, inner_iters=(0,) * s)
+    _, low, _, diag = A.panels()
+    head = prob._head(variant, omega)
     rho = 2.0 * tau - 1.0
     rng = np.random.default_rng(mode.seed) if isinstance(mode, NoisyMode) else None
 

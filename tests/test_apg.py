@@ -96,6 +96,11 @@ class TestSolve:
         assert np.isfinite(tr.x_final.data).all()
         np.testing.assert_array_equal(tr.x_final.data, capped.x_final.data)
 
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_stop_is_silent(self):
+        tr = solve(indefinite_2x2(), stop=StopRule(max_iter=1000))
+        assert tr.termination == "nonfinite"
+
     @pytest.mark.parametrize("prox_kind", ["zero", "l1"])
     def test_precomputed_product_is_bit_identical(self, prox_kind):
         prob = random_problem(4, prox_kind=prox_kind)

@@ -17,7 +17,9 @@ from sgsqp.errors import (
     OmegaOutOfRange,
     ShiftNotPSD,
 )
+from sgsqp.instances import gen_qsdp
 from sgsqp.oracle import dense_sgs_weight, dense_ssor_weight
+from sgsqp.palm import qsdp_to_lincon
 
 from conftest import anchor_2x2, random_problem
 
@@ -85,6 +87,23 @@ class TestOperator:
             got = Q.apply(BlockVector(part, x))
             np.testing.assert_allclose(got.data, Qd @ x, rtol=0, atol=1e-12)
         np.testing.assert_allclose(Q.dense(), Qd, atol=1e-14)
+
+    @pytest.mark.parametrize("case", ["qsdp_cost", "middle", "full"])
+    def test_matvec_over_stored_span_matches_dense(self, case, rng):
+        """A product over the principal sub-block spanned by the stored
+        blocks equals the full dense product."""
+        if case == "qsdp_cost":
+            # stores only its (2,2) block: 210 of 430 rows and columns
+            Q = qsdp_to_lincon(gen_qsdp(20, 10).qsdp).P
+            assert len(Q.stored_items()) == 1 and Q.n == 430
+        else:
+            part, blocks, _ = _dense_blocks(rng, [2, 3, 1, 2])
+            if case == "middle":
+                blocks = {k: v for k, v in blocks.items() if 1 <= k[0] <= k[1] <= 2}
+            Q = BlockSymOperator(part, blocks, factor_diag=case == "full")
+        x = rng.standard_normal(Q.n)
+        want = Q.dense() @ x
+        assert np.linalg.norm(Q.matvec(x) - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_missing_offdiagonal_is_zero(self):
         part = BlockPartition((1, 1))

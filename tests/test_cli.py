@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sgsqp
 from sgsqp.cli import main
 
 from conftest import indefinite_2x2
@@ -11,6 +16,15 @@ def _gen(tmp_path, name, *args):
     rc = main(["gen", "--out", str(path), *args])
     assert rc == 0
     return str(path)
+
+
+def _indefinite_file(tmp_path):
+    from sgsqp.instances import Instance, write_instance
+    prob = indefinite_2x2()
+    path = str(tmp_path / "indefinite.json")
+    write_instance(Instance(dims=prob.partition.dims, b=prob.b.data,
+                            Q=dict(prob.Q.stored_items()), prox=prob.prox), path)
+    return path
 
 
 class TestGen:
@@ -46,15 +60,19 @@ class TestSolve:
                      "--eps0", "1e-300"]) == 3
 
     def test_exit_5_on_nonfinite_iterate(self, tmp_path, capsys):
-        from sgsqp.instances import Instance, write_instance
-        prob = indefinite_2x2()
-        path = str(tmp_path / "indefinite.json")
-        write_instance(Instance(dims=prob.partition.dims, b=prob.b.data,
-                                Q=dict(prob.Q.stored_items()),
-                                prox=prob.prox), path)
+        path = _indefinite_file(tmp_path)
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["solve", path]) == 5
         assert "termination=nonfinite" in capsys.readouterr().out
+
+    def test_nonfinite_exit_writes_nothing_to_stderr(self, tmp_path):
+        path = _indefinite_file(tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(sgsqp.__file__)))
+        run = subprocess.run([sys.executable, "-m", "sgsqp.cli", "solve", path],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 5
+        assert run.stderr == ""
 
     def test_exit_1_on_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1

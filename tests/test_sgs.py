@@ -231,6 +231,10 @@ class TestShiftedOperator:
         assert prob.shifted_Q is prob.majorizer().eff
         assert prob.shifted_Q is not prob.Q
 
+    def test_relaxed_majorizer_shares_the_shifted_operator(self):
+        prob = shifted_problem(0)
+        assert prob.majorizer("ssor", 1.5).eff is prob.shifted_Q
+
     def test_unshifted_problem_sweeps_its_own_operator(self):
         prob = random_problem(0)
         assert prob.shifted_Q is prob.Q is prob.majorizer().eff

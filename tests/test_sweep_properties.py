@@ -3,7 +3,9 @@
 Partitions have 2 to 8 blocks, 1-wide blocks included, and any pattern of
 stored off-diagonal blocks from none to all pairs.  Every cycle path is
 checked against the dense oracle, which rebuilds the proximal weight from
-plain triangle masks and shares no code with the kernel.
+plain triangle masks and shares no code with the kernel.  The
+majorizer's triangular factor ``Qhat = Y Y^T`` is checked against the
+oracle's weights and plain numpy solves.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from sgsqp import (
     sgs_cycle,
     ssor_cycle,
 )
+from sgsqp import blockla, sgs
 from sgsqp.blockla import sweep
 from sgsqp.oracle import dense_sgs_weight, dense_ssor_weight, dense_subproblem_solve
 
@@ -172,3 +175,107 @@ def test_forward_pass_reads_known_head():
     DL[0, 1:] = 0.0          # block 1 (one row) does not see block 2
     want = np.linalg.solve(DL, y[2:] - M[2:, :2] @ out[:2])
     np.testing.assert_allclose(out[2:], want, rtol=0, atol=1e-12)
+
+
+def _diag_part(part, A):
+    D = np.zeros_like(A)
+    for i in range(part.s):
+        D[part.slice(i), part.slice(i)] = A[part.slice(i), part.slice(i)]
+    return D
+
+
+@st.composite
+def factored(draw):
+    """A ``p = 0`` problem, its sgs or ssor majorizer (``omega`` in {1,
+    1.5, 1.9}), the dense shifted operator ``A`` and the oracle's ``Qhat``."""
+    Q, M = draw(operators())
+    part = Q.partition
+    shifts = conservative_shifts(Q) if draw(st.booleans()) else None
+    omega = draw(st.sampled_from((None, 1.0, 1.5, 1.9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prob = CompositeQP(Q, rng.standard_normal(part.total), shifts=shifts)
+    J = np.zeros_like(M)
+    for i, Ji in enumerate(shifts or ()):
+        J[part.slice(i), part.slice(i)] = Ji
+    if omega is None:
+        Qhat = M + dense_sgs_weight(part, M, shifts)
+    else:
+        Qhat = M + J + dense_ssor_weight(part, M + J, omega)
+    maj = prob.majorizer("sgs" if omega is None else "ssor", omega)
+    return prob, maj, omega, M + J, Qhat, rng.standard_normal(part.total)
+
+
+@PROPS
+@given(factored())
+def test_factor_is_triangular_and_squares_to_qhat(case):
+    prob, maj, _, A, Qhat, _ = case
+    Y, T = maj.factor()
+    assert np.array_equal(Y, np.triu(Y)) and np.array_equal(T, np.triu(T))
+    assert np.linalg.norm(Y @ Y.T - Qhat, 2) <= 1e-12 * np.linalg.norm(Qhat, 2)
+    D = _diag_part(prob.partition, A)
+    assert np.linalg.norm(T @ T.T - D, 2) <= 1e-12 * np.linalg.norm(D, 2)
+
+
+@PROPS
+@given(factored())
+def test_qhat_solve_and_inverse_norm_match_dense(case):
+    _, maj, _, _, Qhat, y = case
+    want = np.linalg.solve(Qhat, y)
+    assert np.linalg.norm(maj.solve_Qhat(y) - want) <= 1e-10 * np.linalg.norm(want)
+    assert maj.quad_norm(y, "Qhat_inv") == pytest.approx(np.sqrt(y @ want),
+                                                         rel=1e-10)
+
+
+@PROPS
+@given(factored())
+def test_exact_smooth_cycle_matches_dense_solves(case):
+    """``x+`` is the oracle's subproblem minimizer and ``x'`` solves
+    ``(a D + U)(x' - xbar) = b_e - A xbar`` for the shifted ``A``."""
+    prob, _, omega, A, _, xbar = case
+    if omega is None:
+        res = sgs_cycle(prob, xbar)
+        ref = dense_subproblem_solve(prob, xbar)
+    else:
+        res = ssor_cycle(prob, xbar, omega)
+        ref = dense_subproblem_solve(prob, xbar, kind="ssor", omega=omega)
+    assert np.linalg.norm(res.x_plus.data - ref.data) <= 1e-9 * (
+        1.0 + np.linalg.norm(ref.data))
+    D = _diag_part(prob.partition, A)
+    a = 1.0 if omega is None else 1.0 / omega
+    be = prob.b.data + (A - prob.Q.dense()) @ xbar
+    want = xbar + np.linalg.solve(a * D + np.triu(A - D), be - A @ xbar)
+    assert np.linalg.norm(res.x_prime.data - want) <= 1e-9 * (
+        1.0 + np.linalg.norm(want))
+    assert res.xi == res.xi_bound == 0.0 and not res.Delta.data.any()
+
+
+def test_factored_paths_skip_the_sweep(monkeypatch):
+    """Once the factor exists, exact smooth cycles and ``Qhat`` solves and
+    norms call neither the sweep kernel nor a diagonal-block solve."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sgs, "sweep", counted("sweep", sgs.sweep))
+    monkeypatch.setattr(blockla, "sweep", counted("sweep", blockla.sweep))
+    monkeypatch.setattr(BlockSymOperator, "diag_solve",
+                        counted("diag_solve", BlockSymOperator.diag_solve))
+    rng = np.random.default_rng(4)
+    Q, _ = _operator((2, 1, 3), [(0, 1), (1, 2)], 1.0, rng, False)
+    prob = CompositeQP(Q, rng.standard_normal(6), shifts=conservative_shifts(Q))
+    xbar = rng.standard_normal(6)
+    majs = [prob.majorizer(), prob.majorizer("ssor", 1.5)]
+    for maj in majs:
+        maj.factor()
+    sgs_cycle(prob, xbar)
+    ssor_cycle(prob, xbar, 1.5)
+    for maj in majs:
+        maj.solve_Qhat(xbar)
+        maj.quad_norm(xbar, "Qhat_inv")
+    assert calls == []
+    sgs_cycle(prob, xbar, mode=NoisyMode())     # the counters do count
+    assert "sweep" in calls and "diag_solve" in calls

@@ -86,8 +86,6 @@ from .palm import (
     assemble_penalized,
     lagrangian,
     palm_solve,
-    qsdp_assemble,
-    qsdp_sgs_step,
     qsdp_to_lincon,
 )
 from .instances import (
@@ -120,8 +118,7 @@ __all__ = [
     "solve", "contraction_factor", "complexity_certificates",
     "CertificateReport",
     "LinConQP", "PalmStop", "PalmTrace", "QsdpData", "assemble_penalized",
-    "palm_solve", "lagrangian", "qsdp_assemble", "qsdp_sgs_step",
-    "qsdp_to_lincon",
+    "palm_solve", "lagrangian", "qsdp_to_lincon",
     "Instance", "gen", "gen_lincon", "gen_qsdp", "read_instance",
     "write_instance",
 ]

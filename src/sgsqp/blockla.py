@@ -2,10 +2,8 @@
 
 A symmetric positive semidefinite operator on a product space
 ``R^{n_1} x ... x R^{n_s}`` is stored through its upper block triangle
-only; diagonal blocks are kept together with a Cholesky factorization so
-that all sweeps can run with triangular block substitutions.  The
-splitting ``Q = U + D + U^*`` (``U`` the strict upper block triangle,
-``D`` the block diagonal) induces the majorizers handled here:
+only.  The splitting ``Q = U + D + U^*`` (``U`` the strict upper block
+triangle, ``D`` the block diagonal) induces the majorizers handled here:
 
 * ``sgs``:          ``T = U D^{-1} U^*`` and ``Qhat = (D+U) D^{-1} (D+U^*)``
 * ``sgs`` shifted:  ``D`` replaced by ``Dhat = D + diag(J_i)`` with PSD
@@ -17,22 +15,21 @@ splitting ``Q = U + D + U^*`` (``U`` the strict upper block triangle,
 In every case ``Qhat = Q + T`` and ``Qhat`` is positive definite as soon
 as the diagonal blocks are.
 
-An operator keeps one dense row-major store of ``Q``, built on first use,
-with views of the row panels ``Q[i, :i]`` and ``Q[i, i+1:]`` of each block.
-Every sweep runs through :func:`sweep`, one block substitution kernel: per
-block one panel product per side and one solve through the cached
-Cholesky factor, so a cycle costs two passes over ``Q`` whatever the
-number of blocks.  ``matvec`` is one product on the stored span of the
-store.  A majorizer factors ``Qhat = Y Y^T`` once, on first use, with
-``Y`` upper triangular (:meth:`Majorizer.factor`), so a solve with
-``Qhat`` is two triangular solves and involves no sweep.
+Each diagonal block is factored once, at assembly, as ``Q_ii = T_i
+T_i^T`` with ``T_i`` upper triangular; the sweeps' diagonal solves and
+the majorizer share that factor.  The dense row-major store of ``Q`` is
+built on first use.  Every sweep runs through :func:`sweep`, one block
+substitution kernel: per block one panel product per side and one
+diagonal solve.  A majorizer assembles ``Qhat = Y Y^T`` once, ``Y``
+upper triangular (:meth:`Majorizer.factor`); its products, solves and
+norms all go through ``Y`` and ``T`` and involve no sweep.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, eigvalsh
-from scipy.linalg.blas import dtrsv
+from scipy.linalg import block_diag, eigvalsh
+from scipy.linalg.blas import dtrmv, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .errors import (
@@ -189,10 +186,12 @@ class BlockSymOperator:
 
     Only blocks ``(i, j)`` with ``i <= j`` may be supplied, all finite; the
     lower triangle is their transpose.  Diagonal blocks must be symmetric
-    (relative tolerance 1e-12) and positive definite — they are
-    Cholesky-factored once at assembly.  The dense store and its row
-    panels (:meth:`panels`) are built on first use.  Semidefiniteness of
-    the full operator is *not* assumed.
+    (relative tolerance 1e-12) and positive definite: each is factored
+    once, ``Q_ii = T_i T_i^T`` with ``T_i = J L_i J`` and ``L_i`` the lower
+    Cholesky factor of the reversed block ``J Q_ii J``, shared by
+    :meth:`diag_solve` and :meth:`Majorizer.factor`.  The dense store and
+    its row panels (:meth:`panels`) are built on first use.
+    Semidefiniteness of the full operator is *not* assumed.
 
     Parameters
     ----------
@@ -233,7 +232,7 @@ class BlockSymOperator:
         self._span = (0, 0) if not self._blocks else (
             off[min(i for i, _ in self._blocks)],
             off[max(j for _, j in self._blocks) + 1])
-        self._chol = None
+        self._rchol = None
         self._panels = None
         for i in range(s):
             if (i, i) not in self._blocks:
@@ -246,17 +245,12 @@ class BlockSymOperator:
             sym = 0.5 * (self._blocks[(i, i)] + self._blocks[(i, i)].T)
             self._blocks[(i, i)] = sym
         if factor_diag:
-            self._chol = []
+            self._rchol = []
             for i in range(s):
-                try:
-                    c = cho_factor(self._blocks[(i, i)], lower=True)
-                except np.linalg.LinAlgError as exc:
-                    raise DiagonalNotPD(i) from exc
-                self._chol.append(c)
-                # cho_factor succeeds on some indefinite inputs only when
-                # the trailing pivot is tiny; double-check positivity
-                if not np.all(np.diag(c[0]) > 0.0):
+                L, info = dpotrf(self._blocks[(i, i)][::-1, ::-1], lower=1)
+                if info != 0:
                     raise DiagonalNotPD(i)
+                self._rchol.append(L)
 
     # -- basic access -------------------------------------------------
 
@@ -320,6 +314,7 @@ class BlockSymOperator:
         """``Q x`` for a :class:`BlockVector`."""
         return BlockVector(self.partition, self.matvec(x.data))
 
+    # The next three have no caller in the package; the benchmark tracer wraps them.
     def upper_matvec_blocks(self, xb):
         """``U x`` blockwise (strict upper triangle only), one upper
         panel product per block."""
@@ -335,12 +330,18 @@ class BlockSymOperator:
         diag = self.panels()[3]
         return [diag[i] @ xb[i] for i in range(self.s)]
 
-    def diag_solve(self, i, rhs):
-        """``Q_{ii}^{-1} rhs`` through the cached Cholesky factor, with no
-        per-call finiteness check (inputs are checked where they enter)."""
-        if self._chol is None:
+    def diag_factors(self):
+        """The lower Cholesky factors ``L_i`` of the reversed diagonal
+        blocks ``J Q_ii J``, one per block."""
+        if self._rchol is None:
             raise InvalidParams("operator was assembled with factor_diag=False")
-        return dpotrs(self._chol[i][0], rhs, lower=1)[0]
+        return self._rchol
+
+    def diag_solve(self, i, rhs):
+        """``Q_{ii}^{-1} rhs = J (L_i L_i^T)^{-1} J rhs``, one ``dpotrs`` on
+        the reversed ``rhs``, with no per-call finiteness check (inputs are
+        checked where they enter)."""
+        return dpotrs(self.diag_factors()[i], rhs[::-1], lower=1)[0][::-1]
 
     # -- derived operators -------------------------------------------
 
@@ -426,17 +427,18 @@ class Majorizer:
     """Implicit proximal weight ``T`` and majorized operator ``Qhat = Q + T``.
 
     Built by :func:`sgs_operator` or :func:`ssor_operator`; never
-    instantiated directly.  Solves with ``Qhat`` and the norm
-    ``||Qhat^{-1/2} v||`` go through the triangular factor ``Qhat = Y
-    Y^T`` (:meth:`factor`), built once on first use; applications of
-    ``T`` and ``Qhat`` are per-block panel products.  ``densify`` forms
-    the dense weights, for certification only.
+    instantiated directly.  With the outer scale ``a`` and middle scale
+    ``c`` (``a = c = 1`` for Gauss-Seidel), ``Qhat = (a Dhat + U)(c
+    Dhat)^{-1}(a Dhat + U^*)``.  Every action goes through the factor
+    ``(Y, T)`` of :meth:`factor`, built once on first use from the
+    operator's diagonal factors: products with ``Qhat`` and ``T``, solves
+    with ``Qhat``, the perturbation and both norms of its bound.
+    ``densify`` forms the dense weights, for certification only.
     """
 
-    def __init__(self, base, eff, kind, a, c, shifts=None, omega=None):
+    def __init__(self, base, eff, a, c, shifts=None, omega=None):
         self.base = base          # the operator Q being majorized
         self.eff = eff            # Q with shifts folded into the diagonal
-        self.kind = kind
         self.omega = omega
         self.shifts = shifts
         self._a = a               # diagonal scale in the outer factors
@@ -451,71 +453,50 @@ class Majorizer:
         if not (1.0 <= omega < 2.0):
             raise OmegaOutOfRange(f"omega must lie in [1, 2), got {omega}")
         tau = 1.0 / omega
-        return Majorizer(self.base, self.eff, "ssor", tau, 2.0 * tau - 1.0,
+        return Majorizer(self.base, self.eff, tau, 2.0 * tau - 1.0,
                          shifts=self.shifts, omega=omega)
 
     def factor(self):
-        """``(Y, T)``, Fortran-ordered for :func:`dtrsv` and cached: ``Y``
-        upper triangular with ``Y Y^T = Qhat``, and the block diagonal
-        ``T`` with ``Dhat = T T^T``, each ``T_i`` upper triangular.
+        """``(Y, T)``, Fortran-ordered for BLAS and cached: ``Y`` upper
+        triangular with ``Y Y^T = Qhat``, and the block diagonal ``T`` with
+        ``Dhat = T T^T``, each ``T_i`` upper triangular.
 
-        ``T_i = J chol(J Dhat_i J) J`` (``J`` the reversal) and ``Y =
-        c^{-1/2} (a Dhat + U) T^{-T}``: its diagonal blocks are ``(a /
-        sqrt(c)) T_i``, its column panels above them ``c^{-1/2} U_{:,i}
-        T_i^{-T}``, so ``Y Y^T = (a Dhat + U)(c Dhat)^{-1}(a Dhat + U^*)``.
+        ``T_i = J L_i J`` is the operator's diagonal factor
+        (:meth:`BlockSymOperator.diag_factors`) and ``Y = c^{-1/2} (a Dhat
+        + U) T^{-T}``: its diagonal blocks are ``(a / sqrt(c)) T_i``, its
+        column panels above them ``c^{-1/2} U_{:,i} T_i^{-T}``.
         """
         if self._factor is None:
             S, off, r = self.eff.panels()[0], self.partition.offsets, self._c ** -0.5
             Y, T = (np.zeros(S.shape, order="F") for _ in range(2))
-            for i in range(self.eff.s):
+            for i, L in enumerate(self.eff.diag_factors()):
                 lo, hi = off[i], off[i + 1]
-                L, info = dpotrf(S[lo:hi, lo:hi][::-1, ::-1], lower=1)
-                if info != 0:
-                    raise DiagonalNotPD(i)
                 Ti = T[lo:hi, lo:hi] = L[::-1, ::-1]
                 Y[lo:hi, lo:hi] = (self._a * r) * Ti
                 Y[:lo, lo:hi] = S[:lo, lo:hi] @ (r * dtrtri(Ti)[0].T)
             self._factor = (Y, T)
         return self._factor
 
-    # -- factored products --------------------------------------------
-
-    def _upper_apply(self, zb, g):
-        """``(g*Dhat + U) z`` blockwise, by upper and diagonal panels."""
-        yb = self.eff.upper_matvec_blocks(zb)
-        if g == 0.0:
-            return yb
-        return [y + g * d for y, d in zip(yb, self.eff.diag_matvec_blocks(zb))]
-
-    def _factored_apply(self, xb, g):
-        """``(g*Dhat + U)(c*Dhat)^{-1}(g*Dhat + U^*) x`` blockwise."""
-        op = self.eff
-        wb = op.upper_t_matvec_blocks(xb)
-        if g != 0.0:
-            wb = [w + g * d for w, d in zip(wb, op.diag_matvec_blocks(xb))]
-        return self._upper_apply(
-            [op.diag_solve(i, w) / self._c for i, w in enumerate(wb)], g)
-
     # -- public operator interface -----------------------------------
 
     def apply_T(self, x):
-        """``T x`` for a flat vector or BlockVector."""
+        """``T x = c^{-1} M M^T x + diag(J) x`` with ``M = sqrt(c) Y + (1 -
+        2a) T``, since ``(1 - a) Dhat + U = M T^T``; PSD by construction."""
         vec = x.data if isinstance(x, BlockVector) else np.asarray(x, dtype=float)
-        xb = self.partition.split(vec)
-        yb = self._factored_apply(xb, 1.0 - self._a)
-        if self.shifts is not None:
-            for i, J in enumerate(self.shifts):
-                if J is not None:
-                    yb[i] = yb[i] + J @ xb[i]
-        out = np.concatenate(yb)
+        Y, T = self.factor()
+        M = np.sqrt(self._c) * Y + (1.0 - 2.0 * self._a) * T
+        out = M @ (M.T @ vec) / self._c
+        for i, J in enumerate(self.shifts or ()):
+            if J is not None:
+                sl = self.partition.slice(i)
+                out[sl] += J @ vec[sl]
         return BlockVector(self.partition, out) if isinstance(x, BlockVector) else out
 
     def apply_Qhat(self, x):
-        """``Qhat x = (Q + T) x`` through the product factorization."""
+        """``Qhat x = Y Y^T x``, two triangular products."""
         vec = x.data if isinstance(x, BlockVector) else np.asarray(x, dtype=float)
-        xb = self.partition.split(vec)
-        yb = self._factored_apply(xb, self._a)
-        out = np.concatenate(yb)
+        Y = self.factor()[0]
+        out = dtrmv(Y, dtrmv(Y, vec, trans=1))
         return BlockVector(self.partition, out) if isinstance(x, BlockVector) else out
 
     def solve_Qhat(self, y):
@@ -526,32 +507,20 @@ class Majorizer:
         return BlockVector(self.partition, out) if isinstance(y, BlockVector) else out
 
     def dinv_norm(self, v):
-        """Norm ``||M^{-1/2} v||`` for the middle diagonal ``M`` of ``T``.
-
-        ``M`` is ``Dhat`` for the Gauss-Seidel kinds and ``rho * D`` for
-        the over-relaxed kind; this is the weight appearing in the
-        perturbation bound.
-        """
+        """``||(c Dhat)^{-1/2} v|| = ||T^{-1} v|| / sqrt(c)``, the weight of
+        the perturbation bound (``c Dhat`` is ``rho D`` when over-relaxed)."""
         vec = v.data if isinstance(v, BlockVector) else np.asarray(v, dtype=float)
-        acc = sum(float(v @ self.eff.diag_solve(i, v))
-                  for i, v in enumerate(self.partition.split(vec)))
-        return np.sqrt(max(acc, 0.0) / self._c)
+        return float(np.linalg.norm(dtrsv(self.factor()[1], vec))) / np.sqrt(self._c)
 
     def perturbation(self, delta_prime, delta):
-        """Aggregate perturbation of an inexact cycle.
-
-        For the Gauss-Seidel kinds this is ``delta + U Dhat^{-1} (delta -
-        delta')``; for the over-relaxed kind,
-        ``delta' + (tau D + U)(rho D)^{-1}(delta - delta')``.  Both
-        vectors must agree on block 1 (checked by the caller).
-        """
+        """Aggregate perturbation of an inexact cycle, ``delta' + (a Dhat +
+        U)(c Dhat)^{-1}(delta - delta') = delta' + c^{-1/2} Y T^{-1}(delta -
+        delta')``; both vectors agree on block 1 (checked by the caller)."""
         dp = delta_prime.data if isinstance(delta_prime, BlockVector) else delta_prime
         d = delta.data if isinstance(delta, BlockVector) else delta
-        diffb = self.partition.split(np.asarray(d) - np.asarray(dp))
-        g, base = (self._a, dp) if self.kind == "ssor" else (0.0, d)
-        zb = [self.eff.diag_solve(i, v) / self._c for i, v in enumerate(diffb)]
-        out = np.asarray(base) + np.concatenate(self._upper_apply(zb, g))
-        return BlockVector(self.partition, out)
+        Y, T = self.factor()
+        w = dtrmv(Y, dtrsv(T, np.asarray(d) - np.asarray(dp)))
+        return BlockVector(self.partition, np.asarray(dp) + self._c ** -0.5 * w)
 
     # -- norms and dense hooks ---------------------------------------
 
@@ -606,9 +575,9 @@ def sgs_operator(Q, shifts=None):
     """Symmetric Gauss-Seidel majorizer of ``Q``, with the PSD ``shifts``
     (if any is not None) folded into the diagonal of its operator."""
     if shifts is None or all(J is None for J in shifts):
-        return Majorizer(Q, Q, "sgs", 1.0, 1.0)
+        return Majorizer(Q, Q, 1.0, 1.0)
     kept = [None if J is None else np.asarray(J, dtype=float) for J in shifts]
-    return Majorizer(Q, Q.with_added_diag(shifts), "sgs", 1.0, 1.0, shifts=kept)
+    return Majorizer(Q, Q.with_added_diag(shifts), 1.0, 1.0, shifts=kept)
 
 
 def ssor_operator(Q, omega, shifts=None):

@@ -104,6 +104,15 @@ def cmd_gen(args):
     return EXIT_OK
 
 
+def _finish(trace, last_fields):
+    """Print the run summary, with ``last_fields(row)`` of the final row
+    when there is one, and map the termination to an exit code."""
+    line = f"termination={trace.termination} iterations={trace.iterations}"
+    print(f"{line} {last_fields(trace.rows[-1])}" if trace.rows else line)
+    return {"tol": EXIT_OK, "stall": EXIT_STALL,
+            "nonfinite": EXIT_NONFINITE}.get(trace.termination, EXIT_MAXITER)
+
+
 def cmd_solve(args):
     inst = _read(args.instance)
     if inst.has_constraints():
@@ -115,10 +124,8 @@ def cmd_solve(args):
         )
         if args.trace:
             trace.to_csv(args.trace)
-        last = trace.rows[-1]
-        print(f"termination={trace.termination} iterations={trace.iterations} "
-              f"F={last.F:.12g} primal_inf={last.primal_inf:.3e} kkt={last.kkt:.3e}")
-        return EXIT_OK if trace.termination == "tol" else EXIT_MAXITER
+        return _finish(trace, lambda r: f"F={r.F:.12g} primal_inf="
+                       f"{r.primal_inf:.3e} kkt={r.kkt:.3e}")
 
     prob = inst.composite()
     steps = _parse_schedule(args.schedule)
@@ -133,14 +140,7 @@ def cmd_solve(args):
                   variant=variant, omega=omega, mode=mode, inner_cap=rtol_cap)
     if args.trace:
         trace.to_csv(args.trace)
-    if trace.rows:
-        last = trace.rows[-1]
-        print(f"termination={trace.termination} iterations={trace.iterations} "
-              f"F={last.F:.12g} kkt={last.kkt:.3e}")
-    else:
-        print(f"termination={trace.termination} iterations=0")
-    return {"tol": EXIT_OK, "stall": EXIT_STALL,
-            "nonfinite": EXIT_NONFINITE}.get(trace.termination, EXIT_MAXITER)
+    return _finish(trace, lambda r: f"F={r.F:.12g} kkt={r.kkt:.3e}")
 
 
 def cmd_verify(args):

@@ -6,19 +6,26 @@ dense matrix with plain triangle masks and ``numpy.linalg`` solves, and
 composite minimizers run an accelerated projected/proximal gradient loop
 with an active-set polish.  Accuracy targets leave an order of magnitude
 of headroom below every certification tolerance that relies on them.
+
+The quadratic SDP subproblem is kept here in its explicit matrix form
+(:func:`qsdp_sgs_step`, W only through ``H W``) and assembled as a
+generic composite QP (:func:`qsdp_assemble`): a reference for the
+solver's linearly constrained QSDP path.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, eigvalsh
 
-from .blockla import BlockVector
+from .blockla import BlockPartition, BlockSymOperator, BlockVector
 from .errors import (
+    InvalidParams,
     NotConverged,
     NotSymmetric,
     RangeDeficiency,
     UnboundedObjective,
 )
-from .proxmap import prox, prox_value, subgrad_residual
+from .proxmap import ProxSpec, prox, prox_value, smat, subgrad_residual, svec
+from .sgs import CompositeQP
 
 __all__ = [
     "dense_sgs_weight",
@@ -31,6 +38,8 @@ __all__ = [
     "spectral_norm",
     "psd_project",
     "range_basis",
+    "qsdp_assemble",
+    "qsdp_sgs_step",
 ]
 
 
@@ -300,3 +309,82 @@ def dense_kkt_solve(P, A, g, d):
         if np.linalg.norm(K @ sol - rhs) > 1e-9 * (1.0 + np.linalg.norm(rhs)):
             raise RangeDeficiency("saddle system is inconsistent")
     return sol[:N], sol[N:]
+
+
+# -- quadratic SDP: three blocks (Z, xi, W), W only through H W ---------
+
+def _qsdp_rhs(q, sigma, Y):
+    u = svec(sigma * q.C - Y)
+    return u, q.h + q.B @ u, q.H @ u
+
+
+def qsdp_assemble(q, sigma, Y):
+    """Composite QP for one Step-1 subproblem, W in Range(H) coordinates.
+
+    Variable order (Z; xi; w) with ``w`` the coefficient vector of W in
+    an orthonormal basis of Range(H); when H = 0 the W block vanishes
+    and the problem has two blocks.
+    """
+    if sigma <= 0:
+        raise InvalidParams(f"sigma must be positive, got {sigma}")
+    V = q.range_coords()
+    r = V.shape[1]
+    bZ, bxi, bW = _qsdp_rhs(q, sigma, Y)
+    d = q.dim
+    HV = q.H @ V
+    blocks = {
+        (0, 0): sigma * np.eye(d),
+        (0, 1): sigma * q.B.T,
+        (1, 1): sigma * (q.B @ q.B.T),
+    }
+    if r > 0:
+        part = BlockPartition((d, q.p, r))
+        blocks[(0, 2)] = sigma * HV
+        blocks[(1, 2)] = sigma * (q.B @ HV)
+        blocks[(2, 2)] = V.T @ (q.H + sigma * (q.H @ q.H)) @ V
+        b = np.concatenate([bZ, bxi, V.T @ bW])
+    else:
+        part = BlockPartition((d, q.p))
+        b = np.concatenate([bZ, bxi])
+    Q = BlockSymOperator(part, blocks)
+    return CompositeQP(Q, BlockVector(part, b), ProxSpec.psd_cone(q.n))
+
+
+def qsdp_sgs_step(q, sigma, state, Y):
+    """One sweep of the Step-1 subproblem in explicit matrix form.
+
+    ``state = (Z, xi, HW)`` — the W variable is never materialized, only
+    its image under H.  Backward: solve for HW', then xi'; block 1:
+    project onto the PSD cone; forward: re-solve xi then HW with the
+    updated earlier blocks.  Returns ``(Z_new, xi_new, HW_new)``.
+    """
+    Z, xi, HW = state
+    if sigma <= 0:
+        raise InvalidParams(f"sigma must be positive, got {sigma}")
+    z = svec(np.asarray(Z, dtype=float))
+    hw = svec(np.asarray(HW, dtype=float))
+    xi = np.asarray(xi, dtype=float).ravel()
+    bZ, bxi, bW = _qsdp_rhs(q, sigma, Y)
+    d = q.dim
+
+    use_w = q.H.any()
+    if use_w:
+        Hfac = cho_factor(np.eye(d) / sigma + q.H, lower=True)
+    Bfac = cho_factor(q.B @ q.B.T, lower=True)
+
+    # backward sweep
+    if use_w:
+        hw_p = cho_solve(Hfac, bW / sigma - q.H @ z - q.H @ (q.B.T @ xi))
+    else:
+        hw_p = np.zeros(d)
+    xi_p = cho_solve(Bfac, bxi / sigma - q.B @ z - q.B @ hw_p)
+    # first block: PSD projection
+    z_new = prox(ProxSpec.psd_cone(q.n), 1.0, bZ / sigma - q.B.T @ xi_p - hw_p)
+    Z_new = smat(z_new, q.n)
+    # forward sweep
+    xi_new = cho_solve(Bfac, bxi / sigma - q.B @ z_new - q.B @ hw_p)
+    if use_w:
+        hw_new = cho_solve(Hfac, bW / sigma - q.H @ z_new - q.H @ (q.B.T @ xi_new))
+    else:
+        hw_new = np.zeros(d)
+    return Z_new, xi_new, smat(hw_new, q.n)

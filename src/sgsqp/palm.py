@@ -2,23 +2,21 @@
 composite QPs, with the x-subproblem solved by one sweep cycle on the
 penalized operator ``P + sigma A^T A``.
 
-Also carries the explicit matrix-form instantiation for quadratic SDP:
-the three-block (Z, xi, W) subproblem whose W variable only ever enters
-through ``H W``, solved by the five forward/backward matrix steps, and
-shown equal to the generic cycle on the assembled operator.
+Quadratic SDP enters as data (:class:`QsdpData`) and is solved through
+its linearly constrained form (:func:`qsdp_to_lincon`).
 """
 
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import eigh
 
 from .apg import write_csv
 from .blockla import BlockPartition, BlockSymOperator, BlockVector, finite
 from .errors import (DimensionMismatch, InvalidParams, ShapeMismatch,
                      TauOutOfRange)
-from .proxmap import (ProxSpec, _identity_multiple, prox, prox_value, smat,
+from .proxmap import (ProxSpec, _identity_multiple, prox, prox_value,
                       subgrad_residual, svec, svec_dim)
 from .sgs import CompositeQP, sgs_cycle
 
@@ -31,8 +29,6 @@ __all__ = [
     "palm_solve",
     "lagrangian",
     "QsdpData",
-    "qsdp_assemble",
-    "qsdp_sgs_step",
     "qsdp_to_lincon",
 ]
 
@@ -181,7 +177,9 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
 
     Returns ``(x, y, trace)``; termination is ``"tol"`` once both the
     primal infeasibility and the dual KKT residual fall below
-    ``stop.kkt_tol``.
+    ``stop.kkt_tol``, and ``"nonfinite"`` at the first iterate whose KKT
+    residual is not finite: that iterate gets no row, and the pair before
+    it is returned.
     """
     if not (0.0 < tau < 2.0):
         raise TauOutOfRange(f"tau must lie in (0, 2), got {tau}")
@@ -210,13 +208,21 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
         x_new = res.x_plus
         # Step 2: multiplier ascent; the "new" residual is also kkt's
         resid = prob.constraint_residual(x_new if fresh else x)
-        y = y + tau * sigma * resid
-        x = x_new
+        y_new = y + tau * sigma * resid
 
-        Px = prob.P.matvec(x.data)
-        dual, primal = prob.kkt(x, y, Px, resid if fresh else None)
+        Px = prob.P.matvec(x_new.data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a diverging run overflows here first; the stop below names it
+            dual, primal = prob.kkt(x_new, y_new, Px, resid if fresh else None)
+            F = prob.objective(x_new, Px)
+        if not (np.isfinite(dual) and np.isfinite(primal)):
+            # diverged (e.g. an indefinite penalized operator): keep the
+            # last finite pair
+            trace.termination = "nonfinite"
+            return x, y, trace
+        x, y = x_new, y_new
         trace.rows.append(PalmRow(
-            k=k, F=prob.objective(x, Px), primal_inf=primal, kkt=dual,
+            k=k, F=F, primal_inf=primal, kkt=dual,
             y_norm=np.linalg.norm(y), time_s=time.perf_counter() - t0,
         ))
         if max(dual, primal) <= stop.kkt_tol:
@@ -293,83 +299,6 @@ class QsdpData:
         w, V = eigh(self.H)
         scale = max(abs(w).max() if w.size else 0.0, np.finfo(float).tiny)
         return V[:, w > 1e-12 * scale]
-
-
-def _qsdp_rhs(q, sigma, Y):
-    u = svec(sigma * q.C - Y)
-    return u, q.h + q.B @ u, q.H @ u
-
-
-def qsdp_assemble(q, sigma, Y):
-    """Composite QP for one Step-1 subproblem, W in Range(H) coordinates.
-
-    Variable order (Z; xi; w) with ``w`` the coefficient vector of W in
-    an orthonormal basis of Range(H); when H = 0 the W block vanishes
-    and the problem has two blocks.
-    """
-    if sigma <= 0:
-        raise InvalidParams(f"sigma must be positive, got {sigma}")
-    V = q.range_coords()
-    r = V.shape[1]
-    bZ, bxi, bW = _qsdp_rhs(q, sigma, Y)
-    d = q.dim
-    HV = q.H @ V
-    blocks = {
-        (0, 0): sigma * np.eye(d),
-        (0, 1): sigma * q.B.T,
-        (1, 1): sigma * (q.B @ q.B.T),
-    }
-    if r > 0:
-        part = BlockPartition((d, q.p, r))
-        blocks[(0, 2)] = sigma * HV
-        blocks[(1, 2)] = sigma * (q.B @ HV)
-        blocks[(2, 2)] = V.T @ (q.H + sigma * (q.H @ q.H)) @ V
-        b = np.concatenate([bZ, bxi, V.T @ bW])
-    else:
-        part = BlockPartition((d, q.p))
-        b = np.concatenate([bZ, bxi])
-    Q = BlockSymOperator(part, blocks)
-    return CompositeQP(Q, BlockVector(part, b), ProxSpec.psd_cone(q.n))
-
-
-def qsdp_sgs_step(q, sigma, state, Y):
-    """One sweep of the Step-1 subproblem in explicit matrix form.
-
-    ``state = (Z, xi, HW)`` — the W variable is never materialized, only
-    its image under H.  Backward: solve for HW', then xi'; block 1:
-    project onto the PSD cone; forward: re-solve xi then HW with the
-    updated earlier blocks.  Returns ``(Z_new, xi_new, HW_new)``.
-    """
-    Z, xi, HW = state
-    if sigma <= 0:
-        raise InvalidParams(f"sigma must be positive, got {sigma}")
-    z = svec(np.asarray(Z, dtype=float))
-    hw = svec(np.asarray(HW, dtype=float))
-    xi = np.asarray(xi, dtype=float).ravel()
-    bZ, bxi, bW = _qsdp_rhs(q, sigma, Y)
-    d = q.dim
-
-    use_w = q.H.any()
-    if use_w:
-        Hfac = cho_factor(np.eye(d) / sigma + q.H, lower=True)
-    Bfac = cho_factor(q.B @ q.B.T, lower=True)
-
-    # backward sweep
-    if use_w:
-        hw_p = cho_solve(Hfac, bW / sigma - q.H @ z - q.H @ (q.B.T @ xi))
-    else:
-        hw_p = np.zeros(d)
-    xi_p = cho_solve(Bfac, bxi / sigma - q.B @ z - q.B @ hw_p)
-    # first block: PSD projection
-    z_new = prox(ProxSpec.psd_cone(q.n), 1.0, bZ / sigma - q.B.T @ xi_p - hw_p)
-    Z_new = smat(z_new, q.n)
-    # forward sweep
-    xi_new = cho_solve(Bfac, bxi / sigma - q.B @ z_new - q.B @ hw_p)
-    if use_w:
-        hw_new = cho_solve(Hfac, bW / sigma - q.H @ z_new - q.H @ (q.B.T @ xi_new))
-    else:
-        hw_new = np.zeros(d)
-    return Z_new, xi_new, smat(hw_new, q.n)
 
 
 def qsdp_to_lincon(q):

@@ -8,6 +8,7 @@ from sgsqp import (
     BlockSymOperator,
     BlockVector,
     CompositeQP,
+    LinConQP,
     conservative_shifts,
 )
 from sgsqp.instances import gen
@@ -29,6 +30,16 @@ def indefinite_2x2():
     Q = BlockSymOperator(part, {(0, 0): np.eye(1), (0, 1): 3.0 * np.eye(1),
                                 (1, 1): np.eye(1)})
     return CompositeQP(Q, BlockVector(part, np.array([1.0, 2.0])))
+
+
+def indefinite_lincon_2x2():
+    """The same ``P`` under the constraint ``x_1 + x_2 = 0``.  At ``sigma =
+    0.1`` the penalized operator ``P + sigma A^T A`` stays indefinite, so
+    the iterates of ``palm_solve`` diverge."""
+    part = BlockPartition((1, 1))
+    P = BlockSymOperator(part, {(0, 0): np.eye(1), (0, 1): 3.0 * np.eye(1),
+                                (1, 1): np.eye(1)}, factor_diag=False)
+    return LinConQP(P, [[1.0, 1.0]], [1.0, 2.0], [0.0])
 
 
 def random_problem(seed, dims=(2, 3, 2), prox_kind="zero", kappa=10.0,

@@ -27,7 +27,6 @@ from sgsqp import (
     complexity_certificates,
     contraction_factor,
     palm_solve,
-    qsdp_sgs_step,
     qsdp_to_lincon,
     scb_eliminate,
     sgs_cycle,
@@ -47,8 +46,9 @@ from sgsqp.oracle import (
     dense_ssor_weight,
     dense_subproblem_solve,
     psd_project,
+    qsdp_assemble,
+    qsdp_sgs_step,
 )
-from sgsqp.palm import qsdp_assemble
 
 from conftest import random_problem, random_point, shifted_problem
 

@@ -8,7 +8,7 @@ import pytest
 import sgsqp
 from sgsqp.cli import main
 
-from conftest import indefinite_2x2
+from conftest import indefinite_2x2, indefinite_lincon_2x2
 
 
 def _gen(tmp_path, name, *args):
@@ -25,6 +25,24 @@ def _indefinite_file(tmp_path):
     write_instance(Instance(dims=prob.partition.dims, b=prob.b.data,
                             Q=dict(prob.Q.stored_items()), prox=prob.prox), path)
     return path
+
+
+def _indefinite_lincon_file(tmp_path):
+    from sgsqp.instances import Instance, write_instance
+    lp = indefinite_lincon_2x2()
+    path = str(tmp_path / "indefinite_lincon.json")
+    P = dict(lp.P.stored_items())
+    write_instance(Instance(dims=lp.partition.dims, Q=P, b=lp.g, prox=lp.prox,
+                            lincon={"P": P, "A": lp.A, "g": lp.g, "d": lp.d}),
+                   path)
+    return path
+
+
+def _run_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(sgsqp.__file__)))
+    return subprocess.run([sys.executable, "-m", "sgsqp.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestGen:
@@ -66,13 +84,16 @@ class TestSolve:
         assert "termination=nonfinite" in capsys.readouterr().out
 
     def test_nonfinite_exit_writes_nothing_to_stderr(self, tmp_path):
-        path = _indefinite_file(tmp_path)
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(sgsqp.__file__)))
-        run = subprocess.run([sys.executable, "-m", "sgsqp.cli", "solve", path],
-                             capture_output=True, text=True, env=env, timeout=120)
+        run = _run_cli("solve", _indefinite_file(tmp_path))
         assert run.returncode == 5
         assert run.stderr == ""
+
+    def test_constrained_nonfinite_exits_5_silently(self, tmp_path):
+        run = _run_cli("solve", _indefinite_lincon_file(tmp_path),
+                       "--sigma", "0.1", "--tau", "1")
+        assert run.returncode == 5
+        assert run.stderr == ""
+        assert "termination=nonfinite" in run.stdout
 
     def test_exit_1_on_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1

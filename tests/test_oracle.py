@@ -1,6 +1,10 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import sgsqp
 from sgsqp import (
     BlockPartition,
     BlockSymOperator,
@@ -193,3 +197,33 @@ class TestEigTools:
         # H must be reproducible inside the basis
         np.testing.assert_allclose(V @ (V.T @ H), H, atol=1e-10)
         assert range_basis(np.zeros((3, 3))).shape == (3, 0)
+
+
+def _imports_oracle(node):
+    """Whether an import statement inside ``sgsqp`` binds the oracle."""
+    if isinstance(node, ast.Import):
+        return any(a.name == "sgsqp.oracle" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        # a relative import inside the package is relative to ``sgsqp``
+        module = ".".join(p for p in ("sgsqp" if node.level else "",
+                                      node.module or "") if p)
+        return module == "sgsqp.oracle" or (
+            module == "sgsqp" and any(a.name == "oracle" for a in node.names))
+    return False
+
+
+def test_only_cli_and_oracle_import_the_oracle():
+    """Production code never depends on the reference solvers: only the
+    CLI (its ``verify`` and ``bench`` commands) and the oracle itself may
+    import them."""
+    src = pathlib.Path(sgsqp.__file__).parent
+    offenders = [
+        path.name for path in sorted(src.glob("*.py"))
+        if path.name not in ("cli.py", "oracle.py")
+        and any(_imports_oracle(node)
+                for node in ast.walk(ast.parse(path.read_text())))
+    ]
+    assert offenders == []
+    # the check does see the CLI's import
+    cli = ast.parse((src / "cli.py").read_text())
+    assert any(_imports_oracle(node) for node in ast.walk(cli))

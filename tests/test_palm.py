@@ -12,8 +12,6 @@ from sgsqp import (
     assemble_penalized,
     lagrangian,
     palm_solve,
-    qsdp_assemble,
-    qsdp_sgs_step,
     qsdp_to_lincon,
     sgs_cycle,
     smat,
@@ -22,7 +20,10 @@ from sgsqp import (
 )
 from sgsqp.errors import InvalidParams, TauOutOfRange
 from sgsqp.instances import gen_lincon, gen_qsdp
-from sgsqp.oracle import dense_kkt_solve, psd_project
+from sgsqp.oracle import (dense_kkt_solve, psd_project, qsdp_assemble,
+                          qsdp_sgs_step)
+
+from conftest import indefinite_lincon_2x2
 
 
 def _projection_problem():
@@ -176,6 +177,22 @@ class TestPalmSolve:
         assert lines[0] == "k,F,primal_inf,kkt,y_norm,time_s"
         for cell in lines[1].split(",")[1:]:
             float(cell)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_stops_silently_at_last_finite_pair(self):
+        lp = indefinite_lincon_2x2()
+        x, y, tr = palm_solve(lp, sigma=0.1, tau=1.0,
+                              stop=PalmStop(max_iter=3000))
+        assert tr.termination == "nonfinite"
+        assert 0 < tr.iterations < 3000
+        assert all(np.isfinite([r.kkt, r.primal_inf]).all() for r in tr.rows)
+        assert np.isfinite(x.data).all() and np.isfinite(y).all()
+        # (x, y) is the pair of the last recorded row
+        xc, yc, capped = palm_solve(lp, sigma=0.1, tau=1.0,
+                                    stop=PalmStop(max_iter=tr.iterations))
+        assert capped.termination == "max_iter"
+        np.testing.assert_array_equal(x.data, xc.data)
+        np.testing.assert_array_equal(y, yc)
 
 
 class TestLagrangian:

@@ -5,7 +5,8 @@ stored off-diagonal blocks from none to all pairs.  Every cycle path is
 checked against the dense oracle, which rebuilds the proximal weight from
 plain triangle masks and shares no code with the kernel.  The
 majorizer's triangular factor ``Qhat = Y Y^T`` is checked against the
-oracle's weights and plain numpy solves.
+oracle's weights and plain numpy solves, and its products, norms and
+perturbation against dense formulas from this file's own block split.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ from sgsqp import (
     ssor_cycle,
 )
 from sgsqp import blockla, sgs
-from sgsqp.blockla import sweep
+from sgsqp.blockla import dpotrf, sweep
 from sgsqp.oracle import dense_sgs_weight, dense_ssor_weight, dense_subproblem_solve
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -214,6 +215,69 @@ def test_factor_is_triangular_and_squares_to_qhat(case):
     assert np.linalg.norm(Y @ Y.T - Qhat, 2) <= 1e-12 * np.linalg.norm(Qhat, 2)
     D = _diag_part(prob.partition, A)
     assert np.linalg.norm(T @ T.T - D, 2) <= 1e-12 * np.linalg.norm(D, 2)
+
+
+@PROPS
+@given(factored())
+def test_majorizer_actions_match_dense_formulas(case):
+    """``apply_Qhat``, ``apply_T``, ``dinv_norm`` and ``perturbation``
+    against ``(a D + U)(c D)^{-1}(a D + U^T)`` and its relatives, built from
+    this test's own split of the shifted operator ``A``."""
+    prob, maj, omega, A, _, v = case
+    part = prob.partition
+    a = 1.0 if omega is None else 1.0 / omega
+    c = 2.0 * a - 1.0
+    D = _diag_part(part, A)
+    U = np.triu(A - D)
+    J = np.zeros_like(A)
+    for i, Ji in enumerate(prob.shifts or ()):
+        J[part.slice(i), part.slice(i)] = Ji
+    Qhat = (a * D + U) @ np.linalg.solve(c * D, (a * D + U).T)
+    T = ((1 - a) * D + U) @ np.linalg.solve(c * D, ((1 - a) * D + U).T) + J
+    x = np.random.default_rng(part.total).standard_normal(part.total)
+    for got, M in ((maj.apply_Qhat(x), Qhat), (maj.apply_T(x), T)):
+        assert np.linalg.norm(got - M @ x) <= 1e-12 * (
+            np.linalg.norm(M, 2) * np.linalg.norm(x))
+    assert maj.dinv_norm(v) == pytest.approx(
+        np.sqrt(v @ np.linalg.solve(c * D, v)), rel=1e-12)
+    # residuals that agree on block 1, as a cycle's do
+    n1 = part.dims[0]
+    dp = np.concatenate((v[:n1], x[n1:]))
+    got = maj.perturbation(dp, v).data
+    forms = [(dp, a * D + U, c * D)]
+    if omega is None:           # the classical Gauss-Seidel form
+        forms.append((v, U, D))
+    for base, F, mid in forms:
+        z = np.linalg.solve(mid, v - dp)
+        want = base + F @ z
+        assert np.linalg.norm(got - want) <= 1e-11 * (
+            np.linalg.norm(base) + np.linalg.norm(F, 2) * np.linalg.norm(z))
+
+
+@pytest.mark.parametrize("shifted", (False, True))
+@settings(PROPS, max_examples=10)
+@given(op=operators())
+def test_each_diagonal_block_is_factored_once(shifted, op):
+    """Building an ``s``-block problem and factoring both its majorizers
+    runs one Cholesky per diagonal block of each operator: ``Q`` and,
+    when shifted, ``Q + diag(J)``.  Neither ``factor()`` adds any."""
+    Q, _ = op
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dpotrf(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blockla, "dpotrf", counted)
+        Q = BlockSymOperator(Q.partition, dict(Q.stored_items()))
+        prob = CompositeQP(Q, np.zeros(Q.n),
+                           shifts=conservative_shifts(Q) if shifted else None)
+        prob.majorizer().eff        # builds the shifted operator, if any
+        built = len(calls)
+        prob.majorizer().factor()
+        prob.majorizer("ssor", 1.5).factor()
+    assert built == len(calls) == Q.s * (2 if shifted else 1)
 
 
 @PROPS

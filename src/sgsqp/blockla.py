@@ -15,17 +15,19 @@ triangle, ``D`` the block diagonal) induces the majorizers handled here:
 In every case ``Qhat = Q + T`` and ``Qhat`` is positive definite as soon
 as the diagonal blocks are.
 
-Each diagonal block is factored once, at assembly, as ``Q_ii = T_i
-T_i^T`` with ``T_i`` upper triangular; the sweeps' diagonal solves and
-the majorizer share that factor.  The dense row-major store of ``Q`` is
-built on first use.  Every sweep runs through :func:`sweep`, one block
-substitution kernel: per block one panel product per side and one
-diagonal solve.  A majorizer assembles ``Qhat = Y Y^T`` once, ``Y``
-upper triangular (:meth:`Majorizer.factor`); its products, solves and
-norms all go through ``Y`` and ``T`` and involve no sweep.
+An operator's one copy of ``Q`` is a dense row-major store written at
+construction, which also factors each diagonal block once, ``Q_ii = T_i
+T_i^T`` with ``T_i`` upper triangular, for the sweeps and the majorizer.
+Every sweep runs through :func:`sweep`, one block substitution kernel:
+per block one panel product per side and one diagonal solve.  A
+majorizer assembles ``Qhat = Y Y^T`` once, ``Y`` upper triangular
+(:meth:`Majorizer.factor`); its products, solves and norms all go
+through ``Y`` and ``T`` and involve no sweep.
 """
 
+import numbers
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import block_diag, eigvalsh
@@ -61,19 +63,19 @@ _PSD_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Sizes ``(n_1, ..., n_s)`` of a product space, ``s >= 2``."""
+    """Sizes ``(n_1, ..., n_s)``, ints ``>= 1``, of a product space, ``s >= 2``."""
 
     dims: tuple
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(self.dims) if np.iterable(self.dims) else (self.dims,)
         if len(dims) < 2:
             raise InvalidParams("a block partition needs at least two blocks")
-        if any(n <= 0 for n in dims):
-            raise InvalidParams(f"block sizes must be positive, got {dims}")
-        object.__setattr__(self, "dims", dims)
-        offsets = np.concatenate(([0], np.cumsum(dims)))
-        object.__setattr__(self, "offsets", tuple(int(o) for o in offsets))
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                   and n >= 1 for n in dims):
+            raise InvalidParams(f"block sizes must be integers >= 1, got {dims!r}")
+        object.__setattr__(self, "dims", tuple(int(n) for n in dims))
+        object.__setattr__(self, "offsets", (0, *accumulate(self.dims)))
 
     @property
     def s(self):
@@ -189,8 +191,8 @@ class BlockSymOperator:
     (relative tolerance 1e-12) and positive definite: each is factored
     once, ``Q_ii = T_i T_i^T`` with ``T_i = J L_i J`` and ``L_i`` the lower
     Cholesky factor of the reversed block ``J Q_ii J``, shared by
-    :meth:`diag_solve` and :meth:`Majorizer.factor`.  The dense store and
-    its row panels (:meth:`panels`) are built on first use.
+    :meth:`diag_solve` and :meth:`Majorizer.factor`.  The dense store
+    (:meth:`panels`), written here, is the one copy of ``Q``; it aliases no input.
     Semidefiniteness of the full operator is *not* assumed.
 
     Parameters
@@ -207,47 +209,50 @@ class BlockSymOperator:
     """
 
     def __init__(self, partition, blocks, factor_diag=True):
-        self.partition = partition
-        s = partition.s
-        self._blocks = {}
+        self.partition = P = partition
+        off = P.offsets
+        S = np.zeros((P.total, P.total))
         for key, val in blocks.items():
             i, j = key
-            if not (0 <= i <= j < s):
+            if not (0 <= i <= j < P.s):
                 raise InvalidParams(
                     f"block key {key} is not an upper-triangle index pair"
                 )
-            arr = np.ascontiguousarray(val, dtype=float)
-            want = (partition.dims[i], partition.dims[j])
+            arr = np.asarray(val, dtype=float)
+            want = (P.dims[i], P.dims[j])
             if arr.shape != want:
                 raise DimensionMismatch(
                     f"block {key} has shape {arr.shape}, expected {want}"
                 )
-            big = np.abs(arr).max()     # NaN propagates
-            if not big < np.inf:
-                raise NonFinite(f"block {key} contains NaN or inf")
-            if big > 0.0:
-                self._blocks[(i, j)] = arr
+            S[off[j]:off[j + 1], off[i]:off[i + 1]] = arr.T
+            S[off[i]:off[i + 1], off[j]:off[j + 1]] = arr   # written last for i == j
+        # per-block sums of |Q|: zero for an all-zero block, NaN or inf for
+        # a non-finite one (or, harmlessly, one whose sum overflows)
+        mass = np.add.reduceat(np.add.reduceat(np.abs(S), off[:-1], axis=1),
+                               off[:-1], axis=0)    # along rows first: faster
+        if not np.isfinite(mass).all():
+            for i, j in blocks:
+                if not np.isfinite(S[P.slice(i), P.slice(j)]).all():
+                    raise NonFinite(f"block {(i, j)} contains NaN or inf")
+        self._keys = tuple((i, j) for i, j in blocks if mass[i, j] > 0.0)
         # rows/columns of the principal sub-block holding every stored block
-        off = partition.offsets
-        self._span = (0, 0) if not self._blocks else (
-            off[min(i for i, _ in self._blocks)],
-            off[max(j for _, j in self._blocks) + 1])
-        self._rchol = None
-        self._panels = None
-        for i in range(s):
-            if (i, i) not in self._blocks:
+        live = np.flatnonzero(mass.any(axis=0))
+        self._span = (off[live[0]], off[live[-1] + 1]) if live.size else (0, 0)
+        cuts = list(zip(off, off[1:]))
+        self._panels = (S, [S[lo:hi, :lo] for lo, hi in cuts],
+                        [S[lo:hi, hi:] for lo, hi in cuts],
+                        [S[lo:hi, lo:hi] for lo, hi in cuts])
+        self._rchol = [] if factor_diag else None
+        for i, D in enumerate(self._panels[3]):
+            if not mass[i, i] > 0.0:
                 if factor_diag:
                     raise DiagonalNotPD(i, f"diagonal block {i} is missing or zero")
                 continue
-            _check_symmetric(self._blocks[(i, i)], f"diagonal block {i}")
-            # store the exactly symmetrized version so sweeps and dense()
-            # agree to the last bit
-            sym = 0.5 * (self._blocks[(i, i)] + self._blocks[(i, i)].T)
-            self._blocks[(i, i)] = sym
-        if factor_diag:
-            self._rchol = []
-            for i in range(s):
-                L, info = dpotrf(self._blocks[(i, i)][::-1, ::-1], lower=1)
+            _check_symmetric(D, f"diagonal block {i}")
+            # exactly symmetric, so sweeps and dense() agree to the last bit
+            D[...] = 0.5 * (D + D.T)
+            if factor_diag:
+                L, info = dpotrf(D[::-1, ::-1], lower=1)
                 if info != 0:
                     raise DiagonalNotPD(i)
                 self._rchol.append(L)
@@ -265,36 +270,21 @@ class BlockSymOperator:
     def block(self, i, j):
         """The ``(i, j)`` block, a view into the dense store."""
         P = self.partition
-        return self.panels()[0][P.slice(i), P.slice(j)]
+        return self._panels[0][P.slice(i), P.slice(j)]
 
     def stored_items(self):
-        return self._blocks.items()
+        """``(key, block)`` for each nonzero input block, in input order."""
+        return [(key, self.block(*key)) for key in self._keys]
 
     def panels(self):
         """``(S, lower, upper, diag)``: the dense row-major store ``S`` of
         ``Q`` and, per block ``i``, views of ``Q[i, :i]``, ``Q[i, i+1:]``
-        and ``Q_ii`` into it.
-
-        Built on first use and cached; the stored blocks then become views
-        into ``S`` as well, so the operator keeps one copy of ``Q``.
-        """
-        if self._panels is None:
-            P = self.partition
-            S = np.zeros((self.n, self.n))
-            for (i, j), arr in self._blocks.items():
-                S[P.slice(i), P.slice(j)] = arr
-                S[P.slice(j), P.slice(i)] = arr.T
-            self._blocks = {(i, j): S[P.slice(i), P.slice(j)]
-                            for i, j in self._blocks}
-            rows = [(S[P.slice(i)], P.slice(i)) for i in range(self.s)]
-            self._panels = (S, [r[:, :sl.start] for r, sl in rows],
-                            [r[:, sl.stop:] for r, sl in rows],
-                            [r[:, sl] for r, sl in rows])
+        and ``Q_ii`` into it."""
         return self._panels
 
     def dense(self):
         """Full symmetric matrix (test/certification hook)."""
-        return self.panels()[0].copy()
+        return self._panels[0].copy()
 
     # -- products -----------------------------------------------------
 
@@ -307,7 +297,7 @@ class BlockSymOperator:
             raise DimensionMismatch(f"expected length {self.n}, got shape {x.shape}")
         lo, hi = self._span
         out = np.zeros(self.n)
-        out[lo:hi] = self.panels()[0][lo:hi, lo:hi] @ x[lo:hi]
+        out[lo:hi] = self._panels[0][lo:hi, lo:hi] @ x[lo:hi]
         return out
 
     def apply(self, x):
@@ -355,7 +345,7 @@ class BlockSymOperator:
             raise DimensionMismatch(
                 f"expected {self.s} shift blocks, got {len(shifts)}"
             )
-        blocks = {k: v.copy() for k, v in self._blocks.items()}
+        blocks = dict(self.stored_items())
         for i, J in enumerate(shifts):
             if J is None:
                 continue

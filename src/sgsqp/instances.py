@@ -77,11 +77,12 @@ def _get(doc, key, where=""):
 
 
 def _conv(fn, v, what):
-    """``fn(v)``, with a builtin conversion error re-raised as
-    :class:`InvalidParams` naming ``what``."""
+    """``fn(v)``, with a builtin conversion error or an
+    :class:`InvalidParams` re-raised as :class:`InvalidParams` naming
+    ``what``."""
     try:
         return fn(v)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, InvalidParams) as exc:
         raise InvalidParams(f"{what} is invalid ({v!r}): {exc}") from None
 
 
@@ -230,7 +231,7 @@ def loads_instance(text):
                           for k in ("H", "B", "h", "C")))
     dims = _get(_get(doc, "partition"), "dims", "partition")
     return Instance(
-        dims=_conv(lambda v: tuple(map(int, v)), dims, "partition.dims"),
+        dims=_conv(lambda v: BlockPartition(v).dims, dims, "partition.dims"),
         Q=_dec_blocks(_get(doc, "Q"), "Q"),
         b=_darr(_get(doc, "b"), "b"),
         prox=_dec_prox(_get(doc, "prox")),
@@ -252,15 +253,6 @@ def read_instance(path):
 
 # ---------------------------------------------------------------------------
 # generators
-
-
-def _check_dims(dims):
-    dims = tuple(int(n) for n in dims)
-    if len(dims) < 2:
-        raise InvalidParams("need at least two blocks")
-    if any(n < 1 for n in dims):
-        raise InvalidParams(f"block dimensions must be positive, got {dims}")
-    return dims
 
 
 def _rand_orth(rng, n):
@@ -328,7 +320,7 @@ def gen(dims, kappa=10.0, coupling=0.5, prox_kind="zero", seed=0,
     deficient operator with PD diagonal blocks and a consistent linear
     term (only the trivial nonsmooth term is supported there).
     """
-    dims = _check_dims(dims)
+    dims = BlockPartition(dims).dims
     if kappa < 1.0:
         raise InvalidParams("kappa must be >= 1")
     rng = np.random.default_rng(seed)
@@ -375,7 +367,7 @@ def gen(dims, kappa=10.0, coupling=0.5, prox_kind="zero", seed=0,
 
 def gen_lincon(dims, m, prox_kind="zero", kappa=10.0, coupling=0.5, seed=0):
     """Feasible linearly constrained instance with PD quadratic part."""
-    dims = _check_dims(dims)
+    dims = BlockPartition(dims).dims
     N = sum(dims)
     m = int(m)
     if not (1 <= m < N):

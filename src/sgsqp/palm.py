@@ -117,15 +117,11 @@ def assemble_penalized(prob, sigma):
         raise InvalidParams(f"sigma must be positive, got {sigma}")
     part = prob.partition
     cols = [prob.A[:, part.slice(i)] for i in range(part.s)]
-    blocks = {}
-    for i in range(part.s):
-        for j in range(i, part.s):
-            # ``block`` reads zeros for a block ``P`` does not store
-            M = sigma * (cols[i].T @ cols[j]) + prob.P.block(i, j)
-            if i == j:
-                M = 0.5 * (M + M.T)
-            blocks[(i, j)] = M
-    Q = BlockSymOperator(part, blocks)
+    # ``block`` reads zeros for a block ``P`` does not store; the operator
+    # symmetrizes each diagonal block exactly
+    Q = BlockSymOperator(part, {
+        (i, j): sigma * (cols[i].T @ cols[j]) + prob.P.block(i, j)
+        for i in range(part.s) for j in range(i, part.s)})
     shifts = None
     if prob.prox.kind != "zero":
         Q00 = np.asarray(Q.block(0, 0))

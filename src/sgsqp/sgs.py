@@ -92,11 +92,22 @@ class NoisyMode:
 
     A certification aid: it produces cycles with nonzero, honestly
     reported residual vectors without any iterative solver in the loop.
-    The first block is never perturbed.
+    The first block is never perturbed.  ``scale`` must be finite and
+    ``>= 0``, ``seed`` an int ``>= 0``; other values raise
+    :class:`InvalidParams`.
     """
 
     seed: int = 0
     scale: float = 1e-6
+
+    def __post_init__(self):
+        if not (isinstance(self.scale, numbers.Real)
+                and np.isfinite(self.scale) and self.scale >= 0):
+            raise InvalidParams(
+                f"scale must be finite and >= 0, got {self.scale!r}")
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral) or self.seed < 0):
+            raise InvalidParams(f"seed must be an int >= 0, got {self.seed!r}")
 
 
 def _as_mode(mode):

@@ -66,6 +66,18 @@ class TestPartitionAndVector:
         with pytest.raises(InvalidParams):
             BlockPartition((2, 0, 1))
 
+    @pytest.mark.parametrize("dims", [(2, 2.5), (2, True), (2, np.nan),
+                                      (2, "2"), (2, -1), (3,), 4])
+    def test_non_integer_sizes_rejected(self, dims):
+        """Sizes used to be truncated by ``int``: ``(2, 2.5)`` became
+        ``(2, 2)`` and ``(2, True)`` became ``(2, 1)``."""
+        with pytest.raises(InvalidParams):
+            BlockPartition(dims)
+
+    def test_numpy_integer_sizes_accepted(self):
+        dims = BlockPartition((np.int64(2), np.uint8(3))).dims
+        assert dims == (2, 3) and all(type(n) is int for n in dims)
+
     def test_vector_set_block_and_copy(self):
         part = BlockPartition((1, 2))
         v = BlockVector.zeros(part)

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -48,6 +53,8 @@ class TestGen:
             gen((4,), seed=0)
         with pytest.raises(InvalidParams):
             gen((2, 0), seed=0)
+        with pytest.raises(InvalidParams):
+            gen((2, 2.5), seed=0)
 
     def test_singular_branch(self):
         inst = gen((2, 2, 2), seed=3, singular=True)
@@ -145,7 +152,6 @@ class TestFileFormat:
 
     def test_numbers_serialized_as_decimal_strings(self):
         text = dumps_instance(gen((2, 2), seed=0))
-        import json
         doc = json.loads(text)
         cell = doc["Q"]["0,0"][0][0]
         assert isinstance(cell, str)
@@ -172,7 +178,6 @@ class TestDecoder:
         gen_qsdp(3, 2, seed=5),
     ], ids=["box", "lincon", "qsdp"])
     def test_flat_decoder_matches_nested_reference(self, inst):
-        import json
         text = dumps_instance(inst)
         doc, back = json.loads(text), loads_instance(text)
         pairs = [(back.b, doc["b"])]
@@ -195,18 +200,18 @@ class TestDecoder:
         (lambda d: d["prox"].pop("lam"), "prox.lam"),
         (lambda d: d["partition"].update(dims=["2", "two"]),
          "partition.dims"),
+        (lambda d: d["partition"].update(dims=[2, 2.9]), "partition.dims"),
         (lambda d: d["Q"].update({"0;0": d["Q"].pop("0,0")}), "Q block key"),
         (lambda d: d.update(partition=[2, 2]), "partition"),
         (lambda d: d.update(Q=[]), "Q"),
         ("{}", "partition"),
         ("[1]", "JSON object"),
         ('{"b": [1,', "not valid JSON"),
-    ], ids=["lam-text", "lam-missing", "dims-text", "block-key",
+    ], ids=["lam-text", "lam-missing", "dims-text", "dims-fraction", "block-key",
             "partition-list", "Q-list", "empty", "list", "syntax"])
     def test_bad_field_named(self, edit, what):
         """A malformed document (an edit of a valid one, or raw text)
         raises InvalidParams naming the field."""
-        import json
         doc = json.loads(dumps_instance(gen((2, 2), seed=0, prox_kind="l1")))
         if isinstance(edit, str):
             text = edit
@@ -221,7 +226,6 @@ class TestDecoder:
         ("lincon", "A", "lincon.A"), ("qsdp", "B", "qsdp.B")])
     @pytest.mark.parametrize("fault", ["ragged", "text", "huge"])
     def test_bad_array_named(self, section, key, what, fault):
-        import json
         if section in ("lincon", "qsdp"):
             inst = (gen_lincon((2, 2), m=2, seed=0) if section == "lincon"
                     else gen_qsdp(3, 2, seed=0))
@@ -239,3 +243,35 @@ class TestDecoder:
             (arr[0] if isinstance(arr[0], list) else arr)[0] = bad
         with pytest.raises(InvalidParams, match=what):
             loads_instance(json.dumps(doc))
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_POOL_TEXTS = """
+import hashlib, json
+from sgsqp.instances import dumps_instance, gen, gen_qsdp
+insts = {("qsdp20_palm", "0"): gen_qsdp(20, 10, seed=0),
+         ("qsdp20_palm", "1"): gen_qsdp(20, 10, seed=1),
+         ("dense60x5", "0"): gen((5,) * 60, prox_kind="zero", seed=0)}
+print(json.dumps([[name, slot, hashlib.sha256(
+    dumps_instance(inst).encode()).hexdigest()] for (name, slot), inst in insts.items()]))
+"""
+
+
+def test_benchmark_pool_texts_match_recorded_digests():
+    """Three of the benchmark's pool texts hash to what
+    ``perfbench/digests.json`` records, so a generator or serializer drift
+    fails here instead of as a refused benchmark run.  The texts are made
+    in a child process with BLAS at one thread, as the benchmark makes
+    them: the generators' eigendecompositions round differently with
+    more threads."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run([sys.executable, "-c", _POOL_TEXTS], env=env,
+                          capture_output=True, text=True, check=True)
+    with open(os.path.join(ROOT, "perfbench", "digests.json")) as fh:
+        recorded = json.load(fh)
+    for name, slot, digest in json.loads(proc.stdout):
+        assert digest == recorded[name][slot], (name, slot)

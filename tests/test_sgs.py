@@ -150,6 +150,28 @@ class TestIterativeModeParams:
         assert mode.max_inner == 1
 
 
+class TestNoisyModeParams:
+    """A non-finite ``scale`` used to give NaN iterates and certificates
+    with only a RuntimeWarning, and a bad ``seed`` failed inside numpy
+    mid-cycle; both are refused where the mode is made."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("scale", np.nan), ("scale", np.inf), ("scale", -1.0), ("scale", "1e-3"),
+        ("seed", -1), ("seed", 1.5), ("seed", "a"), ("seed", True)])
+    def test_bad_value_refused(self, field, value):
+        with pytest.raises(InvalidParams, match=field):
+            NoisyMode(**{field: value})
+
+    def test_smallest_valid_settings(self):
+        """A zero scale with a numpy seed reproduces the exact cycle."""
+        prob = anchor_2x2()
+        x0 = BlockVector.zeros(prob.partition)
+        res = sgs_cycle(prob, x0, mode=NoisyMode(seed=np.int64(0), scale=0.0))
+        np.testing.assert_allclose(res.x_plus.data,
+                                   sgs_cycle(prob, x0).x_plus.data, atol=1e-15)
+        assert np.isfinite([res.xi, res.xi_bound]).all()
+
+
 class TestPerturbationAlgebra:
     def test_anchor_values(self):
         prob = anchor_2x2()

@@ -7,11 +7,13 @@ plain triangle masks and shares no code with the kernel.  The
 majorizer's triangular factor ``Qhat = Y Y^T`` is checked against the
 oracle's weights and plain numpy solves, and its products, norms and
 perturbation against dense formulas from this file's own block split.
+The operator's dense store is checked against this file's own assembly
+of the input blocks, and against the same inputs with one bad block.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sgsqp import (
     BlockPartition,
@@ -26,6 +28,8 @@ from sgsqp import (
 )
 from sgsqp import blockla, sgs
 from sgsqp.blockla import dpotrf, sweep
+from sgsqp.errors import (DiagonalNotPD, DimensionMismatch, InvalidParams,
+                          NonFinite, NotSymmetric)
 from sgsqp.oracle import dense_sgs_weight, dense_ssor_weight, dense_subproblem_solve
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -343,3 +347,124 @@ def test_factored_paths_skip_the_sweep(monkeypatch):
     assert calls == []
     sgs_cycle(prob, xbar, mode=NoisyMode())     # the counters do count
     assert "sweep" in calls and "diag_solve" in calls
+
+
+@st.composite
+def stores(draw, factor_diag=True):
+    """``(partition, blocks)``, the input of an operator: each upper
+    off-diagonal block absent, random or all-zero, each diagonal block PD
+    and symmetric up to about 1e-15 (absent or zero too when not
+    ``factor_diag``), the keys in a drawn order."""
+    s = draw(st.integers(2, 8))
+    part = BlockPartition(tuple(draw(st.lists(st.integers(1, 4), min_size=s,
+                                              max_size=s))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = {}
+    for i, n in enumerate(part.dims):
+        kind = "random" if factor_diag else draw(
+            st.sampled_from(("random", "zero", None)))
+        G = rng.uniform(-1.0, 1.0, (n, n))
+        if kind is not None:
+            blocks[(i, i)] = (0.0 if kind == "zero" else 1.0) * (
+                G @ G.T + np.eye(n) + 1e-15 * rng.uniform(-1.0, 1.0, (n, n)))
+    for i in range(s):
+        for j in range(i + 1, s):
+            kind = draw(st.sampled_from(("random", "zero", None)))
+            if kind is not None:
+                M = rng.uniform(-1.0, 1.0, (part.dims[i], part.dims[j]))
+                blocks[(i, j)] = M if kind == "random" else 0.0 * M
+    order = draw(st.permutations(list(blocks)))
+    return part, {key: blocks[key] for key in order}
+
+
+def _assemble(part, blocks):
+    """The dense ``Q`` of the input blocks: each off-diagonal block and its
+    mirror, each diagonal block symmetrized."""
+    Q = np.zeros((part.total, part.total))
+    for (i, j), B in blocks.items():
+        Q[part.slice(j), part.slice(i)] = B.T
+        Q[part.slice(i), part.slice(j)] = 0.5 * (B + B.T) if i == j else B
+    return Q
+
+
+@pytest.mark.parametrize("factor_diag", (True, False))
+@settings(PROPS, max_examples=20)
+@given(data=st.data())
+def test_store_is_the_assembled_input(factor_diag, data):
+    """``dense()`` is the input assembled by hand, exactly, and
+    ``stored_items()`` lists the nonzero input blocks in input order."""
+    part, blocks = data.draw(stores(factor_diag))
+    Q = BlockSymOperator(part, blocks, factor_diag=factor_diag)
+    want = _assemble(part, blocks)
+    assert np.array_equal(Q.dense(), want)
+    assert [k for k, _ in Q.stored_items()] == [
+        k for k, B in blocks.items() if B.any()]
+    for (i, j), B in Q.stored_items():
+        assert np.array_equal(B, want[part.slice(i), part.slice(j)])
+
+
+@pytest.mark.parametrize("factor_diag", (True, False))
+@settings(PROPS, max_examples=20)
+@given(data=st.data())
+def test_store_does_not_alias_its_input(factor_diag, data):
+    """Overwriting every input array after construction, before any use,
+    changes neither products nor the store: the operator keeps its own
+    copy of ``Q``, the same as a twin built from copies of the input."""
+    part, blocks = data.draw(stores(factor_diag))
+    Q = BlockSymOperator(part, blocks, factor_diag=factor_diag)
+    twin = BlockSymOperator(part, {k: B.copy() for k, B in blocks.items()},
+                            factor_diag=factor_diag)
+    want = _assemble(part, blocks)
+    for B in blocks.values():
+        B[...] = np.nan
+    x = np.random.default_rng(1).standard_normal(part.total)
+    assert np.array_equal(Q.matvec(x), twin.matvec(x))
+    assert np.array_equal(Q.dense(), want)
+
+
+BLOCK_FAULTS = ("lower_key", "shape", "nan", "inf", "asymmetric",
+                "missing_diag", "zero_diag", "indefinite")
+
+
+@pytest.mark.parametrize("fault", BLOCK_FAULTS)
+@settings(PROPS, max_examples=10)
+@given(data=st.data())
+def test_one_bad_block_is_named(fault, data):
+    """One bad block among valid ones raises its typed error, and the
+    message names that block."""
+    part, blocks = data.draw(stores())
+    if fault == "lower_key":
+        i = data.draw(st.integers(0, part.s - 2))
+        j = data.draw(st.integers(i + 1, part.s - 1))
+        blocks[(j, i)] = np.ones((part.dims[j], part.dims[i]))
+        err, name = InvalidParams, f"block key {(j, i)}"
+    elif fault in ("shape", "nan", "inf"):
+        key = data.draw(st.sampled_from(sorted(blocks)))
+        B = blocks[key].copy()
+        if fault == "shape":
+            B = np.zeros((B.shape[0], B.shape[1] + 1))
+        else:
+            B.flat[data.draw(st.integers(0, B.size - 1))] = (
+                np.nan if fault == "nan" else -np.inf)
+        blocks[key] = B
+        err = DimensionMismatch if fault == "shape" else NonFinite
+        name = f"block {key}"
+    else:
+        wide = [i for i, n in enumerate(part.dims) if n >= 2]
+        pool = wide if fault == "asymmetric" else list(range(part.s))
+        assume(pool)
+        i = data.draw(st.sampled_from(pool))
+        n = part.dims[i]
+        if fault == "asymmetric":
+            blocks[(i, i)] = blocks[(i, i)] + np.triu(np.ones((n, n)), 1)
+        elif fault == "missing_diag":
+            del blocks[(i, i)]
+        else:
+            blocks[(i, i)] = (0.0 if fault == "zero_diag" else -1.0) * np.eye(n)
+        err = NotSymmetric if fault == "asymmetric" else DiagonalNotPD
+        name = f"diagonal block {i}"
+    with pytest.raises(err) as info:
+        BlockSymOperator(part, blocks)
+    assert name in str(info.value)
+    if err is DiagonalNotPD:
+        assert info.value.block == i

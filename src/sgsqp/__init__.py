@@ -31,7 +31,6 @@ from .errors import (
     NonFinite,
     NotConverged,
     NotPD,
-    NotPSD,
     NotSymmetric,
     OmegaOutOfRange,
     RangeDeficiency,
@@ -103,7 +102,7 @@ __all__ = [
     "BlockPartition", "BlockSymOperator", "BlockVector", "Majorizer",
     "conservative_shifts", "sgs_operator", "ssor_operator",
     "SgsQpError", "DimensionMismatch", "ShapeMismatch", "NotSymmetric",
-    "NotPSD", "NotPD", "DiagonalNotPD", "ShiftNotPSD", "OmegaOutOfRange",
+    "NotPD", "DiagonalNotPD", "ShiftNotPSD", "OmegaOutOfRange",
     "TauOutOfRange", "FirstBlockMismatch", "NeedsShift",
     "IdentityViolation", "RangeDeficiency", "InvalidParams",
     "UnboundedObjective", "NotConverged", "NonFinite",

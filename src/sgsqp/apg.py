@@ -13,13 +13,14 @@ restarts periodically); the emitted pairs always satisfy
 
 import contextlib
 import csv
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import eigh, eigvalsh
 
-from .blockla import BlockVector, finite
+from .blockla import BlockVector, finite, finite_real, int_at_least
 from .errors import IdentityViolation, InvalidParams, NotPD
 from .sgs import ExactMode, IterativeMode, _cycle
 
@@ -55,10 +56,7 @@ class StepSchedule:
 
     @classmethod
     def restart(cls, period):
-        period = int(period)
-        if period < 1:
-            raise InvalidParams(f"restart period must be >= 1, got {period}")
-        return cls("restart", period=period)
+        return cls("restart", period=int_at_least(period, "restart period", 1))
 
     def advance(self, t, k):
         """``t_{k+1}`` from ``t_k`` at outer iteration ``k``.
@@ -87,12 +85,13 @@ class StepSchedule:
 
 @dataclass(frozen=True)
 class ToleranceSchedule:
-    """Summable inexactness budget ``eps_k`` for the outer iterations."""
+    """Summable inexactness budget ``eps_k`` for the outer iterations:
+    ``eps0 rate^(k-1)`` (geometric) or ``eps0 / k^exponent`` (power)."""
 
     kind: str
     eps0: float = 0.0
     rate: float = None
-    power: float = None
+    exponent: float = None
 
     @classmethod
     def exact(cls):
@@ -100,21 +99,17 @@ class ToleranceSchedule:
 
     @classmethod
     def geometric(cls, eps0, rate):
-        eps0, rate = float(eps0), float(rate)
-        if eps0 < 0:
-            raise InvalidParams("eps0 must be nonnegative")
+        eps0, rate = finite_real(eps0, "eps0"), float(rate)
         if not (0.0 < rate < 1.0):
             raise InvalidParams(f"geometric rate must lie in (0,1), got {rate}")
         return cls("geometric", eps0=eps0, rate=rate)
 
     @classmethod
     def power(cls, eps0, a=1.5):
-        eps0, a = float(eps0), float(a)
-        if eps0 < 0:
-            raise InvalidParams("eps0 must be nonnegative")
-        if a <= 1.0:
+        eps0, a = finite_real(eps0, "eps0"), float(a)
+        if not a > 1.0:
             raise InvalidParams(f"power decay needs a > 1 for summability, got {a}")
-        return cls("power", eps0=eps0, power=a)
+        return cls("power", eps0=eps0, exponent=a)
 
     def value(self, k):
         if self.kind == "exact":
@@ -122,14 +117,23 @@ class ToleranceSchedule:
         if self.kind == "geometric":
             return self.eps0 * self.rate ** (k - 1)
         if self.kind == "power":
-            return self.eps0 / float(k) ** self.power
+            return self.eps0 / float(k) ** self.exponent
         raise InvalidParams(f"unknown tolerance schedule {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class StopRule:
+    """Stop once the KKT residual is at most ``kkt_tol`` (a real ``>= 0``;
+    ``inf`` stops after one iteration), or after ``max_iter`` (an int ``>=
+    0``) iterations; other values raise :class:`InvalidParams`."""
+
     kkt_tol: float = 1e-8
     max_iter: int = 1000
+
+    def __post_init__(self):
+        if not (isinstance(self.kkt_tol, numbers.Real) and self.kkt_tol >= 0):
+            raise InvalidParams(f"kkt_tol must be a real >= 0, got {self.kkt_tol!r}")
+        int_at_least(self.max_iter, "max_iter", 0)
 
 
 @dataclass
@@ -218,22 +222,22 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
         raise InvalidParams(f"unknown variant {variant!r}")
     if variant == "ssor" and omega is None:
         raise InvalidParams("the over-relaxed variant needs omega")
-    tau = 1.0 if variant == "sgs" else 1.0 / float(omega)
+    if mode not in ("exact", "inexact"):
+        raise InvalidParams(f"unknown mode {mode!r}")
+    inner_cap = finite_real(inner_cap, "inner_cap", positive=True)
     maj = prob.majorizer(variant, omega)
 
     if x0 is None:
         from .proxmap import prox
-        z = np.zeros(part.total)
-        z[:part.dims[0]] = prox(prob.prox, 1.0, z[:part.dims[0]])
-        x0 = BlockVector(part, z)
-    elif not isinstance(x0, BlockVector):
-        x0 = BlockVector(part, x0)
+        x0 = np.zeros(part.total)
+        x0[:part.dims[0]] = prox(prob.prox, 1.0, x0[:part.dims[0]])
+    x0 = BlockVector(part, x0)
     finite(x0.data, "x0")
 
     xs_vec = None
     dist0 = np.nan
     if x_star is not None:
-        xs_vec = x_star.data if isinstance(x_star, BlockVector) else np.asarray(x_star)
+        xs_vec = finite(BlockVector(part, x_star).data, "x_star")
         dist0 = maj.quad_norm(x0.data - xs_vec, "Qhat")
 
     trace = SolveTrace(x0=x0.copy(), dist0_qhat=dist0, variant=variant,
@@ -250,16 +254,15 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
         eps_k = tols.value(k)
         budget = eps_k / t
         if mode == "exact":
-            res = _cycle(prob, xt, ExactMode(), tau, variant, omega=omega)
-        elif mode == "inexact":
+            res = _cycle(prob, xt, ExactMode(), maj)
+        else:
             rt = min(inner_cap, budget / (1.0 + bnorm)) if budget > 0 else 0.0
             res = None
             for _ in range(31):
                 if rt < 1e-15:
                     res = None
                     break
-                res = _cycle(prob, xt, IterativeMode(rt), tau, variant,
-                             omega=omega)
+                res = _cycle(prob, xt, IterativeMode(rt), maj)
                 realized = max(res.delta_tilde_norm, res.delta_norm)
                 if realized <= budget:
                     break
@@ -269,15 +272,13 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
                 trace.termination = "stall"
                 trace.x_final = x_cur
                 return trace
-        else:
-            raise InvalidParams(f"unknown mode {mode!r}")
 
         x_new = res.x_plus
         Qx = prob.Q.matvec(x_new.data)
         with np.errstate(over="ignore", invalid="ignore"):
             # a diverging run overflows here first; the stop below names it
-            Fv = prob.objective(x_new, Qx)
-            kkt = prob.kkt_residual(x_new, Qx)
+            Fv = prob.objective(x_new.data, Qx)
+            kkt = prob.kkt_residual(x_new.data, Qx)
         if not np.isfinite(kkt):
             # diverged (e.g. an indefinite Q): keep the last finite iterate
             trace.termination = "nonfinite"

@@ -145,23 +145,10 @@ class BlockVector:
     def norm(self):
         return float(np.linalg.norm(self.data))
 
-    def dot(self, other):
-        other = other.data if isinstance(other, BlockVector) else other
-        return float(self.data @ other)
-
-    def __add__(self, other):
-        other = other.data if isinstance(other, BlockVector) else other
-        return BlockVector(self.partition, self.data + other)
-
-    def __sub__(self, other):
-        other = other.data if isinstance(other, BlockVector) else other
-        return BlockVector(self.partition, self.data - other)
-
-    def __rmul__(self, alpha):
-        return BlockVector(self.partition, float(alpha) * self.data)
-
-    def __len__(self):
-        return self.data.shape[0]
+    def __array__(self, dtype=None, copy=None):
+        """The numpy array protocol: ``np.asarray(v)`` is ``v.data``,
+        ``np.array(v)`` a copy."""
+        return np.array(self.data, dtype=dtype, copy=copy)
 
     def __repr__(self):
         return f"BlockVector(dims={self.partition.dims}, data={self.data!r})"
@@ -173,6 +160,25 @@ def finite(arr, what):
     if not np.isfinite(arr).all():
         raise NonFinite(f"{what} contains NaN or inf")
     return arr
+
+
+def int_at_least(value, what, least):
+    """``value`` as an int if it is an integer (numpy ones included, bools
+    not) ``>= least``; :class:`InvalidParams` otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise InvalidParams(f"{what} must be an int >= {least}, got {value!r}")
+    return int(value)
+
+
+def finite_real(value, what, positive=False):
+    """``value`` as a float if it is a finite real ``>= 0`` (``> 0`` when
+    ``positive``); :class:`InvalidParams` otherwise."""
+    if not (isinstance(value, numbers.Real) and np.isfinite(value)
+            and (value > 0 if positive else value >= 0)):
+        raise InvalidParams(f"{what} must be finite and "
+                            f"{'positive' if positive else '>= 0'}, got {value!r}")
+    return float(value)
 
 
 def _check_symmetric(M, what):
@@ -350,15 +356,15 @@ class BlockSymOperator:
             if J is None:
                 continue
             J = finite(J, f"shift block {i}")
-            if J.shape != blocks[(i, i)].shape:
-                raise ShapeMismatch(
-                    f"shift {i} has shape {J.shape}, expected {blocks[(i, i)].shape}"
-                )
+            want = (self.partition.dims[i],) * 2
+            if J.shape != want:
+                raise ShapeMismatch(f"shift {i} has shape {J.shape}, expected {want}")
             _check_symmetric(J, f"shift block {i}")
             scale = max(np.linalg.norm(J, 2), 1.0)
             if eigvalsh(0.5 * (J + J.T)).min() < -_PSD_RTOL * scale:
                 raise ShiftNotPSD(i)
-            blocks[(i, i)] = blocks[(i, i)] + 0.5 * (J + J.T)
+            # ``block`` reads zeros for a diagonal block that is not stored
+            blocks[(i, i)] = self.block(i, i) + 0.5 * (J + J.T)
         return BlockSymOperator(self.partition, blocks)
 
 
@@ -468,11 +474,12 @@ class Majorizer:
         return self._factor
 
     # -- public operator interface -----------------------------------
+    # Vectors go in as array_like (a BlockVector included) and come out flat.
 
     def apply_T(self, x):
         """``T x = c^{-1} M M^T x + diag(J) x`` with ``M = sqrt(c) Y + (1 -
         2a) T``, since ``(1 - a) Dhat + U = M T^T``; PSD by construction."""
-        vec = x.data if isinstance(x, BlockVector) else np.asarray(x, dtype=float)
+        vec = np.asarray(x, dtype=float)
         Y, T = self.factor()
         M = np.sqrt(self._c) * Y + (1.0 - 2.0 * self._a) * T
         out = M @ (M.T @ vec) / self._c
@@ -480,61 +487,49 @@ class Majorizer:
             if J is not None:
                 sl = self.partition.slice(i)
                 out[sl] += J @ vec[sl]
-        return BlockVector(self.partition, out) if isinstance(x, BlockVector) else out
+        return out
 
     def apply_Qhat(self, x):
         """``Qhat x = Y Y^T x``, two triangular products."""
-        vec = x.data if isinstance(x, BlockVector) else np.asarray(x, dtype=float)
         Y = self.factor()[0]
-        out = dtrmv(Y, dtrmv(Y, vec, trans=1))
-        return BlockVector(self.partition, out) if isinstance(x, BlockVector) else out
+        return dtrmv(Y, dtrmv(Y, np.asarray(x, dtype=float), trans=1))
 
     def solve_Qhat(self, y):
         """``Qhat^{-1} y = Y^{-T} Y^{-1} y``, two triangular solves."""
-        vec = y.data if isinstance(y, BlockVector) else np.asarray(y, dtype=float)
         Y = self.factor()[0]
-        out = dtrsv(Y, dtrsv(Y, vec), trans=1)
-        return BlockVector(self.partition, out) if isinstance(y, BlockVector) else out
+        return dtrsv(Y, dtrsv(Y, np.asarray(y, dtype=float)), trans=1)
 
     def dinv_norm(self, v):
         """``||(c Dhat)^{-1/2} v|| = ||T^{-1} v|| / sqrt(c)``, the weight of
         the perturbation bound (``c Dhat`` is ``rho D`` when over-relaxed)."""
-        vec = v.data if isinstance(v, BlockVector) else np.asarray(v, dtype=float)
+        vec = np.asarray(v, dtype=float)
         return float(np.linalg.norm(dtrsv(self.factor()[1], vec))) / np.sqrt(self._c)
 
     def perturbation(self, delta_prime, delta):
         """Aggregate perturbation of an inexact cycle, ``delta' + (a Dhat +
         U)(c Dhat)^{-1}(delta - delta') = delta' + c^{-1/2} Y T^{-1}(delta -
         delta')``; both vectors agree on block 1 (checked by the caller)."""
-        dp = delta_prime.data if isinstance(delta_prime, BlockVector) else delta_prime
-        d = delta.data if isinstance(delta, BlockVector) else delta
+        dp = np.asarray(delta_prime, dtype=float)
         Y, T = self.factor()
-        w = dtrmv(Y, dtrsv(T, np.asarray(d) - np.asarray(dp)))
-        return BlockVector(self.partition, np.asarray(dp) + self._c ** -0.5 * w)
+        w = dtrmv(Y, dtrsv(T, np.asarray(delta, dtype=float) - dp))
+        return dp + self._c ** -0.5 * w
 
     # -- norms and dense hooks ---------------------------------------
 
     def quad_norm(self, x, which):
-        """``sqrt(<x, M x>)`` for ``M`` in ``{Q, T, Qhat, Qhat_inv, Dinv}``."""
-        vec = x.data if isinstance(x, BlockVector) else np.asarray(x, dtype=float)
-        if which == "Q":
-            val = vec @ self.base.matvec(vec)
-        elif which == "T":
-            val = vec @ self.apply_T(vec)
-        elif which == "Qhat":
-            val = vec @ self.apply_Qhat(vec)
+        """``sqrt(<x, M x>)`` for ``M`` in ``{Qhat, Qhat_inv}``: ``||Y^T x||``
+        or ``||Y^{-1} x||``, one triangular product or solve."""
+        vec = np.asarray(x, dtype=float)
+        if which == "Qhat":
+            out = dtrmv(self.factor()[0], vec, trans=1)
         elif which == "Qhat_inv":
-            return float(np.linalg.norm(dtrsv(self.factor()[0], vec)))
-        elif which == "Dinv":
-            return self.dinv_norm(vec)
+            out = dtrsv(self.factor()[0], vec)
         else:
             raise InvalidParams(f"unknown quadratic norm {which!r}")
-        return float(np.sqrt(max(val, 0.0)))
+        return float(np.linalg.norm(out))
 
     def densify(self, which="Qhat"):
-        """Dense ``T``, ``Qhat`` or ``Q`` — certification hook only."""
-        if which == "Q":
-            return self.base.dense()
+        """Dense ``Qhat`` or ``T`` — certification hook only."""
         P = self.partition
         Dh, Uf = block_split(self.eff)
         if which == "Qhat":

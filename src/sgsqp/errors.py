@@ -17,10 +17,6 @@ class NotSymmetric(SgsQpError):
     pass
 
 
-class NotPSD(SgsQpError):
-    pass
-
-
 class NotPD(SgsQpError):
     pass
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
-from .apg import write_csv
+from .apg import StopRule, write_csv
 from .blockla import BlockPartition, BlockSymOperator, BlockVector, finite
 from .errors import (DimensionMismatch, InvalidParams, ShapeMismatch,
                      TauOutOfRange)
@@ -52,7 +52,7 @@ class LinConQP:
                 f"A has {A.shape[1]} columns for a variable of size {part.total}"
             )
         self.A = A
-        g = finite(g.data if isinstance(g, BlockVector) else g, "g")
+        g = finite(g, "g")
         if g.shape != (part.total,):
             raise DimensionMismatch("g length does not match the partition")
         self.g = g
@@ -74,14 +74,14 @@ class LinConQP:
     def objective(self, x, Px=None):
         """``p(x_1) + (1/2) <x, P x> - <g, x>``; ``Px``, when given, is the
         precomputed product ``P x``."""
-        xd = x.data if isinstance(x, BlockVector) else np.asarray(x)
+        xd = np.asarray(x, dtype=float)
         n1 = self.partition.dims[0]
         if Px is None:
             Px = self.P.matvec(xd)
         return prox_value(self.prox, xd[:n1]) + 0.5 * xd @ Px - self.g @ xd
 
     def constraint_residual(self, x):
-        xd = x.data if isinstance(x, BlockVector) else np.asarray(x)
+        xd = np.asarray(x, dtype=float)
         return self.A @ xd - self.d
 
     def kkt(self, x, y, Px=None, resid=None):
@@ -93,7 +93,7 @@ class LinConQP:
         ``Px`` and ``resid``, when given, are the precomputed ``P x`` and
         :meth:`constraint_residual` at ``x``.
         """
-        xd = x.data if isinstance(x, BlockVector) else np.asarray(x)
+        xd = np.asarray(x, dtype=float)
         if Px is None:
             Px = self.P.matvec(xd)
         r = self.g - Px - self.A.T @ y
@@ -132,7 +132,9 @@ def assemble_penalized(prob, sigma):
 
 
 @dataclass(frozen=True)
-class PalmStop:
+class PalmStop(StopRule):
+    """:class:`StopRule` with the multiplier loop's defaults."""
+
     kkt_tol: float = 1e-6
     max_iter: int = 10000
 
@@ -190,9 +192,12 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
         if prob.prox.kind != "zero":
             x.set_block(0, prox(prob.prox, 1.0, np.zeros(part.dims[0])))
     else:
-        x = x0.copy() if isinstance(x0, BlockVector) else BlockVector(part, np.array(x0, dtype=float))
+        x = BlockVector(part, np.array(x0, dtype=float))
         finite(x.data, "x0")
     y = np.zeros(prob.A.shape[0]) if y0 is None else np.array(finite(y0, "y0")).ravel()
+    if y.shape != (prob.A.shape[0],):
+        raise DimensionMismatch(
+            f"y0 has length {y.size} for {prob.A.shape[0]} constraints")
 
     fresh = multiplier_update == "new"
     trace = PalmTrace()
@@ -203,14 +208,14 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
         res = sgs_cycle(inner, x, mode="exact")
         x_new = res.x_plus
         # Step 2: multiplier ascent; the "new" residual is also kkt's
-        resid = prob.constraint_residual(x_new if fresh else x)
+        resid = prob.constraint_residual((x_new if fresh else x).data)
         y_new = y + tau * sigma * resid
 
         Px = prob.P.matvec(x_new.data)
         with np.errstate(over="ignore", invalid="ignore"):
             # a diverging run overflows here first; the stop below names it
-            dual, primal = prob.kkt(x_new, y_new, Px, resid if fresh else None)
-            F = prob.objective(x_new, Px)
+            dual, primal = prob.kkt(x_new.data, y_new, Px, resid if fresh else None)
+            F = prob.objective(x_new.data, Px)
         if not (np.isfinite(dual) and np.isfinite(primal)):
             # diverged (e.g. an indefinite penalized operator): keep the
             # last finite pair
@@ -236,7 +241,7 @@ def lagrangian(prob, sigma, x, y, via="definition"):
     p(x_1) + (1/2)<x, (P + sigma A^T A) x> - <g + A^T(sigma d - y), x>
     plus the constant (sigma/2)||d||^2 - <d, y>.  The two must agree.
     """
-    xd = x.data if isinstance(x, BlockVector) else np.asarray(x)
+    xd = np.asarray(x, dtype=float)
     if via == "definition":
         r = prob.A @ xd - prob.d
         return prob.objective(xd) + y @ r + 0.5 * sigma * (r @ r)

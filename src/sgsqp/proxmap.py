@@ -100,8 +100,8 @@ class ProxSpec:
     @classmethod
     def l1(cls, lam):
         lam = float(lam)
-        if lam < 0:
-            raise InvalidParams(f"l1 weight must be nonnegative, got {lam}")
+        if not (np.isfinite(lam) and lam >= 0):
+            raise InvalidParams(f"l1 weight must be finite and nonnegative, got {lam}")
         return cls("l1", lam=lam)
 
     @classmethod
@@ -114,7 +114,7 @@ class ProxSpec:
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if lo.shape != hi.shape:
             raise ShapeMismatch("box bounds must have matching shapes")
-        if np.any(lo > hi):
+        if not np.all(lo <= hi):     # NaN bounds fail this too
             raise InvalidParams("box requires lo <= hi componentwise")
         return cls("box", lo=tuple(lo.tolist()), hi=tuple(hi.tolist()))
 

@@ -213,13 +213,12 @@ def scb_eliminate(prob, xbar):
     A = prob.shifted_Q
     part = prob.partition
     s = part.s
-    xb = list(xbar.blocks()) if isinstance(xbar, BlockVector) \
-        else list(BlockVector(part, xbar).blocks())
+    xbar = BlockVector(part, xbar)
+    xb = xbar.blocks()
 
     # rhs of the majorized stationarity system: b_eff + (weight) xbar,
     # where the weight contribution is U Dhat^{-1} U^T xbar
-    beff = prob.effective_b(xbar if isinstance(xbar, BlockVector)
-                            else BlockVector(part, xbar))
+    beff = prob.effective_b(xbar)
     w = [np.zeros(part.dims[i]) for i in range(s)]
     for i in range(1, s):
         acc = np.zeros(part.dims[i])

@@ -20,20 +20,18 @@ triangular solves, ``z = Y^{-1}(b_e - A xbar)``, ``x+ = xbar + Y^{-T} z``
 and ``x' = xbar + c^{-1/2} T^{-T} z``.
 """
 
-import numbers
-
 import numpy as np
 from dataclasses import dataclass
 
 from scipy.linalg.blas import dtrsv
 
-from .blockla import BlockVector, block_split, finite, sgs_operator, sweep
+from .blockla import (BlockVector, block_split, finite, finite_real,
+                      int_at_least, sgs_operator, sweep)
 from .errors import (
     DimensionMismatch,
     FirstBlockMismatch,
     IdentityViolation,
     InvalidParams,
-    OmegaOutOfRange,
 )
 from .proxmap import (ProxSpec, prepare_block1, prox_value, solve_block1,
                       subgrad_residual)
@@ -75,15 +73,8 @@ class IterativeMode:
     max_inner: int = 500
 
     def __post_init__(self):
-        if not (isinstance(self.rel_tol, numbers.Real)
-                and np.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise InvalidParams(
-                f"rel_tol must be finite and positive, got {self.rel_tol!r}")
-        if (isinstance(self.max_inner, bool)
-                or not isinstance(self.max_inner, numbers.Integral)
-                or self.max_inner < 1):
-            raise InvalidParams(
-                f"max_inner must be an int >= 1, got {self.max_inner!r}")
+        finite_real(self.rel_tol, "rel_tol", positive=True)
+        int_at_least(self.max_inner, "max_inner", 1)
 
 
 @dataclass(frozen=True)
@@ -101,13 +92,8 @@ class NoisyMode:
     scale: float = 1e-6
 
     def __post_init__(self):
-        if not (isinstance(self.scale, numbers.Real)
-                and np.isfinite(self.scale) and self.scale >= 0):
-            raise InvalidParams(
-                f"scale must be finite and >= 0, got {self.scale!r}")
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, numbers.Integral) or self.seed < 0):
-            raise InvalidParams(f"seed must be an int >= 0, got {self.seed!r}")
+        finite_real(self.scale, "scale")
+        int_at_least(self.seed, "seed", 0)
 
 
 def _as_mode(mode):
@@ -186,15 +172,13 @@ class CompositeQP:
                 raise InvalidParams(f"unknown majorizer kind {kind!r}")
         return self._majs[key]
 
-    def _head(self, kind="sgs", omega=None):
+    def _head(self, maj):
         """The cycle's first-block quadratic ``(tau^2/rho) Dhat_11`` for the
-        majorizer ``(kind, omega)``, prepared once by :func:`prepare_block1`."""
-        key = (kind, omega)
-        if key not in self._heads:
-            maj = self.majorizer(kind, omega)
-            A00 = (maj._a * maj._a / maj._c) * self.shifted_Q.block(0, 0)
-            self._heads[key] = prepare_block1(self.prox, A00)
-        return self._heads[key]
+        majorizer ``maj``, prepared once by :func:`prepare_block1`."""
+        if maj not in self._heads:
+            A00 = (maj._a * maj._a / maj._c) * maj.eff.block(0, 0)
+            self._heads[maj] = prepare_block1(self.prox, A00)
+        return self._heads[maj]
 
     def effective_b(self, xbar):
         """``b + diag(J) xbar`` — the sweeps' right-hand side."""
@@ -209,7 +193,7 @@ class CompositeQP:
     def objective(self, x, Qx=None):
         """``F(x) = p(x_1) + 0.5 <x, Q x> - <b, x>`` (original operator);
         ``Qx``, when given, is the precomputed product ``Q x``."""
-        vec = x.data if isinstance(x, BlockVector) else np.asarray(x, dtype=float)
+        vec = np.asarray(x, dtype=float)
         n1 = self.partition.dims[0]
         head = prox_value(self.prox, vec[:n1])
         if not np.isfinite(head):
@@ -221,7 +205,7 @@ class CompositeQP:
     def kkt_residual(self, x, Qx=None):
         """Distance of ``b - Q x`` from ``partial p(x_1) x {0} x ...``;
         ``Qx`` as in :meth:`objective`."""
-        vec = x.data if isinstance(x, BlockVector) else np.asarray(x, dtype=float)
+        vec = np.asarray(x, dtype=float)
         r = self.b.data - (self.Q.matvec(vec) if Qx is None else Qx)
         n1 = self.partition.dims[0]
         head = subgrad_residual(self.prox, vec[:n1], r[:n1])
@@ -311,12 +295,15 @@ def _cg_solve(M, rhs, rel_tol, max_inner):
     return x, iters[0], info != 0
 
 
-def _cycle(prob, xbar, mode, tau, variant, omega=None, reuse_c=None):
+def _cycle(prob, xbar, mode, maj, reuse_c=None):
+    """One cycle of ``prob`` at ``xbar`` with the majorizer ``maj`` of
+    ``prob``, which fixes the outer scale ``tau``, the middle scale ``rho``
+    and the relaxation ``omega`` (None for the Gauss-Seidel kind)."""
     mode = _as_mode(mode)
     part = prob.partition
     s, off, n1 = part.s, part.offsets, part.dims[0]
-    A = prob.shifted_Q
-    maj = prob.majorizer(variant, omega)
+    A, tau, rho, omega = maj.eff, maj._a, maj._c, maj.omega
+    variant = "sgs" if omega is None else "ssor"
     if not isinstance(xbar, BlockVector):
         xbar = BlockVector(part, xbar)
     xb = xbar.data
@@ -327,13 +314,12 @@ def _cycle(prob, xbar, mode, tau, variant, omega=None, reuse_c=None):
         z = dtrsv(Y, be - A.matvec(xb))
         return CycleResult(
             x_plus=BlockVector(part, xb + dtrsv(Y, z, trans=1)),
-            x_prime=BlockVector(part, xb + maj._c ** -0.5 * dtrsv(T, z, trans=1)),
+            x_prime=BlockVector(part, xb + rho ** -0.5 * dtrsv(T, z, trans=1)),
             delta_prime=BlockVector.zeros(part), delta=BlockVector.zeros(part),
             gamma1=np.zeros(n1), Delta=BlockVector.zeros(part), xi=0.0,
             xi_bound=0.0, variant=variant, omega=omega, inner_iters=(0,) * s)
     _, low, _, diag = A.panels()
-    head = prob._head(variant, omega)
-    rho = 2.0 * tau - 1.0
+    head = prob._head(maj)
     rng = np.random.default_rng(mode.seed) if isinstance(mode, NoisyMode) else None
 
     dprime = np.zeros(part.total)     # backward residuals
@@ -393,8 +379,6 @@ def _cycle(prob, xbar, mode, tau, variant, omega=None, reuse_c=None):
     reuse_thresh = None
     reused = []
     if reuse_c is not None:
-        if variant != "sgs":
-            raise InvalidParams("forward reuse applies to the Gauss-Seidel cycle")
         reuse_thresh = (reuse_c / np.sqrt(s)) * np.linalg.norm(dprime)
 
     def forward(i, rhs):
@@ -419,9 +403,9 @@ def _cycle(prob, xbar, mode, tau, variant, omega=None, reuse_c=None):
         xi = 0.0
         bound = 0.0
     else:
-        Dl = maj.perturbation(dp_vec, d_vec)
-        xi = maj.quad_norm(Dl, "Qhat_inv")
-        bound = error_bound(maj, dp_vec, d_vec, check=False)
+        Dl = BlockVector(part, maj.perturbation(dprime, delta))
+        xi = maj.quad_norm(Dl.data, "Qhat_inv")
+        bound = error_bound(maj, dprime, delta, check=False)
     return CycleResult(
         x_plus=BlockVector(part, xplus),
         x_prime=BlockVector(part, xp),
@@ -459,9 +443,9 @@ def sgs_cycle(prob, xbar, mode="exact", forward_reuse=None):
         Its ``x_plus`` exactly minimizes the proximal subproblem at
         ``xbar`` perturbed by the reported ``Delta``.
     """
-    if forward_reuse is not None and forward_reuse <= 0:
-        raise InvalidParams("forward_reuse must be a positive constant")
-    return _cycle(prob, xbar, mode, 1.0, "sgs", reuse_c=forward_reuse)
+    if forward_reuse is not None:
+        finite_real(forward_reuse, "forward_reuse", positive=True)
+    return _cycle(prob, xbar, mode, prob.majorizer(), reuse_c=forward_reuse)
 
 
 def ssor_cycle(prob, xbar, omega, mode="exact"):
@@ -470,23 +454,16 @@ def ssor_cycle(prob, xbar, omega, mode="exact"):
     At ``omega = 1`` this coincides with :func:`sgs_cycle` (the code path
     is the over-relaxed one; the arithmetic agrees exactly).
     """
-    omega = float(omega)
-    if not (1.0 <= omega < 2.0):
-        raise OmegaOutOfRange(f"omega must lie in [1, 2), got {omega}")
-    return _cycle(prob, xbar, mode, 1.0 / omega, "ssor", omega=omega)
+    return _cycle(prob, xbar, mode, prob.majorizer("ssor", omega))
 
 
 def classical_sgs_step(Q, b, xk, maj=None):
     """Fixed-point step ``x + Qhat^{-1} (b - Q x)`` of the classical
     symmetric Gauss-Seidel iteration (no nonsmooth term involved)."""
     maj = maj if maj is not None else sgs_operator(Q)
-    bvec = b.data if isinstance(b, BlockVector) else np.asarray(b, dtype=float)
-    xvec = xk.data if isinstance(xk, BlockVector) else np.asarray(xk, dtype=float)
-    step = maj.solve_Qhat(bvec - Q.matvec(xvec))
-    out = xvec + step
-    if isinstance(xk, BlockVector):
-        return BlockVector(Q.partition, out)
-    return out
+    x = np.asarray(xk, dtype=float)
+    step = maj.solve_Qhat(np.asarray(b, dtype=float) - Q.matvec(x))
+    return BlockVector(Q.partition, x + step)
 
 
 def perturbation(maj, delta_prime, delta):
@@ -496,14 +473,12 @@ def perturbation(maj, delta_prime, delta):
     (the first block is solved once per cycle); otherwise
     :class:`FirstBlockMismatch` is raised.
     """
-    part = maj.partition
-    dp = delta_prime if isinstance(delta_prime, BlockVector) else BlockVector(part, delta_prime)
-    d = delta if isinstance(delta, BlockVector) else BlockVector(part, delta)
+    dp, d = BlockVector(maj.partition, delta_prime), BlockVector(maj.partition, delta)
     if not np.array_equal(dp.block(0), d.block(0)):
         raise FirstBlockMismatch(
             "backward and forward residuals differ on the first block"
         )
-    return maj.perturbation(dp, d)
+    return BlockVector(maj.partition, maj.perturbation(dp, d))
 
 
 def exact_xi(maj, delta_prime, delta):
@@ -519,10 +494,8 @@ def error_bound(maj, delta_prime, delta, check=True):
     exact value is recomputed and must not exceed the bound (beyond
     1e-12); a violation raises :class:`IdentityViolation`.
     """
-    part = maj.partition
-    dp = delta_prime if isinstance(delta_prime, BlockVector) else BlockVector(part, delta_prime)
-    d = delta if isinstance(delta, BlockVector) else BlockVector(part, delta)
-    bound = maj.dinv_norm(d.data - dp.data) + maj.quad_norm(dp, "Qhat_inv")
+    dp, d = BlockVector(maj.partition, delta_prime), BlockVector(maj.partition, delta)
+    bound = maj.dinv_norm(d.data - dp.data) + maj.quad_norm(dp.data, "Qhat_inv")
     if check:
         xi = exact_xi(maj, dp, d)
         if xi > bound + 1e-12 * max(1.0, bound):
@@ -539,9 +512,8 @@ def subproblem_kkt(prob, xbar, result):
     subproblem it claims to minimize (with its own ``Delta``)."""
     maj = prob.majorizer(result.variant, result.omega)
     x = result.x_plus.data
-    xb = xbar.data if isinstance(xbar, BlockVector) else np.asarray(xbar, dtype=float)
-    r = (prob.b.data + maj.apply_T(xb - x) - prob.Q.matvec(x)
-         + result.Delta.data)
+    r = (prob.b.data + maj.apply_T(np.asarray(xbar, dtype=float) - x)
+         - prob.Q.matvec(x) + result.Delta.data)
     n1 = prob.partition.dims[0]
     head = subgrad_residual(prob.prox, x[:n1], r[:n1])
     if not np.isfinite(head):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -72,6 +73,14 @@ class TestSchedules:
             ToleranceSchedule.geometric(0.1, 1.0)
         with pytest.raises(InvalidParams):
             ToleranceSchedule.power(0.1, 1.0)
+
+    def test_no_field_default_is_callable(self):
+        """A classmethod named like a field would replace its default."""
+        for cls in (StepSchedule, ToleranceSchedule, StopRule):
+            for f in dataclasses.fields(cls):
+                assert not callable(f.default), (cls.__name__, f.name)
+        assert ToleranceSchedule.geometric(0.1, 0.5).exponent is None
+        assert ToleranceSchedule.power(0.1, 2.0).exponent == 2.0
 
 
 class TestSolve:

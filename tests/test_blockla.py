@@ -86,7 +86,7 @@ class TestPartitionAndVector:
         w.set_block(0, np.array([1.0]))
         assert v.block(0)[0] == 0.0
         np.testing.assert_array_equal(w.data, [1.0, 5.0, 6.0])
-        assert v.dot(w) == pytest.approx(25.0 + 36.0)
+        assert np.dot(v, w) == pytest.approx(25.0 + 36.0)
         assert v.norm() == pytest.approx(np.hypot(5.0, 6.0))
 
 
@@ -231,7 +231,7 @@ class TestMajorizerActions:
         for _ in range(4):
             x = BlockVector(part, rng.standard_normal(part.total))
             back = maj.solve_Qhat(maj.apply_Qhat(x))
-            np.testing.assert_allclose(back.data, x.data, rtol=1e-10,
+            np.testing.assert_allclose(back, x.data, rtol=1e-10,
                                        atol=1e-12)
 
     def test_apply_T_consistent_with_densify(self, rng):
@@ -240,7 +240,7 @@ class TestMajorizerActions:
                     ssor_operator(BlockSymOperator(part, blocks), 1.6)):
             Td = maj.densify("T")
             x = rng.standard_normal(part.total)
-            np.testing.assert_allclose(maj.apply_T(BlockVector(part, x)).data,
+            np.testing.assert_allclose(maj.apply_T(BlockVector(part, x)),
                                        Td @ x, atol=1e-11)
 
     def test_quad_norm_matches_dense(self, rng):

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from sgsqp import (
+    BlockPartition,
+    BlockSymOperator,
     BlockVector,
+    CompositeQP,
     ExactMode,
     IterativeMode,
     NoisyMode,
@@ -15,8 +18,8 @@ from sgsqp import (
     ssor_tuning,
     subproblem_kkt,
 )
-from sgsqp.errors import (FirstBlockMismatch, InvalidParams, NotPD,
-                          OmegaOutOfRange)
+from sgsqp.errors import (DiagonalNotPD, FirstBlockMismatch, InvalidParams,
+                          NotPD, OmegaOutOfRange)
 from sgsqp.oracle import dense_subproblem_solve
 
 from conftest import anchor_2x2, random_problem, random_point, shifted_problem
@@ -260,6 +263,21 @@ class TestShiftedOperator:
     def test_unshifted_problem_sweeps_its_own_operator(self):
         prob = random_problem(0)
         assert prob.shifted_Q is prob.Q is prob.majorizer().eff
+
+    @pytest.mark.parametrize("blocks", ["missing", "zero"])
+    def test_shift_fills_a_diagonal_block_that_is_not_stored(self, blocks):
+        """A diagonal block the operator does not store (missing, or all
+        zero) reads as zero: the shift alone makes the block solvable."""
+        I2 = np.eye(2)
+        stored = {(0, 0): I2} if blocks == "missing" else {(0, 0): I2, (1, 1): 0 * I2}
+        Q = BlockSymOperator(BlockPartition((2, 2)), stored, factor_diag=False)
+        prob = CompositeQP(Q, np.ones(4), shifts=[I2, I2])
+        res = sgs_cycle(prob, np.zeros(4))
+        want = dense_subproblem_solve(prob, np.zeros(4))
+        np.testing.assert_allclose(res.x_plus.data, want.data, rtol=0, atol=1e-14)
+        with pytest.raises(DiagonalNotPD) as err:
+            sgs_cycle(CompositeQP(Q, np.ones(4), shifts=[I2, None]), np.zeros(4))
+        assert err.value.block == 1
 
 
 class TestClassicalStep:

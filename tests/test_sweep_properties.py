@@ -247,7 +247,7 @@ def test_majorizer_actions_match_dense_formulas(case):
     # residuals that agree on block 1, as a cycle's do
     n1 = part.dims[0]
     dp = np.concatenate((v[:n1], x[n1:]))
-    got = maj.perturbation(dp, v).data
+    got = maj.perturbation(dp, v)
     forms = [(dp, a * D + U, c * D)]
     if omega is None:           # the classical Gauss-Seidel form
         forms.append((v, U, D))

@@ -83,7 +83,6 @@ from .palm import (
     PalmTrace,
     QsdpData,
     assemble_penalized,
-    lagrangian,
     palm_solve,
     qsdp_to_lincon,
 )
@@ -117,7 +116,7 @@ __all__ = [
     "solve", "contraction_factor", "complexity_certificates",
     "CertificateReport",
     "LinConQP", "PalmStop", "PalmTrace", "QsdpData", "assemble_penalized",
-    "palm_solve", "lagrangian", "qsdp_to_lincon",
+    "palm_solve", "qsdp_to_lincon",
     "Instance", "gen", "gen_lincon", "gen_qsdp", "read_instance",
     "write_instance",
 ]

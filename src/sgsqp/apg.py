@@ -197,7 +197,7 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
         inexact runs — with the exact budget an inexact run can only
         stall)
     stop : StopRule
-    variant : "sgs" or "ssor" (the latter with ``omega``)
+    variant : "sgs" or "ssor" (only the latter takes ``omega``)
     mode : "exact" or "inexact"
         Inexact runs solve block systems by conjugate gradients, halving
         the inner tolerance (at most 30 times per iteration) until the
@@ -220,8 +220,8 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
     stop = stop if stop is not None else StopRule()
     if variant not in ("sgs", "ssor"):
         raise InvalidParams(f"unknown variant {variant!r}")
-    if variant == "ssor" and omega is None:
-        raise InvalidParams("the over-relaxed variant needs omega")
+    if (variant == "ssor") != (omega is not None):
+        raise InvalidParams("the ssor variant needs omega; sgs takes none")
     if mode not in ("exact", "inexact"):
         raise InvalidParams(f"unknown mode {mode!r}")
     inner_cap = finite_real(inner_cap, "inner_cap", positive=True)

@@ -27,7 +27,6 @@ __all__ = [
     "PalmTrace",
     "assemble_penalized",
     "palm_solve",
-    "lagrangian",
     "QsdpData",
     "qsdp_to_lincon",
 ]
@@ -84,19 +83,19 @@ class LinConQP:
         xd = np.asarray(x, dtype=float)
         return self.A @ xd - self.d
 
-    def kkt(self, x, y, Px=None, resid=None):
+    def kkt(self, x, y, Px=None, resid=None, ATy=None):
         """(dual residual, primal infeasibility) at a primal-dual pair.
 
         The dual part measures the distance of ``g - P x - A^T y`` to
         the subdifferential of the nonsmooth term on block 1 (and to
         zero elsewhere); both parts vanish exactly at KKT points.
-        ``Px`` and ``resid``, when given, are the precomputed ``P x`` and
-        :meth:`constraint_residual` at ``x``.
+        ``Px``, ``resid`` and ``ATy``, when given, are the precomputed
+        ``P x``, :meth:`constraint_residual` at ``x`` and ``A^T y``.
         """
         xd = np.asarray(x, dtype=float)
         if Px is None:
             Px = self.P.matvec(xd)
-        r = self.g - Px - self.A.T @ y
+        r = self.g - Px - (self.A.T @ y if ATy is None else ATy)
         n1 = self.partition.dims[0]
         dual = np.hypot(subgrad_residual(self.prox, xd[:n1], r[:n1]),
                         np.linalg.norm(r[n1:]))
@@ -173,6 +172,11 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
     which iterate enters that update: ``"new"`` (default) uses the
     freshly computed x, ``"previous"`` the proximal center.
 
+    The right hand side is ``(g + A^T (sigma d)) - A^T y``, with ``A^T y``
+    shared with the previous iteration's :meth:`LinConQP.kkt`: one ``A^T``
+    product per iteration.  A PSD head's certificate reuses the cycle's
+    projection eigenpairs: one eigendecomposition per iteration.
+
     Returns ``(x, y, trace)``; termination is ``"tol"`` once both the
     primal infeasibility and the dual KKT residual fall below
     ``stop.kkt_tol``, and ``"nonfinite"`` at the first iterate whose KKT
@@ -200,11 +204,13 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
             f"y0 has length {y.size} for {prob.A.shape[0]} constraints")
 
     fresh = multiplier_update == "new"
+    gd = prob.g + prob.A.T @ (sigma * prob.d)
+    ATy = prob.A.T @ y
     trace = PalmTrace()
     t0 = time.perf_counter()
     for k in range(1, stop.max_iter + 1):
         # Step 1: one cycle of the T-weighted subproblem at the current x
-        inner.b.data[:] = prob.g + prob.A.T @ (sigma * prob.d - y)
+        inner.b.data[:] = gd - ATy
         res = sgs_cycle(inner, x, mode="exact")
         x_new = res.x_plus
         # Step 2: multiplier ascent; the "new" residual is also kkt's
@@ -214,14 +220,16 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
         Px = prob.P.matvec(x_new.data)
         with np.errstate(over="ignore", invalid="ignore"):
             # a diverging run overflows here first; the stop below names it
-            dual, primal = prob.kkt(x_new.data, y_new, Px, resid if fresh else None)
+            ATy_new = prob.A.T @ y_new
+            dual, primal = prob.kkt(x_new.data, y_new, Px,
+                                    resid if fresh else None, ATy_new)
             F = prob.objective(x_new.data, Px)
         if not (np.isfinite(dual) and np.isfinite(primal)):
             # diverged (e.g. an indefinite penalized operator): keep the
             # last finite pair
             trace.termination = "nonfinite"
             return x, y, trace
-        x, y = x_new, y_new
+        x, y, ATy = x_new, y_new, ATy_new
         trace.rows.append(PalmRow(
             k=k, F=F, primal_inf=primal, kkt=dual,
             y_norm=np.linalg.norm(y), time_s=time.perf_counter() - t0,
@@ -231,28 +239,6 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
             return x, y, trace
     trace.termination = "max_iter"
     return x, y, trace
-
-
-def lagrangian(prob, sigma, x, y, via="definition"):
-    """Augmented Lagrangian value, computed one of two ways.
-
-    ``"definition"``: F(x) + <y, Ax-d> + (sigma/2)||Ax-d||^2.
-    ``"expansion"``: the quadratic form actually minimized in Step 1,
-    p(x_1) + (1/2)<x, (P + sigma A^T A) x> - <g + A^T(sigma d - y), x>
-    plus the constant (sigma/2)||d||^2 - <d, y>.  The two must agree.
-    """
-    xd = np.asarray(x, dtype=float)
-    if via == "definition":
-        r = prob.A @ xd - prob.d
-        return prob.objective(xd) + y @ r + 0.5 * sigma * (r @ r)
-    if via == "expansion":
-        n1 = prob.partition.dims[0]
-        Ax = prob.A @ xd
-        quad = prob.P.matvec(xd) + sigma * (prob.A.T @ Ax)
-        lin = prob.g + prob.A.T @ (sigma * prob.d - y)
-        return (prox_value(prob.prox, xd[:n1]) + 0.5 * xd @ quad - lin @ xd
-                + 0.5 * sigma * (prob.d @ prob.d) - prob.d @ y)
-    raise InvalidParams(f"unknown evaluation path {via!r}")
 
 
 # ---------------------------------------------------------------------------

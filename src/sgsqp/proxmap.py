@@ -13,7 +13,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, eigvalsh
+from numpy.linalg import eigvalsh
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .errors import DiagonalNotPD, InvalidParams, NeedsShift, ShapeMismatch
 
@@ -35,6 +36,16 @@ _SQRT2 = np.sqrt(2.0)
 _PSD_FEAS_RTOL = 1e-10
 _PSD_RANK_RTOL = 1e-8
 _IDENT_RTOL = 1e-10
+
+# (output, clipped ascending eigenvalues, eigenvectors) of the last PSD prox,
+# replaced in one assignment; certificates reuse it for that exact output.
+_last_psd = None
+
+
+def _saved_eig(x):
+    """The saved ``(w, V)`` when ``x`` is the last PSD projection, else None."""
+    last = _last_psd
+    return last[1:] if last is not None and np.array_equal(last[0], x) else None
 
 
 def svec_dim(n):
@@ -162,10 +173,13 @@ def prox(spec, mu, v):
         lo, hi = spec._bounds()
         return np.clip(v, lo, hi)
     if spec.kind == "psd_cone":
+        global _last_psd
         w, V = eigh(smat(v, spec.side))
         pos = w > 0.0
         P = (V[:, pos] * w[pos]) @ V[:, pos].T
-        return svec(0.5 * (P + P.T))
+        out = svec(0.5 * (P + P.T))
+        _last_psd = (out.copy(), np.maximum(w, 0.0), V)
+        return out
     raise InvalidParams(f"unknown prox kind {spec.kind!r}")
 
 
@@ -182,7 +196,8 @@ def prox_value(spec, x):
         lo, hi = spec._bounds()
         return 0.0 if np.all(x >= lo) and np.all(x <= hi) else np.inf
     if spec.kind == "psd_cone":
-        w = eigvalsh(smat(x, spec.side))
+        saved = _saved_eig(x)
+        w = saved[0] if saved else eigvalsh(smat(x, spec.side))
         scale = max(abs(w).max() if w.size else 0.0, 1.0)
         return 0.0 if w.min() >= -_PSD_FEAS_RTOL * scale else np.inf
     raise InvalidParams(f"unknown prox kind {spec.kind!r}")
@@ -221,20 +236,19 @@ def subgrad_residual(spec, x, g):
         return float(np.linalg.norm(d))
     if spec.kind == "psd_cone":
         G = smat(g, spec.side)
-        w, V = eigh(smat(x, spec.side))
+        w, V = _saved_eig(x) or eigh(smat(x, spec.side))
         scale = max(abs(w).max() if w.size else 0.0, 1.0)
         if w.min() < -_PSD_FEAS_RTOL * scale:
             return np.inf
         # Normal cone at X: matrices supported on ker(X) with nonpositive
-        # eigenvalues there.  Split the eigenbasis, project, measure.
-        kernel = w <= _PSD_RANK_RTOL * scale
+        # eigenvalues there.  ``w`` is ascending, so the kernel columns are
+        # a prefix of V: split the eigenbasis there, project, measure.
+        k = int(np.count_nonzero(w <= _PSD_RANK_RTOL * scale))
         Gt = V.T @ G @ V
-        Kcols = np.where(kernel)[0]
-        Scols = np.where(~kernel)[0]
-        acc = np.linalg.norm(Gt[np.ix_(Scols, Scols)]) ** 2
-        acc += 2.0 * np.linalg.norm(Gt[np.ix_(Scols, Kcols)]) ** 2
-        if Kcols.size:
-            Ck = 0.5 * (Gt[np.ix_(Kcols, Kcols)] + Gt[np.ix_(Kcols, Kcols)].T)
+        acc = np.linalg.norm(Gt[k:, k:]) ** 2
+        acc += 2.0 * np.linalg.norm(Gt[k:, :k]) ** 2
+        if k:
+            Ck = 0.5 * (Gt[:k, :k] + Gt[:k, :k].T)
             wk = eigvalsh(Ck)
             acc += float((np.maximum(wk, 0.0) ** 2).sum())
         return float(np.sqrt(acc))

@@ -162,7 +162,8 @@ class CompositeQP:
         return self.majorizer().eff
 
     def majorizer(self, kind="sgs", omega=None):
-        key = (kind, omega)
+        """The cached majorizer of ``kind``; ``omega`` keys "ssor" only."""
+        key = (kind, omega if kind == "ssor" else None)
         if key not in self._majs:
             if kind == "sgs":
                 self._majs[key] = sgs_operator(self.Q, self.shifts)

@@ -20,7 +20,7 @@ from sgsqp.apg import TraceRow
 from sgsqp.errors import InvalidParams, NotPD
 from sgsqp.oracle import dense_optimum
 
-from conftest import anchor_2x2, indefinite_2x2, random_problem
+from conftest import anchor_2x2, indefinite_2x2, random_problem, shifted_problem
 
 
 class TestSchedules:
@@ -170,6 +170,15 @@ class TestSolve:
                    stop=StopRule(kkt_tol=1e-9, max_iter=2000))
         assert tr.termination == "tol"
         assert tr.variant == "ssor" and tr.omega == 1.4
+
+    def test_sgs_variant_refuses_omega_and_keeps_one_majorizer(self):
+        prob = shifted_problem(0)
+        with pytest.raises(InvalidParams):
+            solve(prob, variant="sgs", omega=1.5)
+        assert prob.majorizer("sgs", 1.5) is prob.majorizer()
+        tr = solve(prob, stop=StopRule(kkt_tol=1e-8, max_iter=500))
+        assert tr.omega is None
+        assert len(prob._majs) == 1
 
     def test_restart_schedule_converges(self):
         prob = random_problem(4, prox_kind="nonneg")

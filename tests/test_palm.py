@@ -10,20 +10,43 @@ from sgsqp import (
     ProxSpec,
     QsdpData,
     assemble_penalized,
-    lagrangian,
     palm_solve,
+    prox_value,
     qsdp_to_lincon,
     sgs_cycle,
     smat,
     svec,
     svec_dim,
 )
+from sgsqp import proxmap
 from sgsqp.errors import InvalidParams, TauOutOfRange
 from sgsqp.instances import gen_lincon, gen_qsdp
 from sgsqp.oracle import (dense_kkt_solve, psd_project, qsdp_assemble,
                           qsdp_sgs_step)
 
 from conftest import indefinite_lincon_2x2
+
+
+def lagrangian(prob, sigma, x, y, via="definition"):
+    """Augmented Lagrangian value, computed one of two ways.
+
+    ``"definition"``: F(x) + <y, Ax-d> + (sigma/2)||Ax-d||^2.
+    ``"expansion"``: the quadratic form actually minimized in Step 1,
+    p(x_1) + (1/2)<x, (P + sigma A^T A) x> - <g + A^T(sigma d - y), x>
+    plus the constant (sigma/2)||d||^2 - <d, y>.  The two must agree.
+    """
+    xd = np.asarray(x, dtype=float)
+    if via == "definition":
+        r = prob.A @ xd - prob.d
+        return prob.objective(xd) + y @ r + 0.5 * sigma * (r @ r)
+    if via == "expansion":
+        n1 = prob.partition.dims[0]
+        Ax = prob.A @ xd
+        quad = prob.P.matvec(xd) + sigma * (prob.A.T @ Ax)
+        lin = prob.g + prob.A.T @ (sigma * prob.d - y)
+        return (prox_value(prob.prox, xd[:n1]) + 0.5 * xd @ quad - lin @ xd
+                + 0.5 * sigma * (prob.d @ prob.d) - prob.d @ y)
+    raise InvalidParams(f"unknown evaluation path {via!r}")
 
 
 def _projection_problem():
@@ -62,6 +85,8 @@ class TestLinConQP:
         Px = lp.P.matvec(x.data)
         assert lp.objective(x, Px) == lp.objective(x)
         assert lp.kkt(x, y, Px, lp.constraint_residual(x)) == lp.kkt(x, y)
+        assert lp.kkt(x, y, Px, lp.constraint_residual(x),
+                      lp.A.T @ y) == lp.kkt(x, y)
 
     @pytest.mark.parametrize("update,residuals", [("new", 1), ("previous", 2)])
     def test_products_per_iteration(self, monkeypatch, update, residuals):
@@ -82,6 +107,22 @@ class TestLinConQP:
         assert tr.termination == "tol"
         assert calls == {"matvec": tr.iterations,
                          "residual": residuals * tr.iterations}
+
+    def test_eigendecompositions_per_iteration(self, monkeypatch):
+        lp = gen_qsdp(4, 3).lincon_problem()
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            def wrapped(*args, _fn=getattr(proxmap, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(proxmap, name, wrapped)
+        _, _, tr = palm_solve(lp, 1.0, 1.6,
+                              stop=PalmStop(kkt_tol=1e-6, max_iter=2000))
+        assert tr.termination == "tol"
+        # one projection per iteration plus the start point's; the
+        # certificate adds at most the kernel block's eigenvalues
+        assert calls["eigh"] == tr.iterations + 1
+        assert sum(calls.values()) <= 2 * tr.iterations + 1
 
     def test_shape_validation(self):
         from sgsqp.errors import DimensionMismatch

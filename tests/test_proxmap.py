@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sgsqp import (
     ProxSpec,
@@ -11,6 +12,7 @@ from sgsqp import (
     svec,
     svec_dim,
 )
+from sgsqp import proxmap
 from sgsqp.errors import NeedsShift
 from sgsqp.oracle import dense_qp_minimize
 
@@ -161,3 +163,96 @@ class TestBlock1Solve:
         resid = (Q11 + J1) @ x - (c1 + J1 @ xbar1) + g
         np.testing.assert_allclose(resid, 0.0, atol=1e-12)
         assert subgrad_residual(spec, x, g) <= 1e-12
+
+
+PROPS = settings(max_examples=40, deadline=None, derandomize=True,
+                 database=None)
+
+
+@st.composite
+def psd_cases(draw):
+    """A packed symmetric matrix of side 1..8 whose projection has rank
+    0, partial or full, and a packed gradient.  Eigenvalue magnitudes lie
+    in [0.5, 2] times a scale, so the rank is well defined."""
+    n = draw(st.integers(1, 8))
+    rank = draw(st.sampled_from(("zero", "partial", "full")))
+    assume(rank != "partial" or n > 1)
+    pos = {"zero": 0, "full": n}.get(rank)
+    if pos is None:
+        pos = draw(st.integers(1, n - 1))
+    scale = draw(st.sampled_from((1e-2, 1.0, 1e2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = scale * rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) < pos, 1, -1)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return n, svec((U * lam) @ U.T), rng.standard_normal(svec_dim(n))
+
+
+def _ix_split_distance(w, V, G):
+    """The normal-cone distance with the eigenbasis split by index lists
+    (``np.ix_`` gathers), as :func:`subgrad_residual` once computed it."""
+    scale = max(abs(w).max() if w.size else 0.0, 1.0)
+    if w.min() < -proxmap._PSD_FEAS_RTOL * scale:
+        return np.inf
+    kernel = w <= proxmap._PSD_RANK_RTOL * scale
+    Gt = V.T @ G @ V
+    Kcols = np.where(kernel)[0]
+    Scols = np.where(~kernel)[0]
+    acc = np.linalg.norm(Gt[np.ix_(Scols, Scols)]) ** 2
+    acc += 2.0 * np.linalg.norm(Gt[np.ix_(Scols, Kcols)]) ** 2
+    if Kcols.size:
+        Ck = 0.5 * (Gt[np.ix_(Kcols, Kcols)] + Gt[np.ix_(Kcols, Kcols)].T)
+        wk = proxmap.eigvalsh(Ck)
+        acc += float((np.maximum(wk, 0.0) ** 2).sum())
+    return float(np.sqrt(acc))
+
+
+class TestPsdEigenpairHandOff:
+    """``prox`` saves the eigenpairs of its PSD projection; the
+    certificates reuse them only for that exact output."""
+
+    @PROPS
+    @given(psd_cases())
+    def test_saved_pairs_give_the_recomputed_verdict(self, case):
+        n, v, g = case
+        spec = ProxSpec.psd_cone(n)
+        x = prox(spec, 1.0, v)
+        assert np.array_equal(proxmap._last_psd[0], x)
+        saved = (subgrad_residual(spec, x, g), prox_value(spec, x))
+        proxmap._last_psd = None
+        fresh = (subgrad_residual(spec, x, g), prox_value(spec, x))
+        assert saved[0] == pytest.approx(
+            fresh[0], rel=1e-12, abs=1e-14 * (1.0 + np.linalg.norm(g)))
+        assert saved[1] == fresh[1] == 0.0
+
+    @PROPS
+    @given(psd_cases(), st.data())
+    def test_a_changed_copy_gets_its_own_verdict(self, case, data):
+        n, v, g = case
+        spec = ProxSpec.psd_cone(n)
+        x = prox(spec, 1.0, v)
+        saved = proxmap._last_psd
+        i = data.draw(st.integers(0, x.size - 1))
+        nudged = x.copy()
+        nudged[i] = np.nextafter(nudged[i], np.inf)
+        # the first packed entry is X[0, 0]: far below zero, X is not PSD
+        broken = x.copy()
+        broken[0] -= 10.0 * (1.0 + np.abs(v).max())
+        got = [subgrad_residual(spec, nudged, g), prox_value(spec, nudged)]
+        assert subgrad_residual(spec, broken, g) == np.inf
+        assert prox_value(spec, broken) == np.inf
+        assert proxmap._last_psd is saved
+        proxmap._last_psd = None
+        assert got == [subgrad_residual(spec, nudged, g),
+                       prox_value(spec, nudged)]
+
+    @PROPS
+    @given(psd_cases())
+    def test_slice_split_is_bit_identical_to_index_gathers(self, case):
+        n, v, g = case
+        spec = ProxSpec.psd_cone(n)
+        x = prox(spec, 1.0, v)
+        G = smat(g, n)
+        # the saved pairs, then the recomputed ones handed in the same way
+        for w, V in (proxmap._last_psd[1:], proxmap.eigh(smat(x, n))):
+            proxmap._last_psd = (x, w, V)
+            assert subgrad_residual(spec, x, g) == _ix_split_distance(w, V, G)

@@ -17,7 +17,6 @@ from .blockla import (
     BlockSymOperator,
     BlockVector,
     Majorizer,
-    conservative_shifts,
     sgs_operator,
     ssor_operator,
 )
@@ -99,7 +98,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockPartition", "BlockSymOperator", "BlockVector", "Majorizer",
-    "conservative_shifts", "sgs_operator", "ssor_operator",
+    "sgs_operator", "ssor_operator",
     "SgsQpError", "DimensionMismatch", "ShapeMismatch", "NotSymmetric",
     "NotPD", "DiagonalNotPD", "ShiftNotPSD", "OmegaOutOfRange",
     "TauOutOfRange", "FirstBlockMismatch", "NeedsShift",

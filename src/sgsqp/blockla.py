@@ -52,7 +52,6 @@ __all__ = [
     "Majorizer",
     "sgs_operator",
     "ssor_operator",
-    "conservative_shifts",
     "block_split",
     "sweep",
 ]
@@ -400,15 +399,6 @@ def sweep(op, y, a, lower, w=None, solve=None, start=0, out=None):
             r -= (1.0 - a) * (diag[i] @ w[lo:hi])
         z[lo:hi] = solve(i, r)
     return z
-
-
-def conservative_shifts(Q):
-    """Shifts ``J_i = ||Q_ii||_2 I - Q_ii`` (PSD by construction)."""
-    out = []
-    for i in range(Q.s):
-        Qii = Q.block(i, i)
-        out.append(np.linalg.norm(Qii, 2) * np.eye(Qii.shape[0]) - Qii)
-    return out
 
 
 def block_split(op):

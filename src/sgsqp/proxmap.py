@@ -10,6 +10,7 @@ Frobenius norms.
 """
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +38,17 @@ _PSD_FEAS_RTOL = 1e-10
 _PSD_RANK_RTOL = 1e-8
 _IDENT_RTOL = 1e-10
 
-# (output, clipped ascending eigenvalues, eigenvectors) of the last PSD prox,
-# replaced in one assignment; certificates reuse it for that exact output.
-_last_psd = None
+# ``_last.psd``: (output, clipped ascending eigenvalues, eigenvectors) of this
+# thread's last PSD prox, replaced in one assignment; certificates reuse it
+# for that exact output.  Per thread, so concurrent solves keep their own
+# pairs; solves interleaved in one thread evict each other's and recompute.
+_last = threading.local()
 
 
 def _saved_eig(x):
-    """The saved ``(w, V)`` when ``x`` is the last PSD projection, else None."""
-    last = _last_psd
+    """The saved ``(w, V)`` when ``x`` is this thread's last PSD projection,
+    else None."""
+    last = getattr(_last, "psd", None)
     return last[1:] if last is not None and np.array_equal(last[0], x) else None
 
 
@@ -173,12 +177,11 @@ def prox(spec, mu, v):
         lo, hi = spec._bounds()
         return np.clip(v, lo, hi)
     if spec.kind == "psd_cone":
-        global _last_psd
         w, V = eigh(smat(v, spec.side))
         pos = w > 0.0
         P = (V[:, pos] * w[pos]) @ V[:, pos].T
         out = svec(0.5 * (P + P.T))
-        _last_psd = (out.copy(), np.maximum(w, 0.0), V)
+        _last.psd = (out.copy(), np.maximum(w, 0.0), V)
         return out
     raise InvalidParams(f"unknown prox kind {spec.kind!r}")
 

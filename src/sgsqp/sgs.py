@@ -20,9 +20,10 @@ triangular solves, ``z = Y^{-1}(b_e - A xbar)``, ``x+ = xbar + Y^{-T} z``
 and ``x' = xbar + c^{-1/2} T^{-T} z``.
 """
 
-import numpy as np
+import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.linalg.blas import dtrsv
 
 from .blockla import (BlockVector, block_split, finite, finite_real,
@@ -254,46 +255,46 @@ def cg(A, b, *, rtol, maxiter, callback):
 
     The recurrence and stopping test are those of SciPy's ``cg``
     without a preconditioner, so iterates, iteration counts and ``info``
-    agree bit for bit; only the operator wrapping is gone.  Stops once
-    ``||r|| < rtol ||b||``, checked before each iteration;
+    agree bit for bit; only the operator wrapping is gone.  The one
+    exception is an ``||b||`` that underflows to zero for a nonzero
+    ``b``: SciPy then returns ``b``, this kernel returns zeros.  Stops
+    once ``||r|| < rtol ||b||``, checked before each iteration;
     ``callback(x)`` runs after each one.  Returns ``(x, 0)``, or
     ``(x, maxiter)`` when the cap is reached.
+
+    The state lives in two stacked buffers, ``[x; s]`` with ``s = -r``
+    and ``[p; A p]``, so ``x += alpha p`` and ``r -= alpha A p`` are one
+    scaled copy and one add.  Negation is exact and rounding symmetric,
+    so every iterate is the textbook recurrence's to the bit.
     """
     b = np.asarray(b, dtype=float)
-    x = np.zeros_like(b)
-    bnrm = np.linalg.norm(b)
-    if bnrm == 0.0:
+    xs = np.zeros((2,) + b.shape)
+    x, s = xs
+    bb = b.dot(b)
+    if bb == 0.0:
         return x, 0
-    tol = float(rtol) * float(bnrm)
-    r = b.copy()
-    p = None
+    tol = float(rtol) * math.sqrt(bb)     # np.linalg.norm of a 1-D b
+    np.negative(b, out=s)
+    pq = np.empty_like(xs)
+    p, q = pq
+    p[...] = b
+    step = np.empty_like(xs)
     rho_prev = None
     for _ in range(maxiter):
-        rho = np.dot(r, r)
-        if np.sqrt(rho) < tol:
+        rho = s.dot(s)
+        if math.sqrt(rho) < tol:
             return x, 0
-        if p is None:
-            p = r.copy()
-        else:
+        if rho_prev is not None:
             p *= rho / rho_prev
-            p += r
-        q = A.dot(p)
-        alpha = rho / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+            p -= s
+        A.dot(p, out=q)
+        # numpy scalars: an underflowed p.Ap divides to inf/nan, as SciPy's
+        alpha = rho / p.dot(q)
+        np.multiply(pq, alpha, out=step)
+        xs += step
         rho_prev = rho
         callback(x)
     return x, maxiter
-
-
-def _cg_solve(M, rhs, rel_tol, max_inner):
-    iters = [0]
-
-    def _cb(_):
-        iters[0] += 1
-
-    x, info = cg(M, rhs, rtol=rel_tol, maxiter=max_inner, callback=_cb)
-    return x, iters[0], info != 0
 
 
 def _cycle(prob, xbar, mode, maj, reuse_c=None):
@@ -330,18 +331,26 @@ def _cycle(prob, xbar, mode, maj, reuse_c=None):
     gamma1 = None
 
     def cg_block(i, M, rhs, resid):
-        x, it, stall = _cg_solve(M, rhs, mode.rel_tol, mode.max_inner)
+        def count(_):
+            inner[i] += 1
+
+        # through the module global, so a wrapper installed on ``cg`` sees it
+        x, info = cg(M, rhs, rtol=mode.rel_tol, maxiter=mode.max_inner,
+                     callback=count)
         resid[off[i]:off[i + 1]] = M @ x - rhs
-        inner[i] += it
-        if stall:
+        if info:
             stalled.append(i)
         return x
+
+    # ``tau * A_ii`` for blocks 2..s, formed once for both sweeps
+    scaled = ([None] + [tau * d for d in diag[1:]]
+              if isinstance(mode, IterativeMode) else None)
 
     def solve_block(i, rhs, resid):
         """Solve ``tau * A_ii x = rhs`` per mode; an inexact solve writes
         its honest residual into block ``i`` of ``resid``."""
-        if isinstance(mode, IterativeMode):
-            return cg_block(i, tau * diag[i], rhs, resid)
+        if scaled is not None:
+            return cg_block(i, scaled[i], rhs, resid)
         x = A.diag_solve(i, rhs) / tau
         if rng is not None:
             # exact solve plus a relative perturbation, honest residual

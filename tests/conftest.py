@@ -9,9 +9,17 @@ from sgsqp import (
     BlockVector,
     CompositeQP,
     LinConQP,
-    conservative_shifts,
 )
 from sgsqp.instances import gen
+
+
+def conservative_shifts(Q):
+    """Shifts ``J_i = ||Q_ii||_2 I - Q_ii`` (PSD by construction)."""
+    out = []
+    for i in range(Q.s):
+        Qii = Q.block(i, i)
+        out.append(np.linalg.norm(Qii, 2) * np.eye(Qii.shape[0]) - Qii)
+    return out
 
 
 def anchor_2x2():

@@ -3,9 +3,13 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from sgsqp import (
+    BlockPartition,
+    BlockSymOperator,
     BlockVector,
+    CompositeQP,
     SolveTrace,
     StepSchedule,
     StopRule,
@@ -16,6 +20,7 @@ from sgsqp import (
     solve,
     sgs_operator,
 )
+from sgsqp import apg, sgs
 from sgsqp.apg import TraceRow
 from sgsqp.errors import InvalidParams, NotPD
 from sgsqp.oracle import dense_optimum
@@ -109,6 +114,68 @@ class TestSolve:
     def test_nonfinite_stop_is_silent(self):
         tr = solve(indefinite_2x2(), stop=StopRule(max_iter=1000))
         assert tr.termination == "nonfinite"
+
+    @pytest.mark.filterwarnings("error")
+    def test_inexact_nonfinite_stops_at_last_finite_iterate(self):
+        prob = indefinite_2x2()
+        kw = dict(mode="inexact", tols=ToleranceSchedule.power(1e-2, 2.0))
+        tr = solve(prob, stop=StopRule(max_iter=1000), **kw)
+        assert tr.termination == "nonfinite"
+        assert 0 < tr.iterations < 1000
+        assert all(np.isfinite(r.kkt) for r in tr.rows)
+        assert np.isfinite(tr.x_final.data).all()
+        capped = solve(prob, stop=StopRule(max_iter=tr.iterations), **kw)
+        assert capped.termination == "max_iter"
+        np.testing.assert_array_equal(tr.x_final.data, capped.x_final.data)
+
+    def test_inexact_run_is_bit_identical_under_scipy_cg(self, monkeypatch):
+        """A stiff neighbour-coupled chain solved with CG inner solves: the
+        run is the same to the bit when ``sgs.cg`` is SciPy's ``cg``."""
+        rng = np.random.default_rng(8)
+        s, w = 6, 5
+        k = 10.0 ** rng.uniform(-1.0, 2.0, s * w + 1)
+        L = (np.diag(k[:-1] + k[1:] + 5.0) - np.diag(k[1:-1], 1)
+             - np.diag(k[1:-1], -1))
+        blocks = {}
+        for i in range(s):
+            si = slice(i * w, (i + 1) * w)
+            blocks[(i, i)] = L[si, si]
+            if i + 1 < s:
+                blocks[(i, i + 1)] = L[si, (i + 1) * w:(i + 2) * w]
+        part = BlockPartition((w,) * s)
+        b = rng.standard_normal(s * w)
+        cycle = apg._cycle
+
+        def run():
+            prob = CompositeQP(BlockSymOperator(part, blocks), b)
+            inner = []
+
+            def recording(*args, **kwargs):
+                res = cycle(*args, **kwargs)
+                inner.append(res.inner_iters)
+                return res
+
+            with monkeypatch.context() as m:
+                m.setattr(apg, "_cycle", recording)
+                tr = solve(prob, mode="inexact",
+                           steps=StepSchedule.restart(20),
+                           tols=ToleranceSchedule.power(1e-3, 2.0),
+                           stop=StopRule(kkt_tol=1e-8, max_iter=2000))
+            rows = [dataclasses.replace(r, time_s=0.0) for r in tr.rows]
+            return tr, rows, inner
+
+        tr, rows, inner = run()
+        monkeypatch.setattr(sgs, "cg", scipy.sparse.linalg.cg)
+        tr_ref, rows_ref, inner_ref = run()
+        assert tr.termination == tr_ref.termination == "tol"
+        assert len(inner) >= tr.iterations > 5
+        assert sum(map(sum, inner)) > 0
+        np.testing.assert_array_equal(tr.x_final.data, tr_ref.x_final.data)
+        assert len(rows) == len(rows_ref)
+        for r, r_ref in zip(rows, rows_ref):
+            np.testing.assert_array_equal(dataclasses.astuple(r),
+                                          dataclasses.astuple(r_ref))
+        assert inner == inner_ref
 
     @pytest.mark.parametrize("prox_kind", ["zero", "l1"])
     def test_precomputed_product_is_bit_identical(self, prox_kind):

@@ -6,7 +6,6 @@ from sgsqp import (
     BlockPartition,
     BlockSymOperator,
     BlockVector,
-    conservative_shifts,
     sgs_operator,
     ssor_operator,
 )
@@ -21,7 +20,7 @@ from sgsqp.instances import gen_qsdp
 from sgsqp.oracle import dense_sgs_weight, dense_ssor_weight
 from sgsqp.palm import qsdp_to_lincon
 
-from conftest import anchor_2x2, random_problem
+from conftest import anchor_2x2, conservative_shifts, random_problem
 
 
 def _block_split(part, Qd):

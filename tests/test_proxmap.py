@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -216,9 +219,9 @@ class TestPsdEigenpairHandOff:
         n, v, g = case
         spec = ProxSpec.psd_cone(n)
         x = prox(spec, 1.0, v)
-        assert np.array_equal(proxmap._last_psd[0], x)
+        assert np.array_equal(proxmap._last.psd[0], x)
         saved = (subgrad_residual(spec, x, g), prox_value(spec, x))
-        proxmap._last_psd = None
+        proxmap._last.psd = None
         fresh = (subgrad_residual(spec, x, g), prox_value(spec, x))
         assert saved[0] == pytest.approx(
             fresh[0], rel=1e-12, abs=1e-14 * (1.0 + np.linalg.norm(g)))
@@ -230,7 +233,7 @@ class TestPsdEigenpairHandOff:
         n, v, g = case
         spec = ProxSpec.psd_cone(n)
         x = prox(spec, 1.0, v)
-        saved = proxmap._last_psd
+        saved = proxmap._last.psd
         i = data.draw(st.integers(0, x.size - 1))
         nudged = x.copy()
         nudged[i] = np.nextafter(nudged[i], np.inf)
@@ -240,8 +243,8 @@ class TestPsdEigenpairHandOff:
         got = [subgrad_residual(spec, nudged, g), prox_value(spec, nudged)]
         assert subgrad_residual(spec, broken, g) == np.inf
         assert prox_value(spec, broken) == np.inf
-        assert proxmap._last_psd is saved
-        proxmap._last_psd = None
+        assert proxmap._last.psd is saved
+        proxmap._last.psd = None
         assert got == [subgrad_residual(spec, nudged, g),
                        prox_value(spec, nudged)]
 
@@ -253,6 +256,115 @@ class TestPsdEigenpairHandOff:
         x = prox(spec, 1.0, v)
         G = smat(g, n)
         # the saved pairs, then the recomputed ones handed in the same way
-        for w, V in (proxmap._last_psd[1:], proxmap.eigh(smat(x, n))):
-            proxmap._last_psd = (x, w, V)
+        for w, V in (proxmap._last.psd[1:], proxmap.eigh(smat(x, n))):
+            proxmap._last.psd = (x, w, V)
             assert subgrad_residual(spec, x, g) == _ix_split_distance(w, V, G)
+
+    @staticmethod
+    def _mixed(rng, n):
+        """A packed symmetric matrix with both signs in its spectrum, so
+        its projection has a kernel smaller than ``n``."""
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) % 2, 1, -1)
+        return svec((U * lam) @ U.T)
+
+    @staticmethod
+    def _record_decompositions(monkeypatch):
+        """Record ``(thread, side)`` for every eigendecomposition."""
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            orig = getattr(proxmap, name)
+            monkeypatch.setattr(
+                proxmap, name,
+                lambda M, _f=orig: calls.append(
+                    (threading.current_thread(), M.shape[0])) or _f(M))
+        return calls
+
+    def test_each_thread_keeps_its_own_pairs(self, monkeypatch):
+        """Thread A projects X, thread B then projects Y; A's certificate
+        of X still reuses X's pairs: no further decomposition of side
+        ``n`` (only the kernel block's smaller one)."""
+        rng = np.random.default_rng(5)
+        n = 4
+        spec = ProxSpec.psd_cone(n)
+        v = {"A": self._mixed(rng, n), "B": self._mixed(rng, n)}
+        g = rng.standard_normal(svec_dim(n))
+        calls = self._record_decompositions(monkeypatch)
+        out, err = {}, []
+        a_projected, b_projected = threading.Event(), threading.Event()
+
+        def thread_a():
+            try:
+                out["A"] = x = prox(spec, 1.0, v["A"])
+                a_projected.set()
+                assert b_projected.wait(10.0)
+                mine = (threading.current_thread(), n)
+                before = calls.count(mine)
+                out["A_cert"] = (subgrad_residual(spec, x, g),
+                                 prox_value(spec, x))
+                out["A_decomps"] = calls.count(mine) - before
+                out["A_saved"] = proxmap._last.psd[0]
+            except Exception as exc:     # surfaced in the main thread
+                err.append(exc)
+
+        def thread_b():
+            try:
+                assert a_projected.wait(10.0)
+                out["B"] = prox(spec, 1.0, v["B"])
+                out["B_saved"] = proxmap._last.psd[0]
+            except Exception as exc:
+                err.append(exc)
+            finally:
+                b_projected.set()
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(20.0)
+        assert not any(th.is_alive() for th in threads) and not err
+        assert out["A_decomps"] == 0
+        np.testing.assert_array_equal(out["A_saved"], out["A"])
+        np.testing.assert_array_equal(out["B_saved"], out["B"])
+        assert not np.array_equal(out["A"], out["B"])
+        proxmap._last.psd = None
+        assert out["A_cert"] == pytest.approx(
+            (subgrad_residual(spec, out["A"], g), 0.0), rel=1e-12,
+            abs=1e-14 * (1.0 + np.linalg.norm(g)))
+
+    def test_concurrent_projections_never_evict_each_other(self, monkeypatch):
+        """More threads than cores, each projecting and certifying in a
+        loop with a short switch interval: every certificate reuses its
+        own thread's pairs, so each thread decomposes a side-``n`` matrix
+        exactly once per projection."""
+        n, rounds, workers = 4, 50, 4
+        spec = ProxSpec.psd_cone(n)
+        rng = np.random.default_rng(6)
+        v = [[self._mixed(rng, n) for _ in range(rounds)]
+             for _ in range(workers)]
+        g = rng.standard_normal(svec_dim(n))
+        calls = self._record_decompositions(monkeypatch)
+        err = []
+
+        def work(mine):
+            try:
+                for vk in mine:
+                    x = prox(spec, 1.0, vk)
+                    assert subgrad_residual(spec, x, g) < np.inf
+                    assert prox_value(spec, x) == 0.0
+            except Exception as exc:     # surfaced in the main thread
+                err.append(exc)
+
+        threads = [threading.Thread(target=work, args=(mine,)) for mine in v]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads) and not err
+        full = [th for th, side in calls if side == n]
+        assert [full.count(th) for th in threads] == [rounds] * workers

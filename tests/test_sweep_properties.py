@@ -22,7 +22,6 @@ from sgsqp import (
     IterativeMode,
     NoisyMode,
     ProxSpec,
-    conservative_shifts,
     sgs_cycle,
     ssor_cycle,
 )
@@ -31,6 +30,8 @@ from sgsqp.blockla import dpotrf, sweep
 from sgsqp.errors import (DiagonalNotPD, DimensionMismatch, InvalidParams,
                           NonFinite, NotSymmetric)
 from sgsqp.oracle import dense_sgs_weight, dense_ssor_weight, dense_subproblem_solve
+
+from conftest import conservative_shifts
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True,
                  database=None)

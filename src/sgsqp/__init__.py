@@ -23,7 +23,6 @@ from .blockla import (
 from .errors import (
     DiagonalNotPD,
     DimensionMismatch,
-    FirstBlockMismatch,
     IdentityViolation,
     InvalidParams,
     NeedsShift,
@@ -57,9 +56,6 @@ from .sgs import (
     NoisyMode,
     SsorTuning,
     classical_sgs_step,
-    error_bound,
-    exact_xi,
-    perturbation,
     sgs_cycle,
     ssor_cycle,
     ssor_tuning,
@@ -101,14 +97,14 @@ __all__ = [
     "sgs_operator", "ssor_operator",
     "SgsQpError", "DimensionMismatch", "ShapeMismatch", "NotSymmetric",
     "NotPD", "DiagonalNotPD", "ShiftNotPSD", "OmegaOutOfRange",
-    "TauOutOfRange", "FirstBlockMismatch", "NeedsShift",
+    "TauOutOfRange", "NeedsShift",
     "IdentityViolation", "RangeDeficiency", "InvalidParams",
     "UnboundedObjective", "NotConverged", "NonFinite",
     "ProxSpec", "prox", "prox_value", "subgrad_residual", "solve_block1",
     "svec", "smat", "svec_dim",
     "CompositeQP", "CycleResult", "ExactMode", "IterativeMode", "NoisyMode",
-    "sgs_cycle", "ssor_cycle", "classical_sgs_step", "perturbation",
-    "exact_xi", "error_bound", "subproblem_kkt", "SsorTuning", "ssor_tuning",
+    "sgs_cycle", "ssor_cycle", "classical_sgs_step", "subproblem_kkt",
+    "SsorTuning", "ssor_tuning",
     "ScbFactors", "ScbResult", "build_factors", "scb_eliminate",
     "verify_identities",
     "SolveTrace", "StepSchedule", "StopRule", "ToleranceSchedule",

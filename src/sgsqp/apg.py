@@ -18,9 +18,9 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh
+from scipy.linalg import eigh
 
-from .blockla import BlockVector, finite, finite_real, int_at_least
+from .blockla import BlockVector, dense_pd, finite, finite_real, int_at_least
 from .errors import IdentityViolation, InvalidParams, NotPD
 from .sgs import ExactMode, IterativeMode, _cycle
 
@@ -313,10 +313,7 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
 def contraction_factor(maj):
     """``||B||_2 = 1 - lambda_min(Qhat^{-1} Q)`` for a positive definite
     base operator (:class:`NotPD` otherwise)."""
-    Qd = maj.base.dense()
-    scale = max(np.linalg.norm(Qd, 2), np.finfo(float).tiny)
-    if eigvalsh(Qd).min() <= 1e-10 * scale:
-        raise NotPD("contraction factor needs a positive definite operator")
+    Qd = dense_pd(maj.base, "contraction factor")
     Qhat = maj.densify("Qhat")
     lam = eigh(Qd, Qhat, eigvals_only=True)
     return float(min(max(1.0 - lam.min(), 0.0), 1.0))

@@ -39,6 +39,7 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
     NonFinite,
+    NotPD,
     NotSymmetric,
     OmegaOutOfRange,
     ShapeMismatch,
@@ -178,6 +179,16 @@ def finite_real(value, what, positive=False):
         raise InvalidParams(f"{what} must be finite and "
                             f"{'positive' if positive else '>= 0'}, got {value!r}")
     return float(value)
+
+
+def dense_pd(op, what):
+    """``op.dense()``, refused with :class:`NotPD` unless its least
+    eigenvalue exceeds 1e-10 times its 2-norm."""
+    Qd = op.dense()
+    scale = max(np.linalg.norm(Qd, 2), np.finfo(float).tiny)
+    if eigvalsh(Qd).min() <= 1e-10 * scale:
+        raise NotPD(f"{what} needs a positive definite operator")
+    return Qd
 
 
 def _check_symmetric(M, what):
@@ -498,7 +509,7 @@ class Majorizer:
     def perturbation(self, delta_prime, delta):
         """Aggregate perturbation of an inexact cycle, ``delta' + (a Dhat +
         U)(c Dhat)^{-1}(delta - delta') = delta' + c^{-1/2} Y T^{-1}(delta -
-        delta')``; both vectors agree on block 1 (checked by the caller)."""
+        delta')``; both vectors agree on block 1, as a cycle's do."""
         dp = np.asarray(delta_prime, dtype=float)
         Y, T = self.factor()
         w = dtrmv(Y, dtrsv(T, np.asarray(delta, dtype=float) - dp))

@@ -55,10 +55,6 @@ class TauOutOfRange(SgsQpError):
     pass
 
 
-class FirstBlockMismatch(SgsQpError):
-    """Backward and forward residuals disagree on the first block."""
-
-
 class NeedsShift(SgsQpError):
     """Nonsmooth first block requires its quadratic to be a multiple of the identity."""
 

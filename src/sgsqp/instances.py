@@ -110,8 +110,7 @@ def _dec_prox(doc):
         return ProxSpec.box(_darr(_get(doc, "lo", "prox"), "prox.lo"),
                             _darr(_get(doc, "hi", "prox"), "prox.hi"))
     if kind == "psd_cone":
-        return ProxSpec.psd_cone(_conv(int, _get(doc, "side", "prox"),
-                                       "prox.side"))
+        return _conv(ProxSpec.psd_cone, _get(doc, "side", "prox"), "prox.side")
     raise InvalidParams(f"unknown prox kind {kind!r} in instance file")
 
 
@@ -311,7 +310,7 @@ def _prox_for(rng, kind, n1):
 
 
 def gen(dims, kappa=10.0, coupling=0.5, prox_kind="zero", seed=0,
-        singular=False, identity_block1=True):
+        singular=False):
     """Random composite QP instance, deterministic per seed.
 
     Nonsingular instances have SPD diagonal blocks with spectra spread
@@ -360,7 +359,7 @@ def gen(dims, kappa=10.0, coupling=0.5, prox_kind="zero", seed=0,
 
     spec = _prox_for(rng, prox_kind, dims[0])
     blocks = _spd_blocks(rng, dims, kappa, coupling,
-                         identity_first=identity_block1 and prox_kind != "zero")
+                         identity_first=prox_kind != "zero")
     b = rng.standard_normal(N)
     return Instance(dims=dims, Q=blocks, b=b, prox=spec, meta=meta)
 

@@ -6,6 +6,7 @@ Quadratic SDP enters as data (:class:`QsdpData`) and is solved through
 its linearly constrained form (:func:`qsdp_to_lincon`).
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -13,11 +14,12 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .apg import StopRule, write_csv
-from .blockla import BlockPartition, BlockSymOperator, BlockVector, finite
+from .blockla import (BlockPartition, BlockSymOperator, BlockVector, finite,
+                      finite_real)
 from .errors import (DimensionMismatch, InvalidParams, ShapeMismatch,
                      TauOutOfRange)
-from .proxmap import (ProxSpec, _identity_multiple, prox, prox_value,
-                      subgrad_residual, svec, svec_dim)
+from .proxmap import (ProxSpec, _identity_multiple, kkt_distance, prox,
+                      prox_value, svec, svec_dim)
 from .sgs import CompositeQP, sgs_cycle
 
 __all__ = [
@@ -96,9 +98,7 @@ class LinConQP:
         if Px is None:
             Px = self.P.matvec(xd)
         r = self.g - Px - (self.A.T @ y if ATy is None else ATy)
-        n1 = self.partition.dims[0]
-        dual = np.hypot(subgrad_residual(self.prox, xd[:n1], r[:n1]),
-                        np.linalg.norm(r[n1:]))
+        dual = kkt_distance(self.prox, xd, r, self.partition.dims[0])
         if resid is None:
             resid = self.constraint_residual(xd)
         return dual, np.linalg.norm(resid)
@@ -112,8 +112,7 @@ def assemble_penalized(prob, sigma):
     identity, a conservative first-block shift is attached so the prox
     step applies.
     """
-    if sigma <= 0:
-        raise InvalidParams(f"sigma must be positive, got {sigma}")
+    sigma = finite_real(sigma, "sigma", positive=True)
     part = prob.partition
     cols = [prob.A[:, part.slice(i)] for i in range(part.s)]
     # ``block`` reads zeros for a block ``P`` does not store; the operator
@@ -183,6 +182,8 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
     residual is not finite: that iterate gets no row, and the pair before
     it is returned.
     """
+    if not isinstance(tau, numbers.Real):
+        raise InvalidParams(f"tau must be a real number, got {tau!r}")
     if not (0.0 < tau < 2.0):
         raise TauOutOfRange(f"tau must lie in (0, 2), got {tau}")
     if multiplier_update not in ("new", "previous"):

@@ -17,6 +17,7 @@ import numpy as np
 from numpy.linalg import eigvalsh
 from scipy.linalg import cho_factor, cho_solve, eigh
 
+from .blockla import finite_real, int_at_least
 from .errors import DiagonalNotPD, InvalidParams, NeedsShift, ShapeMismatch
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "prox",
     "prox_value",
     "subgrad_residual",
+    "kkt_distance",
     "solve_block1",
     "prepare_block1",
     "svec",
@@ -114,10 +116,7 @@ class ProxSpec:
 
     @classmethod
     def l1(cls, lam):
-        lam = float(lam)
-        if not (np.isfinite(lam) and lam >= 0):
-            raise InvalidParams(f"l1 weight must be finite and nonnegative, got {lam}")
-        return cls("l1", lam=lam)
+        return cls("l1", lam=finite_real(lam, "l1 weight"))
 
     @classmethod
     def nonneg(cls):
@@ -135,10 +134,7 @@ class ProxSpec:
 
     @classmethod
     def psd_cone(cls, side):
-        side = int(side)
-        if side < 1:
-            raise InvalidParams("matrix side must be positive")
-        return cls("psd_cone", side=side)
+        return cls("psd_cone", side=int_at_least(side, "side", 1))
 
     def block_dim(self):
         """Length the first block must have, or None when unconstrained."""
@@ -256,6 +252,16 @@ def subgrad_residual(spec, x, g):
             acc += float((np.maximum(wk, 0.0) ** 2).sum())
         return float(np.sqrt(acc))
     raise InvalidParams(f"unknown prox kind {spec.kind!r}")
+
+
+def kkt_distance(spec, x, r, n1):
+    """Distance of ``r`` from ``partial p(x_1) x {0} x ...``, ``x_1`` and
+    ``r_1`` the first ``n1`` entries; ``inf`` when the head's distance
+    (:func:`subgrad_residual`) is not finite."""
+    head = subgrad_residual(spec, x[:n1], r[:n1])
+    if not np.isfinite(head):
+        return np.inf
+    return float(np.hypot(head, np.linalg.norm(r[n1:])))
 
 
 def _identity_multiple(A):

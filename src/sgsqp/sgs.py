@@ -9,8 +9,8 @@ and a forward block sweep.  Its output is not an approximation: it is the
 
 where ``T`` is the cycle's majorizer weight and ``Delta`` aggregates the
 per-block solve errors.  Exact block solves give ``Delta = 0``; inexact
-ones report honest residual vectors from which ``Delta`` and its weighted
-norm bound are formed.
+ones report honest residual vectors, from which the result forms ``Delta``
+and its weighted norm bound when they are first read.
 
 With no nonsmooth term (``p = 0``) and exact solves the cycle is, by the
 block sGS decomposition theorem, the step ``x+ = xbar + Qhat^{-1}(b_e - A
@@ -22,20 +22,17 @@ and ``x' = xbar + c^{-1/2} T^{-T} z``.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigh, solve as dense_solve
 from scipy.linalg.blas import dtrsv
 
-from .blockla import (BlockVector, block_split, finite, finite_real,
-                      int_at_least, sgs_operator, sweep)
-from .errors import (
-    DimensionMismatch,
-    FirstBlockMismatch,
-    IdentityViolation,
-    InvalidParams,
-)
-from .proxmap import (ProxSpec, prepare_block1, prox_value, solve_block1,
-                      subgrad_residual)
+from .blockla import (BlockVector, Majorizer, block_split, dense_pd, finite,
+                      finite_real, int_at_least, sgs_operator, sweep)
+from .errors import DimensionMismatch, InvalidParams
+from .proxmap import (ProxSpec, kkt_distance, prepare_block1, prox_value,
+                      solve_block1)
 
 __all__ = [
     "CompositeQP",
@@ -46,9 +43,6 @@ __all__ = [
     "sgs_cycle",
     "ssor_cycle",
     "classical_sgs_step",
-    "perturbation",
-    "exact_xi",
-    "error_bound",
     "subproblem_kkt",
     "SsorTuning",
     "ssor_tuning",
@@ -209,22 +203,21 @@ class CompositeQP:
         ``Qx`` as in :meth:`objective`."""
         vec = np.asarray(x, dtype=float)
         r = self.b.data - (self.Q.matvec(vec) if Qx is None else Qx)
-        n1 = self.partition.dims[0]
-        head = subgrad_residual(self.prox, vec[:n1], r[:n1])
-        if not np.isfinite(head):
-            return np.inf
-        return float(np.hypot(head, np.linalg.norm(r[n1:])))
+        return kkt_distance(self.prox, vec, r, self.partition.dims[0])
 
 
 @dataclass
 class CycleResult:
-    """Everything one cycle produced, with its error certificates.
+    """Everything one cycle produced; its certificates on demand.
 
     ``x_prime`` holds the backward-sweep intermediates (its first block
     equals ``x_plus``'s for the Gauss-Seidel kind); ``delta_prime`` and
-    ``delta`` are the realized backward/forward residuals, ``Delta``
-    their aggregate perturbation, and ``xi``/``xi_bound`` the exact and
-    bounding values of ``||Qhat^{-1/2} Delta||``.
+    ``delta`` are the realized backward/forward residuals, equal on block
+    1 by construction, and ``maj`` is the cycle's majorizer.  ``Delta``,
+    their aggregate perturbation, and ``xi``/``xi_bound``, the exact and
+    bounding values of ``||Qhat^{-1/2} Delta||``, are computed from
+    ``maj`` when first read; the bound is ``||M^{-1/2}(delta - delta')|| +
+    ||Qhat^{-1/2} delta'||``, ``M`` the majorizer's middle diagonal.
     """
 
     x_plus: BlockVector
@@ -232,14 +225,18 @@ class CycleResult:
     delta_prime: BlockVector
     delta: BlockVector
     gamma1: np.ndarray
-    Delta: BlockVector
-    xi: float
-    xi_bound: float
-    variant: str = "sgs"
-    omega: float = None
+    maj: Majorizer
     stalled: tuple = ()
     reused: tuple = ()
     inner_iters: tuple = ()
+
+    @property
+    def variant(self):
+        return "sgs" if self.maj.omega is None else "ssor"
+
+    @property
+    def omega(self):
+        return self.maj.omega
 
     @property
     def delta_tilde_norm(self):
@@ -248,6 +245,20 @@ class CycleResult:
     @property
     def delta_norm(self):
         return self.delta.norm()
+
+    @cached_property
+    def Delta(self):
+        return BlockVector(self.maj.partition,
+                           self.maj.perturbation(self.delta_prime, self.delta))
+
+    @cached_property
+    def xi(self):
+        return self.maj.quad_norm(self.Delta, "Qhat_inv")
+
+    @cached_property
+    def xi_bound(self):
+        return (self.maj.dinv_norm(self.delta.data - self.delta_prime.data)
+                + self.maj.quad_norm(self.delta_prime, "Qhat_inv"))
 
 
 def cg(A, b, *, rtol, maxiter, callback):
@@ -302,24 +313,33 @@ def _cycle(prob, xbar, mode, maj, reuse_c=None):
     ``prob``, which fixes the outer scale ``tau``, the middle scale ``rho``
     and the relaxation ``omega`` (None for the Gauss-Seidel kind)."""
     mode = _as_mode(mode)
-    part = prob.partition
-    s, off, n1 = part.s, part.offsets, part.dims[0]
-    A, tau, rho, omega = maj.eff, maj._a, maj._c, maj.omega
-    variant = "sgs" if omega is None else "ssor"
     if not isinstance(xbar, BlockVector):
-        xbar = BlockVector(part, xbar)
-    xb = xbar.data
+        xbar = BlockVector(prob.partition, xbar)
     be = prob.effective_b(xbar).data
     if isinstance(mode, ExactMode) and prob.prox.kind == "zero" and reuse_c is None:
-        # no head term to minimize: the factored step of the module docstring
-        Y, T = maj.factor()
-        z = dtrsv(Y, be - A.matvec(xb))
-        return CycleResult(
-            x_plus=BlockVector(part, xb + dtrsv(Y, z, trans=1)),
-            x_prime=BlockVector(part, xb + rho ** -0.5 * dtrsv(T, z, trans=1)),
-            delta_prime=BlockVector.zeros(part), delta=BlockVector.zeros(part),
-            gamma1=np.zeros(n1), Delta=BlockVector.zeros(part), xi=0.0,
-            xi_bound=0.0, variant=variant, omega=omega, inner_iters=(0,) * s)
+        return _factored_step(prob, xbar.data, be, maj)
+    return _sweep_cycle(prob, xbar.data, be, mode, maj, reuse_c)
+
+
+def _factored_step(prob, xb, be, maj):
+    """The exact cycle with no head term: the factored step of the module
+    docstring."""
+    part = prob.partition
+    Y, T = maj.factor()
+    z = dtrsv(Y, be - maj.eff.matvec(xb))
+    return CycleResult(
+        x_plus=BlockVector(part, xb + dtrsv(Y, z, trans=1)),
+        x_prime=BlockVector(part, xb + maj._c ** -0.5 * dtrsv(T, z, trans=1)),
+        delta_prime=BlockVector.zeros(part), delta=BlockVector.zeros(part),
+        gamma1=np.zeros(part.dims[0]), maj=maj, inner_iters=(0,) * part.s)
+
+
+def _sweep_cycle(prob, xb, be, mode, maj, reuse_c):
+    """Backward sweep, head-block minimization and forward sweep at the
+    centre ``xb`` with the sweeps' right-hand side ``be``."""
+    part = prob.partition
+    s, off, n1 = part.s, part.offsets, part.dims[0]
+    A, tau, rho = maj.eff, maj._a, maj._c
     _, low, _, diag = A.panels()
     head = prob._head(maj)
     rng = np.random.default_rng(mode.seed) if isinstance(mode, NoisyMode) else None
@@ -386,10 +406,9 @@ def _cycle(prob, xbar, mode, maj, reuse_c=None):
     xplus = np.empty(part.total)
     xp = sweep(A, be, tau, lower=False, w=xb, solve=backward)
 
-    reuse_thresh = None
     reused = []
-    if reuse_c is not None:
-        reuse_thresh = (reuse_c / np.sqrt(s)) * np.linalg.norm(dprime)
+    reuse_thresh = (None if reuse_c is None
+                    else (reuse_c / np.sqrt(s)) * np.linalg.norm(dprime))
 
     def forward(i, rhs):
         if reuse_thresh is None:
@@ -406,27 +425,13 @@ def _cycle(prob, xbar, mode, maj, reuse_c=None):
 
     sweep(A, be, tau, lower=True, w=xp, solve=forward, start=1, out=xplus)
 
-    dp_vec = BlockVector(part, dprime)
-    d_vec = BlockVector(part, delta)
-    if dp_vec.norm() == 0.0 and d_vec.norm() == 0.0:
-        Dl = BlockVector.zeros(part)
-        xi = 0.0
-        bound = 0.0
-    else:
-        Dl = BlockVector(part, maj.perturbation(dprime, delta))
-        xi = maj.quad_norm(Dl.data, "Qhat_inv")
-        bound = error_bound(maj, dprime, delta, check=False)
     return CycleResult(
         x_plus=BlockVector(part, xplus),
         x_prime=BlockVector(part, xp),
-        delta_prime=dp_vec,
-        delta=d_vec,
+        delta_prime=BlockVector(part, dprime),
+        delta=BlockVector(part, delta),
         gamma1=gamma1,
-        Delta=Dl,
-        xi=xi,
-        xi_bound=bound,
-        variant=variant,
-        omega=omega,
+        maj=maj,
         stalled=tuple(sorted(stalled)),
         reused=tuple(reused),
         inner_iters=tuple(inner),
@@ -476,59 +481,13 @@ def classical_sgs_step(Q, b, xk, maj=None):
     return BlockVector(Q.partition, x + step)
 
 
-def perturbation(maj, delta_prime, delta):
-    """Aggregate perturbation vector of an inexact cycle.
-
-    The two residual vectors must agree exactly on the first block
-    (the first block is solved once per cycle); otherwise
-    :class:`FirstBlockMismatch` is raised.
-    """
-    dp, d = BlockVector(maj.partition, delta_prime), BlockVector(maj.partition, delta)
-    if not np.array_equal(dp.block(0), d.block(0)):
-        raise FirstBlockMismatch(
-            "backward and forward residuals differ on the first block"
-        )
-    return BlockVector(maj.partition, maj.perturbation(dp, d))
-
-
-def exact_xi(maj, delta_prime, delta):
-    """``||Qhat^{-1/2} Delta(delta', delta)||`` computed exactly."""
-    return maj.quad_norm(perturbation(maj, delta_prime, delta), "Qhat_inv")
-
-
-def error_bound(maj, delta_prime, delta, check=True):
-    """Upper bound on ``||Qhat^{-1/2} Delta||`` from the raw residuals.
-
-    Returns ``||M^{-1/2}(delta - delta')|| + ||Qhat^{-1/2} delta'||``
-    where ``M`` is the majorizer's middle diagonal.  With ``check`` the
-    exact value is recomputed and must not exceed the bound (beyond
-    1e-12); a violation raises :class:`IdentityViolation`.
-    """
-    dp, d = BlockVector(maj.partition, delta_prime), BlockVector(maj.partition, delta)
-    bound = maj.dinv_norm(d.data - dp.data) + maj.quad_norm(dp.data, "Qhat_inv")
-    if check:
-        xi = exact_xi(maj, dp, d)
-        if xi > bound + 1e-12 * max(1.0, bound):
-            raise IdentityViolation(
-                f"exact perturbation norm {xi:.16e} exceeds its bound "
-                f"{bound:.16e}",
-                magnitude=xi - bound,
-            )
-    return bound
-
-
 def subproblem_kkt(prob, xbar, result):
     """Composite KKT residual of ``result.x_plus`` for the proximal
     subproblem it claims to minimize (with its own ``Delta``)."""
-    maj = prob.majorizer(result.variant, result.omega)
     x = result.x_plus.data
-    r = (prob.b.data + maj.apply_T(np.asarray(xbar, dtype=float) - x)
+    r = (prob.b.data + result.maj.apply_T(np.asarray(xbar, dtype=float) - x)
          - prob.Q.matvec(x) + result.Delta.data)
-    n1 = prob.partition.dims[0]
-    head = subgrad_residual(prob.prox, x[:n1], r[:n1])
-    if not np.isfinite(head):
-        return np.inf
-    return float(np.hypot(head, np.linalg.norm(r[n1:])))
+    return kkt_distance(prob.prox, x, r, prob.partition.dims[0])
 
 
 @dataclass(frozen=True)
@@ -550,17 +509,11 @@ class SsorTuning:
 
 
 def ssor_tuning(Q):
-    from scipy.linalg import eigh, solve as _dsolve
-
-    Qd = Q.dense()
-    scale = max(np.linalg.norm(Qd, 2), np.finfo(float).tiny)
-    if np.linalg.eigvalsh(Qd).min() <= 1e-10 * scale:
-        from .errors import NotPD
-        raise NotPD("relaxation tuning needs a positive definite operator")
+    Qd = dense_pd(Q, "relaxation tuning")
     Dd, U = block_split(Q)
     gamma = float(eigh(Qd, Dd, eigvals_only=True).min())
     half = 0.5 * Dd + U
-    W = half @ _dsolve(Dd, half.T, assume_a="pos")
+    W = half @ dense_solve(Dd, half.T, assume_a="pos")
     Gamma = 4.0 * float(eigh(0.5 * (W + W.T), Qd, eigvals_only=True).max())
     root = np.sqrt(gamma * Gamma)
     omega = min(max(2.0 / (1.0 + root), 1.0), 2.0 - 1e-9)

@@ -10,7 +10,7 @@ from sgsqp import (
     CompositeQP,
     LinConQP,
 )
-from sgsqp.instances import gen
+from sgsqp.instances import _prox_for, _spd_blocks, gen
 
 
 def conservative_shifts(Q):
@@ -58,12 +58,16 @@ def random_problem(seed, dims=(2, 3, 2), prox_kind="zero", kappa=10.0,
 
 
 def shifted_problem(seed, dims=(2, 2, 3), prox_kind="nonneg", kappa=6.0):
-    """Non-identity first block, made prox-ready by conservative shifts."""
-    inst = gen(dims, kappa=kappa, coupling=1.0, prox_kind=prox_kind,
-               seed=seed, identity_block1=False)
-    Q = BlockSymOperator(inst.partition, dict(inst.Q))
-    return CompositeQP(Q, BlockVector(inst.partition, inst.b), p=inst.prox,
-                       shifts=conservative_shifts(Q))
+    """Non-identity first block, made prox-ready by conservative shifts.
+
+    Drawn as ``gen`` draws a nonsingular instance, but with a general SPD
+    first diagonal block whatever the nonsmooth term."""
+    rng = np.random.default_rng(seed)
+    spec = _prox_for(rng, prox_kind, dims[0])
+    Q = BlockSymOperator(BlockPartition(dims),
+                         _spd_blocks(rng, dims, kappa, coupling=1.0))
+    b = rng.standard_normal(sum(dims))
+    return CompositeQP(Q, b, p=spec, shifts=conservative_shifts(Q))
 
 
 def random_point(prob, seed):

@@ -10,6 +10,7 @@ from sgsqp import (
     BlockSymOperator,
     BlockVector,
     CompositeQP,
+    Majorizer,
     SolveTrace,
     StepSchedule,
     StopRule,
@@ -26,6 +27,29 @@ from sgsqp.errors import InvalidParams, NotPD
 from sgsqp.oracle import dense_optimum
 
 from conftest import anchor_2x2, indefinite_2x2, random_problem, shifted_problem
+
+
+def _stiff_chain():
+    """Partition, blocks and rhs of a stiff neighbour-coupled chain of six
+    blocks of width 5: CG inner solves take many steps on it."""
+    rng = np.random.default_rng(8)
+    s, w = 6, 5
+    k = 10.0 ** rng.uniform(-1.0, 2.0, s * w + 1)
+    L = (np.diag(k[:-1] + k[1:] + 5.0) - np.diag(k[1:-1], 1)
+         - np.diag(k[1:-1], -1))
+    blocks = {}
+    for i in range(s):
+        si = slice(i * w, (i + 1) * w)
+        blocks[(i, i)] = L[si, si]
+        if i + 1 < s:
+            blocks[(i, i + 1)] = L[si, (i + 1) * w:(i + 2) * w]
+    return BlockPartition((w,) * s), blocks, rng.standard_normal(s * w)
+
+
+def _chain_inexact_solve(prob):
+    return solve(prob, mode="inexact", steps=StepSchedule.restart(20),
+                 tols=ToleranceSchedule.power(1e-3, 2.0),
+                 stop=StopRule(kkt_tol=1e-8, max_iter=2000))
 
 
 class TestSchedules:
@@ -131,19 +155,7 @@ class TestSolve:
     def test_inexact_run_is_bit_identical_under_scipy_cg(self, monkeypatch):
         """A stiff neighbour-coupled chain solved with CG inner solves: the
         run is the same to the bit when ``sgs.cg`` is SciPy's ``cg``."""
-        rng = np.random.default_rng(8)
-        s, w = 6, 5
-        k = 10.0 ** rng.uniform(-1.0, 2.0, s * w + 1)
-        L = (np.diag(k[:-1] + k[1:] + 5.0) - np.diag(k[1:-1], 1)
-             - np.diag(k[1:-1], -1))
-        blocks = {}
-        for i in range(s):
-            si = slice(i * w, (i + 1) * w)
-            blocks[(i, i)] = L[si, si]
-            if i + 1 < s:
-                blocks[(i, i + 1)] = L[si, (i + 1) * w:(i + 2) * w]
-        part = BlockPartition((w,) * s)
-        b = rng.standard_normal(s * w)
+        part, blocks, b = _stiff_chain()
         cycle = apg._cycle
 
         def run():
@@ -157,10 +169,7 @@ class TestSolve:
 
             with monkeypatch.context() as m:
                 m.setattr(apg, "_cycle", recording)
-                tr = solve(prob, mode="inexact",
-                           steps=StepSchedule.restart(20),
-                           tols=ToleranceSchedule.power(1e-3, 2.0),
-                           stop=StopRule(kkt_tol=1e-8, max_iter=2000))
+                tr = _chain_inexact_solve(prob)
             rows = [dataclasses.replace(r, time_s=0.0) for r in tr.rows]
             return tr, rows, inner
 
@@ -176,6 +185,23 @@ class TestSolve:
             np.testing.assert_array_equal(dataclasses.astuple(r),
                                           dataclasses.astuple(r_ref))
         assert inner == inner_ref
+
+    def test_inexact_run_computes_no_certificate(self, monkeypatch):
+        """The driver reads only the residual norms of an inexact cycle:
+        the run is the same with the majorizer's factor, perturbation and
+        diagonal norm unusable."""
+        part, blocks, b = _stiff_chain()
+        want = _chain_inexact_solve(CompositeQP(BlockSymOperator(part, blocks), b))
+
+        def refuse(*_args, **_kw):
+            raise AssertionError("a certificate was computed")
+
+        for name in ("factor", "perturbation", "dinv_norm"):
+            monkeypatch.setattr(Majorizer, name, refuse)
+        got = _chain_inexact_solve(CompositeQP(BlockSymOperator(part, blocks), b))
+        assert got.termination == want.termination == "tol"
+        assert got.iterations == want.iterations
+        np.testing.assert_array_equal(got.x_final.data, want.x_final.data)
 
     @pytest.mark.parametrize("prox_kind", ["zero", "l1"])
     def test_precomputed_product_is_bit_identical(self, prox_kind):

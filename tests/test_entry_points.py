@@ -24,10 +24,7 @@ from sgsqp import (
     StopRule,
     ToleranceSchedule,
     classical_sgs_step,
-    error_bound,
-    exact_xi,
     palm_solve,
-    perturbation,
     scb_eliminate,
     sgs_cycle,
     solve,
@@ -54,9 +51,6 @@ ENTRY_POINTS = {
     "sgs_cycle": lambda w: sgs_cycle(PROB, w(X)),
     "ssor_cycle": lambda w: ssor_cycle(PROB, w(X), 1.5),
     "classical_sgs_step": lambda w: classical_sgs_step(PROB.Q, w(PROB.b), w(X), MAJ),
-    "perturbation": lambda w: perturbation(MAJ, w(DP), w(D)),
-    "exact_xi": lambda w: exact_xi(MAJ, w(DP), w(D)),
-    "error_bound": lambda w: error_bound(MAJ, w(DP), w(D)),
     "subproblem_kkt": lambda w: subproblem_kkt(PROB, w(X), NOISY),
     "Majorizer.apply_T": lambda w: MAJ.apply_T(w(X)),
     "Majorizer.apply_Qhat": lambda w: MAJ.apply_Qhat(w(X)),
@@ -112,7 +106,8 @@ def test_return_type_follows_role(wrap):
     x, _, _ = palm_solve(LP, 1.0, 1.6, x0=wrap(LX), stop=PalmStop(max_iter=2))
     res = scb_eliminate(PROB, wrap(X))
     for got in (classical_sgs_step(PROB.Q, PROB.b, wrap(X)),
-                perturbation(MAJ, wrap(DP), wrap(D)), tr.x0, tr.x_final, x,
+                sgs_cycle(PROB, wrap(X), mode=NoisyMode(seed=0, scale=1e-3)).Delta,
+                tr.x0, tr.x_final, x,
                 res.x_plus, res.reduced_rhs, res.eliminated):
         assert type(got) is BlockVector
 

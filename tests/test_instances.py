@@ -221,6 +221,14 @@ class TestDecoder:
         with pytest.raises(InvalidParams, match=what):
             loads_instance(text)
 
+    @pytest.mark.parametrize("side", [2.5, "3", True, 0])
+    def test_psd_side_not_truncated(self, side):
+        """A PSD side that is not an int >= 1 is refused, not truncated."""
+        doc = json.loads(dumps_instance(gen_qsdp(3, 2, seed=5)))
+        doc["prox"]["side"] = side
+        with pytest.raises(InvalidParams, match="prox.side"):
+            loads_instance(json.dumps(doc))
+
     @pytest.mark.parametrize("section,key,what", [
         (None, "b", "b"), ("Q", "0,1", "Q block 0,1"),
         ("lincon", "A", "lincon.A"), ("qsdp", "B", "qsdp.B")])

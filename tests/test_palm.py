@@ -6,6 +6,7 @@ from sgsqp import (
     BlockSymOperator,
     BlockVector,
     LinConQP,
+    Majorizer,
     PalmStop,
     ProxSpec,
     QsdpData,
@@ -124,6 +125,14 @@ class TestLinConQP:
         assert calls["eigh"] == tr.iterations + 1
         assert sum(calls.values()) <= 2 * tr.iterations + 1
 
+    def test_nonfinite_head_distance_reads_inf(self):
+        """As in ``CompositeQP.kkt_residual``: a NaN multiplier makes the
+        head distance NaN, and the dual residual reads inf."""
+        lp = gen_lincon((2, 2), m=2, prox_kind="nonneg", seed=0).lincon_problem()
+        x = BlockVector(lp.partition, np.abs(np.random.default_rng(1).standard_normal(4)))
+        dual, primal = lp.kkt(x, np.array([np.nan, 0.0]))
+        assert dual == np.inf and np.isfinite(primal)
+
     def test_shape_validation(self):
         from sgsqp.errors import DimensionMismatch
         part = BlockPartition((2, 2))
@@ -194,11 +203,44 @@ class TestPalmSolve:
         with pytest.raises(InvalidParams):
             palm_solve(lp, sigma=1.0, tau=1.0, multiplier_update="stale")
 
-    @pytest.mark.parametrize("tau", [0.0, 2.0, -0.5])
+    @pytest.mark.parametrize("tau", [0.0, 2.0, -0.5, np.nan])
     def test_tau_range(self, tau):
         lp = _projection_problem()
         with pytest.raises(TauOutOfRange):
             palm_solve(lp, sigma=1.0, tau=tau)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 0.0, -1.0, "1"])
+    def test_bad_sigma_refused(self, sigma):
+        lp = _projection_problem()
+        with pytest.raises(InvalidParams, match="sigma"):
+            palm_solve(lp, sigma=sigma, tau=1.0)
+        with pytest.raises(InvalidParams, match="sigma"):
+            assemble_penalized(lp, sigma)
+
+    @pytest.mark.parametrize("tau", ["1", None, [1.0]])
+    def test_tau_that_is_not_a_real_refused(self, tau):
+        lp = _projection_problem()
+        with pytest.raises(InvalidParams, match="tau"):
+            palm_solve(lp, sigma=1.0, tau=tau)
+
+    def test_run_computes_no_certificate(self, monkeypatch):
+        """Exact cycles with a nonsmooth head run no factored step and
+        certify nothing: the run is the same with the majorizer's factor,
+        perturbation and diagonal norm unusable."""
+        lp = gen_lincon((2, 2, 2), m=2, prox_kind="nonneg", seed=9).lincon_problem()
+        stop = PalmStop(kkt_tol=1e-7, max_iter=10000)
+        want = palm_solve(lp, sigma=10.0, tau=1.6, stop=stop)
+
+        def refuse(*_args, **_kw):
+            raise AssertionError("a certificate was computed")
+
+        for name in ("factor", "perturbation", "dinv_norm"):
+            monkeypatch.setattr(Majorizer, name, refuse)
+        x, y, tr = palm_solve(lp, sigma=10.0, tau=1.6, stop=stop)
+        assert tr.termination == want[2].termination == "tol"
+        assert tr.iterations == want[2].iterations
+        np.testing.assert_array_equal(x.data, want[0].data)
+        np.testing.assert_array_equal(y, want[1])
 
     def test_nonsmooth_constrained_run(self):
         lp = gen_lincon((2, 2, 2), m=2, prox_kind="nonneg",

@@ -16,7 +16,7 @@ from sgsqp import (
     svec_dim,
 )
 from sgsqp import proxmap
-from sgsqp.errors import NeedsShift
+from sgsqp.errors import InvalidParams, NeedsShift
 from sgsqp.oracle import dense_qp_minimize
 
 
@@ -53,6 +53,31 @@ class TestSvec:
     def test_diag_entries_unscaled(self):
         v = svec(np.diag([1.0, -1.0]))
         np.testing.assert_array_equal(v, [1.0, 0.0, -1.0])
+
+
+class TestConstructorValues:
+    """A PSD side that is not an int ``>= 1`` used to be truncated by
+    ``int``: 2.5 gave a side-2 cone and True a side-1 one.  An l1 weight
+    went through ``float``, so a string was accepted."""
+
+    @pytest.mark.parametrize("side", [2.5, True, 0, -1, "3", np.nan])
+    def test_bad_side_refused(self, side):
+        with pytest.raises(InvalidParams, match="side"):
+            ProxSpec.psd_cone(side)
+
+    def test_numpy_int_side_stays_valid(self):
+        spec = ProxSpec.psd_cone(np.int64(3))
+        assert spec.side == 3 and type(spec.side) is int
+        assert spec == ProxSpec.psd_cone(3)
+
+    @pytest.mark.parametrize("lam", ["0.5", -1.0, np.inf, np.nan, None])
+    def test_bad_l1_weight_refused(self, lam):
+        with pytest.raises(InvalidParams, match="l1 weight"):
+            ProxSpec.l1(lam)
+
+    def test_numpy_l1_weight_stays_valid(self):
+        spec = ProxSpec.l1(np.float64(0.5))
+        assert spec.lam == 0.5 and type(spec.lam) is float
 
 
 class TestClosedForms:

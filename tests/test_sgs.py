@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,18 +10,15 @@ from sgsqp import (
     CompositeQP,
     ExactMode,
     IterativeMode,
+    Majorizer,
     NoisyMode,
     classical_sgs_step,
-    error_bound,
-    exact_xi,
-    perturbation,
     sgs_cycle,
     ssor_cycle,
     ssor_tuning,
     subproblem_kkt,
 )
-from sgsqp.errors import (DiagonalNotPD, FirstBlockMismatch, InvalidParams,
-                          NotPD, OmegaOutOfRange)
+from sgsqp.errors import DiagonalNotPD, InvalidParams, NotPD, OmegaOutOfRange
 from sgsqp.oracle import dense_subproblem_solve
 
 from conftest import anchor_2x2, random_problem, random_point, shifted_problem
@@ -175,6 +174,18 @@ class TestNoisyModeParams:
         assert np.isfinite([res.xi, res.xi_bound]).all()
 
 
+def _exact_xi(maj, dp, d):
+    """``||Qhat^{-1/2} Delta(delta', delta)||``, as a cycle computes it."""
+    return maj.quad_norm(maj.perturbation(dp, d), "Qhat_inv")
+
+
+def _error_bound(maj, dp, d):
+    """``||M^{-1/2}(delta - delta')|| + ||Qhat^{-1/2} delta'||``, as a
+    cycle computes it."""
+    return (maj.dinv_norm(np.asarray(d) - np.asarray(dp))
+            + maj.quad_norm(dp, "Qhat_inv"))
+
+
 class TestPerturbationAlgebra:
     def test_anchor_values(self):
         prob = anchor_2x2()
@@ -182,20 +193,11 @@ class TestPerturbationAlgebra:
         part = prob.partition
         dp = BlockVector(part, np.array([0.0, 0.0]))
         d = BlockVector(part, np.array([0.0, 1.0]))
-        np.testing.assert_allclose(perturbation(maj, dp, d).data, [0.5, 1.0],
+        np.testing.assert_allclose(maj.perturbation(dp, d), [0.5, 1.0],
                                    atol=1e-15)
-        assert exact_xi(maj, dp, d) <= error_bound(maj, dp, d) + 1e-12
-        assert error_bound(maj, dp, d) == pytest.approx(1.0 / np.sqrt(2.0),
-                                                        rel=1e-12)
-
-    def test_first_block_mismatch_rejected(self):
-        prob = anchor_2x2()
-        maj = prob.majorizer()
-        part = prob.partition
-        dp = BlockVector(part, np.array([1.0, 0.0]))
-        d = BlockVector(part, np.array([0.0, 1.0]))
-        with pytest.raises(FirstBlockMismatch):
-            perturbation(maj, dp, d)
+        assert _exact_xi(maj, dp, d) <= _error_bound(maj, dp, d) + 1e-12
+        assert _error_bound(maj, dp, d) == pytest.approx(1.0 / np.sqrt(2.0),
+                                                         rel=1e-12)
 
     def test_exact_xi_vs_dense(self, rng):
         prob = random_problem(5, dims=(2, 2, 2))
@@ -206,11 +208,70 @@ class TestPerturbationAlgebra:
         d = np.concatenate([d1, rng.standard_normal(part.total - part.dims[0])])
         dp = BlockVector(part, dp)
         d = BlockVector(part, d)
-        Delta = perturbation(maj, dp, d)
+        Delta = maj.perturbation(dp, d)
         Qhat = maj.densify("Qhat")
-        want = float(np.sqrt(Delta.data @ np.linalg.solve(Qhat, Delta.data)))
-        assert exact_xi(maj, dp, d) == pytest.approx(want, rel=1e-10)
-        assert want <= error_bound(maj, dp, d) + 1e-12
+        want = float(np.sqrt(Delta @ np.linalg.solve(Qhat, Delta)))
+        assert _exact_xi(maj, dp, d) == pytest.approx(want, rel=1e-10)
+        assert want <= _error_bound(maj, dp, d) + 1e-12
+
+
+class TestCertificatesOnDemand:
+    """A cycle computes no certificate; its result forms ``Delta``, ``xi``
+    and ``xi_bound`` from its own majorizer when they are first read."""
+
+    NOISY = NoisyMode(seed=4, scale=1e-3)
+    CASES = {
+        "noisy": lambda p, x: sgs_cycle(p, x, mode=TestCertificatesOnDemand.NOISY),
+        "iterative": lambda p, x: sgs_cycle(p, x, mode=IterativeMode(rel_tol=1e-3)),
+        "forward-reuse": lambda p, x: sgs_cycle(
+            p, x, mode=TestCertificatesOnDemand.NOISY, forward_reuse=1.0),
+        "ssor": lambda p, x: ssor_cycle(p, x, 1.6, mode=TestCertificatesOnDemand.NOISY),
+    }
+
+    @staticmethod
+    def _problem(case):
+        if case == "forward-reuse":
+            return TestForwardReuse._weak_coupling_problem()
+        prob = random_problem(2, dims=(2, 3, 2), prox_kind="l1")
+        return prob, random_point(prob, 3)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_values_are_the_majorizer_formulas(self, case):
+        prob, xbar = self._problem(case)
+        res = self.CASES[case](prob, xbar)
+        maj = (prob.majorizer("ssor", 1.6) if case == "ssor"
+               else prob.majorizer())
+        assert res.maj is maj
+        assert (res.variant, res.omega) == (("ssor", 1.6) if case == "ssor"
+                                            else ("sgs", None))
+        assert bool(res.reused) == (case == "forward-reuse")
+        dp, d = res.delta_prime, res.delta
+        np.testing.assert_array_equal(dp.block(0), d.block(0))
+        assert d.norm() > 0.0
+        Delta = maj.perturbation(dp.data, d.data)
+        np.testing.assert_array_equal(res.Delta.data, Delta)
+        assert res.xi == maj.quad_norm(Delta, "Qhat_inv")
+        assert res.xi_bound == (maj.dinv_norm(d.data - dp.data)
+                                + maj.quad_norm(dp.data, "Qhat_inv"))
+        for name in ("Delta", "xi", "xi_bound"):
+            assert getattr(res, name) is getattr(res, name)
+        assert not {"Delta", "xi", "xi_bound", "variant", "omega"} & {
+            f.name for f in dataclasses.fields(res)}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cycle_computes_none(self, case, monkeypatch):
+        prob, xbar = self._problem(case)
+        want = self.CASES[case](prob, xbar)
+
+        def refuse(*_args, **_kw):
+            raise AssertionError("a certificate was computed")
+
+        for name in ("factor", "perturbation", "dinv_norm", "quad_norm"):
+            monkeypatch.setattr(Majorizer, name, refuse)
+        got = self.CASES[case](prob, xbar)
+        np.testing.assert_array_equal(got.x_plus.data, want.x_plus.data)
+        with pytest.raises(AssertionError, match="certificate"):
+            got.Delta
 
 
 class TestSsor:

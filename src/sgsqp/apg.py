@@ -41,10 +41,21 @@ _T_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Momentum coefficient schedule: constant, accelerated, or restarted."""
+    """Momentum coefficient schedule: constant, accelerated, or restarted
+    every ``period`` (an int ``>= 1``, for "restart" only) iterations.
+    Other values raise :class:`InvalidParams`."""
 
     kind: str
     period: int = None
+
+    def __post_init__(self):
+        if self.kind not in ("constant", "nesterov", "restart"):
+            raise InvalidParams(f"unknown step schedule {self.kind!r}")
+        if self.kind == "restart":
+            object.__setattr__(self, "period",
+                               int_at_least(self.period, "restart period", 1))
+        elif self.period is not None:
+            raise InvalidParams(f"a {self.kind} schedule takes no period")
 
     @classmethod
     def constant(cls):
@@ -56,7 +67,7 @@ class StepSchedule:
 
     @classmethod
     def restart(cls, period):
-        return cls("restart", period=int_at_least(period, "restart period", 1))
+        return cls("restart", period=period)
 
     def advance(self, t, k):
         """``t_{k+1}`` from ``t_k`` at outer iteration ``k``.
@@ -66,15 +77,10 @@ class StepSchedule:
         """
         if self.kind == "constant":
             t_next, restarted = 1.0, False
-        elif self.kind == "nesterov":
-            t_next, restarted = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t)), False
-        elif self.kind == "restart":
-            if k % self.period == 0:
-                t_next, restarted = 1.0, True
-            else:
-                t_next, restarted = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t)), False
+        elif self.kind == "restart" and k % self.period == 0:
+            t_next, restarted = 1.0, True
         else:
-            raise InvalidParams(f"unknown step schedule {self.kind!r}")
+            t_next, restarted = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t)), False
         if t_next * t_next - t_next > t * t + _T_SLACK * (1.0 + t * t):
             raise IdentityViolation(
                 f"step schedule emitted an invalid pair (t={t}, t_next={t_next})",
@@ -86,12 +92,30 @@ class StepSchedule:
 @dataclass(frozen=True)
 class ToleranceSchedule:
     """Summable inexactness budget ``eps_k`` for the outer iterations:
-    ``eps0 rate^(k-1)`` (geometric) or ``eps0 / k^exponent`` (power)."""
+    ``eps0 rate^(k-1)`` (geometric, ``rate`` in ``(0, 1)``) or ``eps0 /
+    k^exponent`` (power, ``exponent > 1``), ``eps0`` a finite real ``>=
+    0``.  Other values raise :class:`InvalidParams`; the numbers are kept
+    as floats."""
 
     kind: str
     eps0: float = 0.0
     rate: float = None
     exponent: float = None
+
+    def __post_init__(self):
+        if self.kind not in ("exact", "geometric", "power"):
+            raise InvalidParams(f"unknown tolerance schedule {self.kind!r}")
+        object.__setattr__(self, "eps0", finite_real(self.eps0, "eps0"))
+        if self.kind == "geometric":
+            rate = finite_real(self.rate, "geometric rate")
+            if not (0.0 < rate < 1.0):
+                raise InvalidParams(f"geometric rate must lie in (0,1), got {rate}")
+            object.__setattr__(self, "rate", rate)
+        elif self.kind == "power":
+            a = finite_real(self.exponent, "power exponent")
+            if not a > 1.0:
+                raise InvalidParams(f"power decay needs a > 1 for summability, got {a}")
+            object.__setattr__(self, "exponent", a)
 
     @classmethod
     def exact(cls):
@@ -99,16 +123,10 @@ class ToleranceSchedule:
 
     @classmethod
     def geometric(cls, eps0, rate):
-        eps0, rate = finite_real(eps0, "eps0"), float(rate)
-        if not (0.0 < rate < 1.0):
-            raise InvalidParams(f"geometric rate must lie in (0,1), got {rate}")
         return cls("geometric", eps0=eps0, rate=rate)
 
     @classmethod
     def power(cls, eps0, a=1.5):
-        eps0, a = finite_real(eps0, "eps0"), float(a)
-        if not a > 1.0:
-            raise InvalidParams(f"power decay needs a > 1 for summability, got {a}")
         return cls("power", eps0=eps0, exponent=a)
 
     def value(self, k):
@@ -116,9 +134,7 @@ class ToleranceSchedule:
             return 0.0
         if self.kind == "geometric":
             return self.eps0 * self.rate ** (k - 1)
-        if self.kind == "power":
-            return self.eps0 / float(k) ** self.exponent
-        raise InvalidParams(f"unknown tolerance schedule {self.kind!r}")
+        return self.eps0 / float(k) ** self.exponent
 
 
 @dataclass(frozen=True)
@@ -247,6 +263,11 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
 
     x_cur = x0.copy()
     xt = x0.copy()
+    # ``Q xt`` for the cycle, formed by linearity from the monitoring
+    # products ``Q x_k`` and ``Q x_{k-1}``; the first cycle forms its own,
+    # and ``beta = 0`` at ``k = 1`` hands over ``Q x_1`` exactly, so the
+    # start value of ``Qx_cur`` drops out
+    Qxt, Qx_cur = None, 0.0
     t = 1.0
     t0 = time.perf_counter()
 
@@ -254,7 +275,7 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
         eps_k = tols.value(k)
         budget = eps_k / t
         if mode == "exact":
-            res = _cycle(prob, xt, ExactMode(), maj)
+            res = _cycle(prob, xt, ExactMode(), maj, Qxbar=Qxt)
         else:
             rt = min(inner_cap, budget / (1.0 + bnorm)) if budget > 0 else 0.0
             res = None
@@ -300,10 +321,11 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
             trace.x_final = x_new
             return trace
         if restarted:
-            xt = x_new.copy()
+            xt, Qxt = x_new.copy(), Qx
         else:
             xt = BlockVector(part, x_new.data + beta * (x_new.data - x_cur.data))
-        x_cur, t = x_new, t_next
+            Qxt = Qx + beta * (Qx - Qx_cur)
+        x_cur, Qx_cur, t = x_new, Qx, t_next
 
     trace.termination = "max_iter"
     trace.x_final = x_cur

@@ -445,7 +445,10 @@ class Majorizer:
 
     def relaxed(self, omega):
         """The over-relaxed majorizer, ``omega in [1, 2)``, of the same
-        (shifted) operator, sharing its store and diagonal factors."""
+        (shifted) operator, sharing its store and diagonal factors.  A
+        non-real ``omega`` raises :class:`InvalidParams`."""
+        if not isinstance(omega, numbers.Real):
+            raise InvalidParams(f"omega must be a real number, got {omega!r}")
         omega = float(omega)
         if not (1.0 <= omega < 2.0):
             raise OmegaOutOfRange(f"omega must lie in [1, 2), got {omega}")
@@ -483,11 +486,18 @@ class Majorizer:
         vec = np.asarray(x, dtype=float)
         Y, T = self.factor()
         M = np.sqrt(self._c) * Y + (1.0 - 2.0 * self._a) * T
-        out = M @ (M.T @ vec) / self._c
-        for i, J in enumerate(self.shifts or ()):
+        return self.plus_shift(M @ (M.T @ vec) / self._c, vec)
+
+    def plus_shift(self, v, x):
+        """``v + diag(J) x`` for flat ``v`` and ``x``, added block by block
+        into a new array; ``v`` itself when unshifted."""
+        if self.shifts is None:
+            return v
+        out = np.array(v, dtype=float)
+        for i, J in enumerate(self.shifts):
             if J is not None:
                 sl = self.partition.slice(i)
-                out[sl] += J @ vec[sl]
+                out[sl] += J @ x[sl]
         return out
 
     def apply_Qhat(self, x):

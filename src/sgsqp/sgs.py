@@ -15,9 +15,12 @@ and its weighted norm bound when they are first read.
 With no nonsmooth term (``p = 0``) and exact solves the cycle is, by the
 block sGS decomposition theorem, the step ``x+ = xbar + Qhat^{-1}(b_e - A
 xbar)``.  That case skips the sweeps: with the majorizer's factor ``Qhat =
-Y Y^T`` it is one product with the (shifted) operator ``A`` and three
-triangular solves, ``z = Y^{-1}(b_e - A xbar)``, ``x+ = xbar + Y^{-T} z``
-and ``x' = xbar + c^{-1/2} T^{-T} z``.
+Y Y^T`` it is two triangular solves, ``z = Y^{-1}(b_e - A xbar)`` and ``x+
+= xbar + Y^{-T} z``, and one product ``A xbar`` with the (shifted) operator
+``A``.  A caller that already holds ``Q xbar`` (the accelerated loop forms
+it by linearity) hands it over and the product is skipped.  The backward
+intermediate ``x' = xbar + c^{-1/2} T^{-T} z`` is solved for only when it
+is read.
 """
 
 import math
@@ -180,11 +183,8 @@ class CompositeQP:
         """``b + diag(J) xbar`` — the sweeps' right-hand side."""
         if self.shifts is None:
             return self.b
-        out = self.b.copy()
-        for i, J in enumerate(self.shifts):
-            if J is not None:
-                out.set_block(i, out.block(i) + J @ xbar.block(i))
-        return out
+        return BlockVector(self.partition,
+                           self.majorizer().plus_shift(self.b.data, xbar.data))
 
     def objective(self, x, Qx=None):
         """``F(x) = p(x_1) + 0.5 <x, Q x> - <b, x>`` (original operator);
@@ -211,17 +211,21 @@ class CycleResult:
     """Everything one cycle produced; its certificates on demand.
 
     ``x_prime`` holds the backward-sweep intermediates (its first block
-    equals ``x_plus``'s for the Gauss-Seidel kind); ``delta_prime`` and
-    ``delta`` are the realized backward/forward residuals, equal on block
-    1 by construction, and ``maj`` is the cycle's majorizer.  ``Delta``,
-    their aggregate perturbation, and ``xi``/``xi_bound``, the exact and
-    bounding values of ``||Qhat^{-1/2} Delta||``, are computed from
-    ``maj`` when first read; the bound is ``||M^{-1/2}(delta - delta')|| +
-    ||Qhat^{-1/2} delta'||``, ``M`` the majorizer's middle diagonal.
+    equals ``x_plus``'s for the Gauss-Seidel kind).  ``backward`` is the
+    sweep's ``x_prime`` itself, or the factored step's pair ``(xbar, z)``
+    from which ``x_prime = xbar + c^{-1/2} T^{-T} z`` is solved on first
+    read; ``xbar`` is a copy, so a caller may reuse its centre.
+    ``delta_prime`` and ``delta`` are the realized backward/forward
+    residuals, equal on block 1 by construction, and ``maj`` is the
+    cycle's majorizer.  ``Delta``, their aggregate perturbation, and
+    ``xi``/``xi_bound``, the exact and bounding values of
+    ``||Qhat^{-1/2} Delta||``, are computed from ``maj`` when first read;
+    the bound is ``||M^{-1/2}(delta - delta')|| + ||Qhat^{-1/2} delta'||``,
+    ``M`` the majorizer's middle diagonal.
     """
 
     x_plus: BlockVector
-    x_prime: BlockVector
+    backward: object
     delta_prime: BlockVector
     delta: BlockVector
     gamma1: np.ndarray
@@ -237,6 +241,15 @@ class CycleResult:
     @property
     def omega(self):
         return self.maj.omega
+
+    @cached_property
+    def x_prime(self):
+        if isinstance(self.backward, BlockVector):
+            return self.backward
+        centre, z = self.backward
+        T = self.maj.factor()[1]
+        return BlockVector(self.maj.partition,
+                           centre + self.maj._c ** -0.5 * dtrsv(T, z, trans=1))
 
     @property
     def delta_tilde_norm(self):
@@ -308,28 +321,32 @@ def cg(A, b, *, rtol, maxiter, callback):
     return x, maxiter
 
 
-def _cycle(prob, xbar, mode, maj, reuse_c=None):
+def _cycle(prob, xbar, mode, maj, reuse_c=None, Qxbar=None):
     """One cycle of ``prob`` at ``xbar`` with the majorizer ``maj`` of
     ``prob``, which fixes the outer scale ``tau``, the middle scale ``rho``
-    and the relaxation ``omega`` (None for the Gauss-Seidel kind)."""
+    and the relaxation ``omega`` (None for the Gauss-Seidel kind).
+    ``Qxbar``, when given, is ``Q xbar`` (unshifted ``Q``); only the
+    factored step reads it."""
     mode = _as_mode(mode)
     if not isinstance(xbar, BlockVector):
         xbar = BlockVector(prob.partition, xbar)
     be = prob.effective_b(xbar).data
     if isinstance(mode, ExactMode) and prob.prox.kind == "zero" and reuse_c is None:
-        return _factored_step(prob, xbar.data, be, maj)
+        return _factored_step(prob, xbar.data, be, maj, Qxbar)
     return _sweep_cycle(prob, xbar.data, be, mode, maj, reuse_c)
 
 
-def _factored_step(prob, xb, be, maj):
+def _factored_step(prob, xb, be, maj, Qxb):
     """The exact cycle with no head term: the factored step of the module
-    docstring."""
+    docstring, two solves with ``Y``.  ``A xbar`` is ``Qxb`` plus the
+    shifts, or one product when ``Qxb`` is None."""
     part = prob.partition
-    Y, T = maj.factor()
-    z = dtrsv(Y, be - maj.eff.matvec(xb))
+    Y = maj.factor()[0]
+    Axb = maj.eff.matvec(xb) if Qxb is None else maj.plus_shift(Qxb, xb)
+    z = dtrsv(Y, be - Axb)
     return CycleResult(
         x_plus=BlockVector(part, xb + dtrsv(Y, z, trans=1)),
-        x_prime=BlockVector(part, xb + maj._c ** -0.5 * dtrsv(T, z, trans=1)),
+        backward=(xb.copy(), z),
         delta_prime=BlockVector.zeros(part), delta=BlockVector.zeros(part),
         gamma1=np.zeros(part.dims[0]), maj=maj, inner_iters=(0,) * part.s)
 
@@ -427,7 +444,7 @@ def _sweep_cycle(prob, xb, be, mode, maj, reuse_c):
 
     return CycleResult(
         x_plus=BlockVector(part, xplus),
-        x_prime=BlockVector(part, xp),
+        backward=BlockVector(part, xp),
         delta_prime=BlockVector(part, dprime),
         delta=BlockVector(part, delta),
         gamma1=gamma1,
@@ -457,26 +474,32 @@ def sgs_cycle(prob, xbar, mode="exact", forward_reuse=None):
     CycleResult
         Its ``x_plus`` exactly minimizes the proximal subproblem at
         ``xbar`` perturbed by the reported ``Delta``.
+
+    A centre holding NaN or inf raises :class:`NonFinite`.
     """
     if forward_reuse is not None:
         finite_real(forward_reuse, "forward_reuse", positive=True)
-    return _cycle(prob, xbar, mode, prob.majorizer(), reuse_c=forward_reuse)
+    return _cycle(prob, finite(xbar, "xbar"), mode, prob.majorizer(),
+                  reuse_c=forward_reuse)
 
 
 def ssor_cycle(prob, xbar, omega, mode="exact"):
     """One symmetric over-relaxed cycle, ``omega in [1, 2)``.
 
     At ``omega = 1`` this coincides with :func:`sgs_cycle` (the code path
-    is the over-relaxed one; the arithmetic agrees exactly).
+    is the over-relaxed one; the arithmetic agrees exactly).  A centre
+    holding NaN or inf raises :class:`NonFinite`.
     """
-    return _cycle(prob, xbar, mode, prob.majorizer("ssor", omega))
+    return _cycle(prob, finite(xbar, "xbar"), mode,
+                  prob.majorizer("ssor", omega))
 
 
 def classical_sgs_step(Q, b, xk, maj=None):
     """Fixed-point step ``x + Qhat^{-1} (b - Q x)`` of the classical
-    symmetric Gauss-Seidel iteration (no nonsmooth term involved)."""
+    symmetric Gauss-Seidel iteration (no nonsmooth term involved); a
+    centre ``xk`` holding NaN or inf raises :class:`NonFinite`."""
     maj = maj if maj is not None else sgs_operator(Q)
-    x = np.asarray(xk, dtype=float)
+    x = finite(xk, "xk")
     step = maj.solve_Qhat(np.asarray(b, dtype=float) - Q.matvec(x))
     return BlockVector(Q.partition, x + step)
 

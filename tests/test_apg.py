@@ -24,7 +24,8 @@ from sgsqp import (
 from sgsqp import apg, sgs
 from sgsqp.apg import TraceRow
 from sgsqp.errors import InvalidParams, NotPD
-from sgsqp.oracle import dense_optimum
+from sgsqp.instances import gen
+from sgsqp.oracle import dense_optimum, dense_subproblem_solve
 
 from conftest import anchor_2x2, indefinite_2x2, random_problem, shifted_problem
 
@@ -278,6 +279,84 @@ class TestSolve:
         tr = solve(prob, steps=StepSchedule.restart(10),
                    stop=StopRule(kkt_tol=1e-9, max_iter=3000))
         assert tr.termination == "tol"
+
+
+def _spy_cycles(monkeypatch):
+    """Record ``(xbar, Qxbar handed over, result)`` for every cycle that
+    ``solve`` runs."""
+    seen = []
+
+    def spy(prob, xbar, mode, maj, **kwargs):
+        res = sgs._cycle(prob, xbar, mode, maj, **kwargs)
+        seen.append((xbar.data.copy(), kwargs.get("Qxbar") is not None, res))
+        return res
+
+    monkeypatch.setattr(apg, "_cycle", spy)
+    return seen
+
+
+class TestFactoredIteration:
+    """An exact zero-prox iteration takes ``Q xbar`` by linearity from the
+    monitoring products, so it costs one product and two solves with
+    ``Y``; ``x'`` is never formed."""
+
+    def test_one_product_per_iteration_plus_the_first_cycle(self, monkeypatch):
+        prob = random_problem(1)
+        calls = []
+        orig = prob.Q.matvec
+        monkeypatch.setattr(prob.Q, "matvec",
+                            lambda v: calls.append(1) or orig(v))
+        tr = solve(prob, stop=StopRule(kkt_tol=1e-10, max_iter=200))
+        assert tr.termination == "tol" and tr.iterations > 5
+        assert len(calls) <= tr.iterations + 1
+
+    def test_cycles_solve_only_with_Y(self, monkeypatch):
+        prob = random_problem(1)
+        Y = prob.majorizer().factor()[0]
+        mats = []
+        orig = sgs.dtrsv
+        monkeypatch.setattr(sgs, "dtrsv",
+                            lambda a, *args, **kw: mats.append(a) or orig(a, *args, **kw))
+        seen = _spy_cycles(monkeypatch)
+        tr = solve(prob, stop=StopRule(kkt_tol=1e-10, max_iter=200))
+        assert tr.termination == "tol"
+        assert len(seen) == tr.iterations
+        assert len(mats) == 2 * len(seen)
+        assert all(a is Y for a in mats)
+
+    @pytest.mark.parametrize("case", ["nesterov", "restart3", "constant", "ssor",
+                                      "shifted"])
+    def test_every_cycle_matches_the_oracle(self, case, monkeypatch):
+        prob = (shifted_problem(2, prox_kind="zero") if case == "shifted"
+                else random_problem(5))
+        steps = {"restart3": StepSchedule.restart(3),
+                 "constant": StepSchedule.constant()}.get(case, StepSchedule.nesterov())
+        omega = 1.4 if case == "ssor" else None
+        seen = _spy_cycles(monkeypatch)
+        solve(prob, steps=steps, variant="sgs" if omega is None else "ssor",
+              omega=omega, stop=StopRule(kkt_tol=1e-10, max_iter=40))
+        # every cycle after the first is handed its product
+        assert [handed for _, handed, _ in seen] == [False] + [True] * (len(seen) - 1)
+        for xbar, _, res in seen:
+            ref = dense_subproblem_solve(prob, xbar, kind=res.variant, omega=omega)
+            assert np.linalg.norm(res.x_plus.data - ref.data) <= 1e-9 * (
+                1.0 + np.linalg.norm(ref.data))
+
+    def test_iterations_match_direct_products(self, monkeypatch):
+        """Over generated instances, the run with ``Q xbar`` formed by
+        linearity takes the iterations of the run that multiplies."""
+        probs = [gen((3,) * 6, kappa=30.0, prox_kind="zero", seed=seed).composite()
+                 for seed in range(20)]
+        stop = StopRule(kkt_tol=1e-10, max_iter=2000)
+        fast = [solve(p, stop=stop) for p in probs]
+        monkeypatch.setattr(apg, "_cycle", lambda p, x, m, maj, Qxbar=None:
+                            sgs._cycle(p, x, m, maj))
+        for p, got in zip(probs, fast):
+            want = solve(p, stop=stop)
+            assert got.termination == want.termination == "tol"
+            assert got.iterations == want.iterations
+            np.testing.assert_allclose(got.x_final.data, want.x_final.data,
+                                       rtol=1e-10, atol=1e-12)
 
 
 class TestTrace:

@@ -132,6 +132,20 @@ SMALL = random_problem(0)               # 7 unknowns in blocks (2, 3, 2)
 
 BAD_OPTIONS = {
     "restart-fraction": (InvalidParams, lambda: StepSchedule.restart(1.9)),
+    "restart-period-zero": (InvalidParams, lambda: StepSchedule("restart", period=0)),
+    "restart-period-missing": (InvalidParams, lambda: StepSchedule("restart")),
+    "step-kind-unknown": (InvalidParams, lambda: StepSchedule("bogus")),
+    "nesterov-period": (InvalidParams, lambda: StepSchedule("nesterov", period=3)),
+    "geometric-rate-text": (InvalidParams,
+                            lambda: ToleranceSchedule.geometric(1e-3, "abc")),
+    "geometric-rate-missing": (InvalidParams,
+                               lambda: ToleranceSchedule("geometric", eps0=1e-3)),
+    "power-exponent-text": (InvalidParams, lambda: ToleranceSchedule.power(1e-3, "x")),
+    "tolerance-kind-unknown": (InvalidParams, lambda: ToleranceSchedule("bogus")),
+    "ssor-omega-text": (InvalidParams,
+                        lambda: ssor_cycle(SMALL, np.zeros(7), omega="x")),
+    "solve-omega-text": (InvalidParams,
+                         lambda: solve(SMALL, variant="ssor", omega="x")),
     "stop-max-iter-fraction": (InvalidParams, lambda: StopRule(max_iter=2.5)),
     "stop-max-iter-negative": (InvalidParams, lambda: StopRule(max_iter=-3)),
     "stop-kkt-tol-nan": (InvalidParams, lambda: StopRule(kkt_tol=np.nan)),

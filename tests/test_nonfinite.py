@@ -15,8 +15,11 @@ from sgsqp import (
     LinConQP,
     NonFinite,
     QsdpData,
+    classical_sgs_step,
     palm_solve,
+    sgs_cycle,
     solve,
+    ssor_cycle,
 )
 from sgsqp.instances import gen_lincon, gen_qsdp
 
@@ -81,6 +84,20 @@ def test_solve_start_point(bad):
                            _poison(np.zeros(prob.partition.total), bad))):
         with pytest.raises(NonFinite, match="x0"):
             solve(prob, x0=x0)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("entry", ["sgs_cycle", "ssor_cycle", "classical_sgs_step"])
+def test_cycle_centre(entry, bad):
+    prob = random_problem(0)
+    x = _poison(np.zeros(prob.partition.total), bad)
+    call, name = {
+        "sgs_cycle": (lambda: sgs_cycle(prob, x), "xbar"),
+        "ssor_cycle": (lambda: ssor_cycle(prob, x, 1.5), "xbar"),
+        "classical_sgs_step": (lambda: classical_sgs_step(prob.Q, prob.b, x), "xk"),
+    }[entry]
+    with pytest.raises(NonFinite, match=f"{name} contains"):
+        call()
 
 
 @pytest.mark.parametrize("bad", BAD)

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dtrsv
 
 from sgsqp import (
     BlockPartition,
@@ -33,6 +34,22 @@ class TestExactCycle:
         np.testing.assert_allclose(res.Delta.data, 0.0, atol=1e-15)
         assert res.xi == 0.0
         assert res.variant == "sgs"
+
+    @pytest.mark.parametrize("shifted, omega", [(False, None), (True, None),
+                                                (False, 1.5)])
+    def test_factored_x_prime_is_formed_on_demand(self, shifted, omega):
+        """``x' = xbar + c^{-1/2} T^{-T} z`` to the bit, from a copy of the
+        centre: the caller may overwrite ``xbar`` before reading it."""
+        prob = shifted_problem(1, prox_kind="zero") if shifted else random_problem(3)
+        maj = prob.majorizer() if omega is None else prob.majorizer("ssor", omega)
+        xbar = random_point(prob, 4)
+        Y, T = maj.factor()
+        z = dtrsv(Y, prob.effective_b(xbar).data - maj.eff.matvec(xbar.data))
+        want = xbar.data + maj._c ** -0.5 * dtrsv(T, z, trans=1)
+        res = sgs_cycle(prob, xbar) if omega is None else ssor_cycle(prob, xbar, omega)
+        xbar.data[:] = np.nan
+        np.testing.assert_array_equal(res.x_prime.data, want)
+        assert res.x_prime is res.x_prime
 
     @pytest.mark.parametrize("prox_kind", ["zero", "l1", "nonneg"])
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -264,10 +264,10 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
     x_cur = x0.copy()
     xt = x0.copy()
     # ``Q xt`` for the cycle, formed by linearity from the monitoring
-    # products ``Q x_k`` and ``Q x_{k-1}``; the first cycle forms its own,
-    # and ``beta = 0`` at ``k = 1`` hands over ``Q x_1`` exactly, so the
-    # start value of ``Qx_cur`` drops out
-    Qxt, Qx_cur = None, 0.0
+    # products ``Q x_k`` and ``Q x_{k-1}``; the first cycle forms its own
+    # unless ``x0 = 0``, and ``beta = 0`` at ``k = 1`` hands over ``Q x_1``
+    # exactly, so the start value of ``Qx_cur`` drops out
+    Qxt, Qx_cur = None if x0.data.any() else np.zeros(part.total), 0.0
     t = 1.0
     t0 = time.perf_counter()
 
@@ -283,7 +283,7 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
                 if rt < 1e-15:
                     res = None
                     break
-                res = _cycle(prob, xt, IterativeMode(rt), maj)
+                res = _cycle(prob, xt, IterativeMode(rt), maj, Qxbar=Qxt)
                 realized = max(res.delta_tilde_norm, res.delta_norm)
                 if realized <= budget:
                     break

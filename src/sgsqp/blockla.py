@@ -18,11 +18,12 @@ as the diagonal blocks are.
 An operator's one copy of ``Q`` is a dense row-major store written at
 construction, which also factors each diagonal block once, ``Q_ii = T_i
 T_i^T`` with ``T_i`` upper triangular, for the sweeps and the majorizer.
-Every sweep runs through :func:`sweep`, one block substitution kernel:
-per block one panel product per side and one diagonal solve.  A
-majorizer assembles ``Qhat = Y Y^T`` once, ``Y`` upper triangular
-(:meth:`Majorizer.factor`); its products, solves and norms all go
-through ``Y`` and ``T`` and involve no sweep.
+Every sweep runs through :func:`sweep`, one block substitution kernel
+for ``(a D + U) z = y`` or ``(a D + U^*) z = y``: per block one product
+with a panel of that triangle and two triangular solves with the block's
+factor.  A majorizer assembles ``Qhat = Y Y^T`` once, ``Y`` upper
+triangular (:meth:`Majorizer.factor`); its products, solves and norms
+all go through ``Y`` and ``T`` and involve no sweep.
 """
 
 import numbers
@@ -32,7 +33,7 @@ from itertools import accumulate
 import numpy as np
 from scipy.linalg import block_diag, eigvalsh
 from scipy.linalg.blas import dtrmv, dtrsv
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import (
     DiagonalNotPD,
@@ -344,10 +345,13 @@ class BlockSymOperator:
         return self._rchol
 
     def diag_solve(self, i, rhs):
-        """``Q_{ii}^{-1} rhs = J (L_i L_i^T)^{-1} J rhs``, one ``dpotrs`` on
+        """``Q_{ii}^{-1} rhs = J L_i^{-T} L_i^{-1} J rhs``: two triangular
+        solves (``dtrsv``) with the stored factor of the reversed block on
         the reversed ``rhs``, with no per-call finiteness check (inputs are
         checked where they enter)."""
-        return dpotrs(self.diag_factors()[i], rhs[::-1], lower=1)[0][::-1]
+        L = self.diag_factors()[i]
+        return dtrsv(L, dtrsv(L, rhs[::-1], lower=1), lower=1, trans=1,
+                     overwrite_x=1)[::-1]
 
     # -- derived operators -------------------------------------------
 
@@ -378,19 +382,19 @@ class BlockSymOperator:
         return BlockSymOperator(self.partition, blocks)
 
 
-def sweep(op, y, a, lower, w=None, solve=None, start=0, out=None):
+def sweep(op, y, a, lower, solve=None, start=0, out=None):
     """Block substitution over the row panels of ``op``, the kernel of
     every sweep.
 
     With ``L = U^*`` below the block diagonal ``D``, a forward pass
-    (``lower``, blocks ``start..s-1``) solves ``(a D + L) z = y - ((1-a) D
-    + U) w``, a backward pass (blocks ``s-1..start``) ``(a D + U) z = y -
-    ((1-a) D + L) w``; no ``w``, no such term.  Per block: one panel
-    product per side and one ``solve(i, rhs)`` returning ``z_i`` (default:
-    ``a Q_ii z_i = rhs`` by the cached factor).  ``z`` is written into
-    ``out``, whose blocks before ``start`` a forward pass reads as known.
+    (``lower``, blocks ``start..s-1``) solves ``(a D + L) z = y`` and reads
+    only the lower panels, a backward pass (blocks ``s-1..start``) ``(a D +
+    U) z = y`` and reads only the upper ones.  Per block: one panel product
+    and one ``solve(i, rhs)`` returning ``z_i`` (default: ``a Q_ii z_i =
+    rhs`` by the cached factor).  ``z`` is written into ``out``, whose
+    blocks before ``start`` a forward pass reads as known.
     """
-    _, low, up, diag = op.panels()
+    _, low, up, _ = op.panels()
     off = op.partition.offsets
     z = np.zeros(op.n) if out is None else out
     if solve is None:
@@ -398,17 +402,8 @@ def sweep(op, y, a, lower, w=None, solve=None, start=0, out=None):
             return op.diag_solve(i, rhs) / a
     for i in range(start, op.s) if lower else range(op.s - 1, start - 1, -1):
         lo, hi = off[i], off[i + 1]
-        if lower:
-            r = y[lo:hi] - low[i] @ z[:lo]
-            if w is not None:
-                r -= up[i] @ w[hi:]
-        else:
-            r = y[lo:hi] - up[i] @ z[hi:]
-            if w is not None:
-                r -= low[i] @ w[:lo]
-        if w is not None and a != 1.0:
-            r -= (1.0 - a) * (diag[i] @ w[lo:hi])
-        z[lo:hi] = solve(i, r)
+        known = low[i] @ z[:lo] if lower else up[i] @ z[hi:]
+        z[lo:hi] = solve(i, y[lo:hi] - known)
     return z
 
 

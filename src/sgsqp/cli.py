@@ -8,6 +8,7 @@ identity violation, 5 iterate went non-finite.  Set ``SGSQP_LOG``
 """
 
 import argparse
+import contextlib
 import csv
 import logging
 import os
@@ -168,19 +169,15 @@ def cmd_verify(args):
         for j, r in enumerate(rep.schur_rels, start=1):
             lines.append((f"stage {j} Schur reconstruction", r, 1e-12))
 
-    maj = prob.majorizer("sgs")
-    Qhat = maj.densify("Qhat")
     Qd = Q.dense()
-    ref = oracle.dense_sgs_weight(prob.partition, Qd)
-    err = np.linalg.norm(Qhat - (Qd + ref), "fro") / max(
-        np.linalg.norm(Qhat, "fro"), np.finfo(float).tiny)
-    lines.append(("majorizer splitting identity", err, 1e-12))
-    maj_w = prob.majorizer("ssor", 1.5)
-    Qhat_w = maj_w.densify("Qhat")
-    ref_w = oracle.dense_ssor_weight(prob.partition, Qd, 1.5)
-    err_w = np.linalg.norm(Qhat_w - (Qd + ref_w), "fro") / max(
-        np.linalg.norm(Qhat_w, "fro"), np.finfo(float).tiny)
-    lines.append(("over-relaxed splitting identity", err_w, 1e-12))
+    for name, kind, omega, ref in (
+            ("majorizer", "sgs", None, oracle.dense_sgs_weight(prob.partition, Qd)),
+            ("over-relaxed", "ssor", 1.5,
+             oracle.dense_ssor_weight(prob.partition, Qd, 1.5))):
+        Qhat = prob.majorizer(kind, omega).densify("Qhat")
+        err = np.linalg.norm(Qhat - (Qd + ref), "fro") / max(
+            np.linalg.norm(Qhat, "fro"), np.finfo(float).tiny)
+        lines.append((f"{name} splitting identity", err, 1e-12))
 
     rng = np.random.default_rng(0)
     xbar = prob.b.copy()
@@ -246,15 +243,11 @@ def cmd_bench(args):
 
     fields = ["seed", "method", "omega", "iterations", "termination",
               "predicted_rate", "observed_rate", "rate_gap"]
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
         w = csv.DictWriter(out, fieldnames=fields)
         w.writeheader()
-        for row in rows:
-            w.writerow(row)
-    finally:
-        if args.out:
-            out.close()
+        w.writerows(rows)
     return EXIT_OK
 
 
@@ -331,10 +324,7 @@ def main(argv=None):
     except IdentityViolation as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FILE
-    except SgsQpError as exc:
+    except (FileNotFoundError, ValueError, SgsQpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
 

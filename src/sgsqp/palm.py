@@ -172,9 +172,11 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
     freshly computed x, ``"previous"`` the proximal center.
 
     The right hand side is ``(g + A^T (sigma d)) - A^T y``, with ``A^T y``
-    shared with the previous iteration's :meth:`LinConQP.kkt`: one ``A^T``
-    product per iteration.  A PSD head's certificate reuses the cycle's
-    projection eigenpairs: one eigendecomposition per iteration.
+    shared with the previous iteration's :meth:`LinConQP.kkt`, and the
+    cycle is handed ``Q_sigma x = P x + A^T (sigma (A x - d + d))`` from
+    the monitoring terms (zeros at a zero start): two ``A^T`` products and
+    one ``P`` product per iteration.  A PSD head's certificate reuses the
+    cycle's projection eigenpairs: one eigendecomposition per iteration.
 
     Returns ``(x, y, trace)``; termination is ``"tol"`` once both the
     primal infeasibility and the dual KKT residual fall below
@@ -207,33 +209,36 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
     fresh = multiplier_update == "new"
     gd = prob.g + prob.A.T @ (sigma * prob.d)
     ATy = prob.A.T @ y
+    Qx = None if x.data.any() else np.zeros(part.total)
     trace = PalmTrace()
     t0 = time.perf_counter()
     for k in range(1, stop.max_iter + 1):
         # Step 1: one cycle of the T-weighted subproblem at the current x
         inner.b.data[:] = gd - ATy
-        res = sgs_cycle(inner, x, mode="exact")
+        res = sgs_cycle(inner, x, mode="exact", Qxbar=Qx)
         x_new = res.x_plus
-        # Step 2: multiplier ascent; the "new" residual is also kkt's
+        # Step 2: multiplier ascent; kkt and the next centre reuse resid_new
         resid = prob.constraint_residual((x_new if fresh else x).data)
         y_new = y + tau * sigma * resid
+        resid_new = resid if fresh else prob.constraint_residual(x_new.data)
 
         Px = prob.P.matvec(x_new.data)
         with np.errstate(over="ignore", invalid="ignore"):
             # a diverging run overflows here first; the stop below names it
             ATy_new = prob.A.T @ y_new
-            dual, primal = prob.kkt(x_new.data, y_new, Px,
-                                    resid if fresh else None, ATy_new)
+            dual, primal = prob.kkt(x_new.data, y_new, Px, resid_new, ATy_new)
             F = prob.objective(x_new.data, Px)
+            y_norm = np.linalg.norm(y_new)
+            Qx_new = Px + prob.A.T @ (sigma * (resid_new + prob.d))
         if not (np.isfinite(dual) and np.isfinite(primal)):
             # diverged (e.g. an indefinite penalized operator): keep the
             # last finite pair
             trace.termination = "nonfinite"
             return x, y, trace
-        x, y, ATy = x_new, y_new, ATy_new
+        x, y, ATy, Qx = x_new, y_new, ATy_new, Qx_new
         trace.rows.append(PalmRow(
             k=k, F=F, primal_inf=primal, kkt=dual,
-            y_norm=np.linalg.norm(y), time_s=time.perf_counter() - t0,
+            y_norm=y_norm, time_s=time.perf_counter() - t0,
         ))
         if max(dual, primal) <= stop.kkt_tol:
             trace.termination = "tol"

@@ -12,15 +12,17 @@ per-block solve errors.  Exact block solves give ``Delta = 0``; inexact
 ones report honest residual vectors, from which the result forms ``Delta``
 and its weighted norm bound when they are first read.
 
-With no nonsmooth term (``p = 0``) and exact solves the cycle is, by the
-block sGS decomposition theorem, the step ``x+ = xbar + Qhat^{-1}(b_e - A
-xbar)``.  That case skips the sweeps: with the majorizer's factor ``Qhat =
-Y Y^T`` it is two triangular solves, ``z = Y^{-1}(b_e - A xbar)`` and ``x+
-= xbar + Y^{-T} z``, and one product ``A xbar`` with the (shifted) operator
-``A``.  A caller that already holds ``Q xbar`` (the accelerated loop forms
-it by linearity) hands it over and the product is skipped.  The backward
-intermediate ``x' = xbar + c^{-1/2} T^{-T} z`` is solved for only when it
-is read.
+By the block sGS decomposition theorem a cycle is the step ``x+ = xbar +
+Qhat^{-1}(b_e - A xbar)``, ``A = Q + diag(J)`` and ``b_e = b + diag(J)
+xbar``, with the head prox in the middle.  So a cycle works on the
+residual ``r = b_e - A xbar``, from ``Q xbar`` or a caller's hand-over of
+it.  With ``A = Dhat + U + U^*`` the backward sweep solves ``(tau Dhat +
+U) d = r`` for ``d = x' - xbar`` and the forward sweep ``(tau Dhat + U^*)
+e = r - U d - (1 - tau) Dhat d`` for ``e = x+ - xbar``: each reads one
+triangle, so each off-diagonal block is read once (Eisenstat's trick).
+With ``p = 0`` and exact solves the step is two solves with the
+majorizer's factor ``Qhat = Y Y^T``, ``z = Y^{-1} r`` and ``x+ = xbar +
+Y^{-T} z``; ``x' = xbar + c^{-1/2} T^{-T} z`` is solved for on first read.
 """
 
 import math
@@ -59,7 +61,8 @@ class ExactMode:
 
 @dataclass(frozen=True)
 class IterativeMode:
-    """Solve block systems by conjugate gradients from a zero start.
+    """Solve each block's correction ``x_i - xbar_i`` by conjugate
+    gradients from a zero start.
 
     ``rel_tol`` is the relative residual target per block, finite and
     positive; a block that still misses it after ``max_inner`` (an int
@@ -324,26 +327,25 @@ def cg(A, b, *, rtol, maxiter, callback):
 def _cycle(prob, xbar, mode, maj, reuse_c=None, Qxbar=None):
     """One cycle of ``prob`` at ``xbar`` with the majorizer ``maj`` of
     ``prob``, which fixes the outer scale ``tau``, the middle scale ``rho``
-    and the relaxation ``omega`` (None for the Gauss-Seidel kind).
-    ``Qxbar``, when given, is ``Q xbar`` (unshifted ``Q``); only the
-    factored step reads it."""
+    and the relaxation ``omega`` (None for the Gauss-Seidel kind).  Both
+    paths take the residual ``r`` from ``Qxbar = Q xbar`` (unshifted ``Q``),
+    one product when it is not handed over."""
     mode = _as_mode(mode)
     if not isinstance(xbar, BlockVector):
         xbar = BlockVector(prob.partition, xbar)
-    be = prob.effective_b(xbar).data
+    xb, be = xbar.data, prob.effective_b(xbar).data
+    r = be - maj.plus_shift(prob.Q.matvec(xb) if Qxbar is None else Qxbar, xb)
     if isinstance(mode, ExactMode) and prob.prox.kind == "zero" and reuse_c is None:
-        return _factored_step(prob, xbar.data, be, maj, Qxbar)
-    return _sweep_cycle(prob, xbar.data, be, mode, maj, reuse_c)
+        return _factored_step(prob, xb, r, maj)
+    return _sweep_cycle(prob, xb, r, mode, maj, reuse_c)
 
 
-def _factored_step(prob, xb, be, maj, Qxb):
+def _factored_step(prob, xb, r, maj):
     """The exact cycle with no head term: the factored step of the module
-    docstring, two solves with ``Y``.  ``A xbar`` is ``Qxb`` plus the
-    shifts, or one product when ``Qxb`` is None."""
+    docstring, two solves with ``Y`` on the residual ``r``."""
     part = prob.partition
     Y = maj.factor()[0]
-    Axb = maj.eff.matvec(xb) if Qxb is None else maj.plus_shift(Qxb, xb)
-    z = dtrsv(Y, be - Axb)
+    z = dtrsv(Y, r)
     return CycleResult(
         x_plus=BlockVector(part, xb + dtrsv(Y, z, trans=1)),
         backward=(xb.copy(), z),
@@ -351,21 +353,20 @@ def _factored_step(prob, xb, be, maj, Qxb):
         gamma1=np.zeros(part.dims[0]), maj=maj, inner_iters=(0,) * part.s)
 
 
-def _sweep_cycle(prob, xb, be, mode, maj, reuse_c):
-    """Backward sweep, head-block minimization and forward sweep at the
-    centre ``xb`` with the sweeps' right-hand side ``be``."""
+def _sweep_cycle(prob, xb, r, mode, maj, reuse_c):
+    """Backward sweep, head-block minimization and forward sweep for the
+    corrections ``x' - xbar`` and ``x+ - xbar`` from the residual ``r``."""
     part = prob.partition
     s, off, n1 = part.s, part.offsets, part.dims[0]
-    A, tau, rho = maj.eff, maj._a, maj._c
-    _, low, _, diag = A.panels()
+    A, tau = maj.eff, maj._a
+    diag = A.panels()[3]
     head = prob._head(maj)
     rng = np.random.default_rng(mode.seed) if isinstance(mode, NoisyMode) else None
 
-    dprime = np.zeros(part.total)     # backward residuals
-    delta = np.zeros(part.total)      # forward residuals
-    stalled = []
-    inner = [0] * s
-    gamma1 = None
+    dprime, delta = np.zeros((2, part.total))     # backward/forward residuals
+    rb = np.empty(part.total)         # backward right-hand sides, r - U d
+    stalled, inner = [], [0] * s
+    x1 = gamma1 = None
 
     def cg_block(i, M, rhs, resid):
         def count(_):
@@ -384,44 +385,48 @@ def _sweep_cycle(prob, xb, be, mode, maj, reuse_c):
               if isinstance(mode, IterativeMode) else None)
 
     def solve_block(i, rhs, resid):
-        """Solve ``tau * A_ii x = rhs`` per mode; an inexact solve writes
+        """Solve ``tau * A_ii d = rhs`` per mode; an inexact solve writes
         its honest residual into block ``i`` of ``resid``."""
         if scaled is not None:
             return cg_block(i, scaled[i], rhs, resid)
-        x = A.diag_solve(i, rhs) / tau
+        d = A.diag_solve(i, rhs) / tau
         if rng is not None:
             # exact solve plus a relative perturbation, honest residual
-            noise = rng.standard_normal(x.shape[0])
-            x = x + mode.scale * max(1.0, np.linalg.norm(x)) * noise / max(
-                np.linalg.norm(noise), np.finfo(float).tiny
-            )
-            resid[off[i]:off[i + 1]] = tau * (diag[i] @ x) - rhs
-        return x
+            noise = rng.standard_normal(d.shape[0])
+            size = max(1.0, np.linalg.norm(xb[off[i]:off[i + 1]] + d))
+            d = d + mode.scale * size * noise / max(
+                np.linalg.norm(noise), np.finfo(float).tiny)
+            resid[off[i]:off[i + 1]] = tau * (diag[i] @ d) - rhs
+        return d
 
     def backward(i, rhs):
-        """Blocks s..2 per mode; block 1 is the exact composite minimization,
-        returning the backward intermediate ``x'_1``."""
-        nonlocal gamma1
+        """Blocks s..2 per mode; block 1 is the exact composite minimization
+        with ``c_1 = rhs + H xbar_1``, ``H = (tau^2/rho) Dhat_11``, its
+        output ``x1`` kept as returned so an indicator head stays feasible."""
+        nonlocal x1, gamma1
+        rb[off[i]:off[i + 1]] = rhs
         if i > 0:
             return solve_block(i, rhs, dprime)
-        # ``rhs`` holds ``-(1 - tau) A_11 xbar_1``; the head needs
-        # ``+((1 - tau)^2 / rho) A_11 xbar_1`` instead
-        c1 = rhs if tau == 1.0 else rhs + ((1.0 - tau) * tau / rho) * (
-            diag[0] @ xb[:n1])
-        if prob.prox.kind == "zero" and isinstance(mode, IterativeMode):
-            x1 = cg_block(0, head.A, c1, dprime)
-            gamma1 = np.zeros_like(x1)
+        xb1 = xb[:n1]
+        if head.mu is not None:      # nonsmooth head, ``H = mu I``
+            x1, gamma1 = solve_block1(prob.prox, head, rhs + head.mu * xb1)
+        elif isinstance(mode, IterativeMode):
+            x1, gamma1 = xb1 + cg_block(0, head.A, rhs, dprime), np.zeros(n1)
         else:
-            x1, gamma1 = solve_block1(prob.prox, head, c1)
+            e, gamma1 = solve_block1(prob.prox, head, rhs)
+            x1 = xb1 + e
         delta[:n1] = dprime[:n1]
-        xplus[:n1] = x1
         if tau == 1.0:
-            return x1
-        # backward row-1 identity recovers the intermediate first block
+            return x1 - xb1
+        # backward row-1 identity recovers the intermediate's correction
         return A.diag_solve(0, rhs + dprime[:n1] - gamma1) / tau
 
-    xplus = np.empty(part.total)
-    xp = sweep(A, be, tau, lower=False, w=xb, solve=backward)
+    d = sweep(A, r, tau, lower=False, solve=backward)
+
+    # forward right-hand sides ``rb - (1 - tau) Dhat d``
+    if tau != 1.0:
+        for i in range(1, s):
+            rb[off[i]:off[i + 1]] -= (1.0 - tau) * (diag[i] @ d[off[i]:off[i + 1]])
 
     reused = []
     reuse_thresh = (None if reuse_c is None
@@ -431,31 +436,30 @@ def _sweep_cycle(prob, xb, be, mode, maj, reuse_c):
         if reuse_thresh is None:
             return solve_block(i, rhs, delta)
         sl = part.slice(i)
-        coupling = low[i] @ (xplus[:off[i]] - xb[:off[i]])
+        coupling = rb[sl] - rhs       # ``L_i (x+ - xbar)``, the sweep's product
         if np.linalg.norm(coupling) <= reuse_thresh:
             delta[sl] = dprime[sl] + coupling
             reused.append(i)
-            return xp[sl]
+            return d[sl]
         # under reuse the fresh path must stay exact so the enlarged
         # error budget remains certifiable
         return A.diag_solve(i, rhs) / tau
 
-    sweep(A, be, tau, lower=True, w=xp, solve=forward, start=1, out=xplus)
+    step = np.concatenate((x1 - xb[:n1], np.empty(part.total - n1)))
+    sweep(A, rb, tau, lower=True, solve=forward, start=1, out=step)
 
+    xplus, xp = xb + step, xb + d
+    xplus[:n1] = x1
+    if tau == 1.0:
+        xp[:n1] = x1
     return CycleResult(
-        x_plus=BlockVector(part, xplus),
-        backward=BlockVector(part, xp),
-        delta_prime=BlockVector(part, dprime),
-        delta=BlockVector(part, delta),
-        gamma1=gamma1,
-        maj=maj,
-        stalled=tuple(sorted(stalled)),
-        reused=tuple(reused),
-        inner_iters=tuple(inner),
-    )
+        x_plus=BlockVector(part, xplus), backward=BlockVector(part, xp),
+        delta_prime=BlockVector(part, dprime), delta=BlockVector(part, delta),
+        gamma1=gamma1, maj=maj, stalled=tuple(sorted(stalled)),
+        reused=tuple(reused), inner_iters=tuple(inner))
 
 
-def sgs_cycle(prob, xbar, mode="exact", forward_reuse=None):
+def sgs_cycle(prob, xbar, mode="exact", forward_reuse=None, Qxbar=None):
     """One backward/forward symmetric Gauss-Seidel cycle at ``xbar``.
 
     Parameters
@@ -468,6 +472,10 @@ def sgs_cycle(prob, xbar, mode="exact", forward_reuse=None):
         coupling change is within ``(c/sqrt(s)) ||delta_prime||`` keep
         their backward intermediates; rejected blocks are recomputed with
         the direct factorization.
+    Qxbar : array_like or None
+        Data, not an option: ``Q xbar`` (unshifted ``Q``) from a caller
+        that holds it, so the cycle makes no product.  It is taken as
+        given, checked only for its length and finiteness.
 
     Returns
     -------
@@ -475,12 +483,14 @@ def sgs_cycle(prob, xbar, mode="exact", forward_reuse=None):
         Its ``x_plus`` exactly minimizes the proximal subproblem at
         ``xbar`` perturbed by the reported ``Delta``.
 
-    A centre holding NaN or inf raises :class:`NonFinite`.
+    A centre or ``Qxbar`` holding NaN or inf raises :class:`NonFinite`.
     """
     if forward_reuse is not None:
         finite_real(forward_reuse, "forward_reuse", positive=True)
+    if Qxbar is not None:
+        Qxbar = BlockVector(prob.partition, finite(Qxbar, "Qxbar")).data
     return _cycle(prob, finite(xbar, "xbar"), mode, prob.majorizer(),
-                  reuse_c=forward_reuse)
+                  reuse_c=forward_reuse, Qxbar=Qxbar)
 
 
 def ssor_cycle(prob, xbar, omega, mode="exact"):

@@ -27,7 +27,8 @@ from sgsqp.errors import InvalidParams, NotPD
 from sgsqp.instances import gen
 from sgsqp.oracle import dense_optimum, dense_subproblem_solve
 
-from conftest import anchor_2x2, indefinite_2x2, random_problem, shifted_problem
+from conftest import (anchor_2x2, indefinite_2x2, random_point, random_problem,
+                      shifted_problem)
 
 
 def _stiff_chain():
@@ -223,6 +224,18 @@ class TestSolve:
         assert tr.termination == "tol"
         assert len(calls) == tr.iterations
 
+    def test_one_product_per_inexact_iteration(self, monkeypatch):
+        """Inexact cycles, retries included, are handed ``Q xbar`` too."""
+        prob = random_problem(1, prox_kind="l1")
+        calls = []
+        orig = prob.Q.matvec
+        monkeypatch.setattr(prob.Q, "matvec",
+                            lambda v: calls.append(1) or orig(v))
+        tr = solve(prob, mode="inexact", tols=ToleranceSchedule.power(1e-2, 2.0),
+                   stop=StopRule(kkt_tol=1e-8, max_iter=2000))
+        assert tr.termination == "tol"
+        assert len(calls) == tr.iterations
+
     def test_max_iter_termination(self):
         prob = random_problem(0)
         tr = solve(prob, stop=StopRule(kkt_tol=1e-14, max_iter=3))
@@ -335,12 +348,19 @@ class TestFactoredIteration:
         seen = _spy_cycles(monkeypatch)
         solve(prob, steps=steps, variant="sgs" if omega is None else "ssor",
               omega=omega, stop=StopRule(kkt_tol=1e-10, max_iter=40))
-        # every cycle after the first is handed its product
-        assert [handed for _, handed, _ in seen] == [False] + [True] * (len(seen) - 1)
+        # every cycle is handed its product, zeros at the zero start
+        assert [handed for _, handed, _ in seen] == [True] * len(seen)
         for xbar, _, res in seen:
             ref = dense_subproblem_solve(prob, xbar, kind=res.variant, omega=omega)
             assert np.linalg.norm(res.x_plus.data - ref.data) <= 1e-9 * (
                 1.0 + np.linalg.norm(ref.data))
+
+    def test_nonzero_start_forms_its_first_product(self, monkeypatch):
+        prob = random_problem(5)
+        seen = _spy_cycles(monkeypatch)
+        solve(prob, x0=random_point(prob, 1),
+              stop=StopRule(kkt_tol=1e-10, max_iter=40))
+        assert [handed for _, handed, _ in seen] == [False] + [True] * (len(seen) - 1)
 
     def test_iterations_match_direct_products(self, monkeypatch):
         """Over generated instances, the run with ``Q xbar`` formed by

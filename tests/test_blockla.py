@@ -148,6 +148,23 @@ class TestOperator:
                                    atol=1e-14)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 200, 210])
+    def test_diag_solve_matches_dense_solve(self, n):
+        rng = np.random.default_rng(n)
+        G = rng.standard_normal((n + 1, n + 1))
+        part = BlockPartition((n, 1))
+        Q = BlockSymOperator(part, {(0, 0): G[:n, :n] @ G[:n, :n].T + n * np.eye(n),
+                                    (0, 1): G[:n, n:],
+                                    (1, 1): np.array([[2.0]])})
+        for i in range(2):
+            rhs = rng.standard_normal(part.dims[i])
+            kept = rhs.copy()
+            want = np.linalg.solve(Q.block(i, i), rhs)
+            got = Q.diag_solve(i, rhs)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            np.testing.assert_array_equal(rhs, kept)
+
+
 class TestMajorizerWeights:
     """The dense forms of the weight operators against the oracle."""
 

@@ -101,6 +101,14 @@ def test_cycle_centre(entry, bad):
 
 
 @pytest.mark.parametrize("bad", BAD)
+def test_cycle_handed_product(bad):
+    prob = random_problem(0, prox_kind="l1")
+    n = prob.partition.total
+    with pytest.raises(NonFinite, match="Qxbar contains"):
+        sgs_cycle(prob, np.zeros(n), Qxbar=_poison(np.zeros(n), bad))
+
+
+@pytest.mark.parametrize("bad", BAD)
 def test_palm_start_points(bad):
     lp = gen_lincon((2, 2), m=2, seed=0).lincon_problem()
     with pytest.raises(NonFinite, match="x0"):

@@ -19,7 +19,7 @@ from sgsqp import (
     svec,
     svec_dim,
 )
-from sgsqp import proxmap
+from sgsqp import palm, proxmap
 from sgsqp.errors import InvalidParams, TauOutOfRange
 from sgsqp.instances import gen_lincon, gen_qsdp
 from sgsqp.oracle import (dense_kkt_solve, psd_project, qsdp_assemble,
@@ -198,6 +198,39 @@ class TestPalmSolve:
                               stop=PalmStop(kkt_tol=1e-8, max_iter=10000))
         assert tr.termination == "tol"
 
+    def test_previous_multiplier_variant_matches_the_oracle(self):
+        lp = gen_lincon((2, 3, 2), m=3, seed=1).lincon_problem()
+        xs, ys = dense_kkt_solve(lp.P.dense(), lp.A, lp.g, lp.d)
+        x, y, tr = palm_solve(lp, sigma=10.0, tau=1.0,
+                              multiplier_update="previous",
+                              stop=PalmStop(kkt_tol=1e-9, max_iter=10000))
+        assert tr.termination == "tol"
+        assert np.linalg.norm(x.data - xs) <= 1e-6 * (1.0 + np.linalg.norm(xs))
+        assert np.linalg.norm(y - ys) <= 1e-6 * (1.0 + np.linalg.norm(ys))
+
+    @pytest.mark.parametrize("update", ["new", "previous"])
+    @pytest.mark.parametrize("case", ["lincon", "qsdp"])
+    def test_cycles_are_handed_their_centre_product(self, monkeypatch, update,
+                                                    case):
+        """Every cycle gets ``Q_sigma xbar``, zeros at the zero start, and
+        makes no product of its own."""
+        lp = (gen_lincon((2, 3), m=2, seed=3) if case == "lincon"
+              else gen_qsdp(4, 3)).lincon_problem()
+        seen = []
+
+        def spy(inner, xbar, mode="exact", Qxbar=None):
+            seen.append((inner.Q.matvec(xbar.data), Qxbar))
+            return sgs_cycle(inner, xbar, mode=mode, Qxbar=Qxbar)
+
+        monkeypatch.setattr(palm, "sgs_cycle", spy)
+        _, _, tr = palm_solve(lp, 2.0, 1.0, multiplier_update=update,
+                              stop=PalmStop(kkt_tol=1e-8, max_iter=300))
+        assert len(seen) == tr.iterations > 3
+        assert not seen[0][1].any()
+        for want, got in seen:
+            scale = 1.0 + np.linalg.norm(want)
+            assert np.linalg.norm(got - want) <= 1e-12 * scale
+
     def test_invalid_update_flag(self):
         lp = _projection_problem()
         with pytest.raises(InvalidParams):
@@ -276,6 +309,22 @@ class TestPalmSolve:
         assert capped.termination == "max_iter"
         np.testing.assert_array_equal(x.data, xc.data)
         np.testing.assert_array_equal(y, yc)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_head_run_prints_no_warning(self):
+        """A PSD-cone head over an indefinite ``P``: the run overflows,
+        and the multiplier's norm must not warn before it stops."""
+        part = BlockPartition((6, 2))
+        P = BlockSymOperator(part, {(1, 1): -5.0 * np.eye(2)},
+                             factor_diag=False)
+        rng = np.random.default_rng(0)
+        A = np.hstack([np.eye(6), rng.standard_normal((6, 2))])
+        lp = LinConQP(P, A, rng.standard_normal(8), rng.standard_normal(6),
+                      prox=ProxSpec.psd_cone(3))
+        x, y, tr = palm_solve(lp, 10.0, 1.0,
+                              stop=PalmStop(kkt_tol=1e-9, max_iter=5000))
+        assert tr.termination == "nonfinite"
+        assert np.isfinite(x.data).all() and np.isfinite(y).all()
 
 
 class TestLagrangian:

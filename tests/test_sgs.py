@@ -19,13 +19,20 @@ from sgsqp import (
     ssor_tuning,
     subproblem_kkt,
 )
-from sgsqp.errors import DiagonalNotPD, InvalidParams, NotPD, OmegaOutOfRange
+from sgsqp.errors import (DiagonalNotPD, DimensionMismatch, InvalidParams, NotPD,
+                          OmegaOutOfRange)
 from sgsqp.oracle import dense_subproblem_solve
 
 from conftest import anchor_2x2, random_problem, random_point, shifted_problem
 
 
 class TestExactCycle:
+    @pytest.mark.parametrize("length", [6, 8])
+    def test_handed_product_of_the_wrong_length_refused(self, length):
+        prob = random_problem(0, prox_kind="l1")
+        with pytest.raises(DimensionMismatch):
+            sgs_cycle(prob, np.zeros(7), Qxbar=np.zeros(length))
+
     def test_anchor_from_origin(self):
         prob = anchor_2x2()
         res = sgs_cycle(prob, BlockVector.zeros(prob.partition))
@@ -44,7 +51,8 @@ class TestExactCycle:
         maj = prob.majorizer() if omega is None else prob.majorizer("ssor", omega)
         xbar = random_point(prob, 4)
         Y, T = maj.factor()
-        z = dtrsv(Y, prob.effective_b(xbar).data - maj.eff.matvec(xbar.data))
+        Axbar = maj.plus_shift(prob.Q.matvec(xbar.data), xbar.data)
+        z = dtrsv(Y, prob.effective_b(xbar).data - Axbar)
         want = xbar.data + maj._c ** -0.5 * dtrsv(T, z, trans=1)
         res = sgs_cycle(prob, xbar) if omega is None else ssor_cycle(prob, xbar, omega)
         xbar.data[:] = np.nan

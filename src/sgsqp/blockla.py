@@ -17,13 +17,12 @@ as the diagonal blocks are.
 
 An operator's one copy of ``Q`` is a dense row-major store written at
 construction, which also factors each diagonal block once, ``Q_ii = T_i
-T_i^T`` with ``T_i`` upper triangular, for the sweeps and the majorizer.
-Every sweep runs through :func:`sweep`, one block substitution kernel
-for ``(a D + U) z = y`` or ``(a D + U^*) z = y``: per block one product
-with a panel of that triangle and two triangular solves with the block's
-factor.  A majorizer assembles ``Qhat = Y Y^T`` once, ``Y`` upper
-triangular (:meth:`Majorizer.factor`); its products, solves and norms
-all go through ``Y`` and ``T`` and involve no sweep.
+T_i^T`` with ``T_i`` upper triangular.  Every sweep runs through
+:func:`sweep`, one block substitution kernel for ``(a D + U) z = y`` or
+``(a D + U^*) z = y``: per block one product with a panel of that triangle
+and two triangular solves with ``T_i``.  A majorizer's only factor is
+``Y``, upper triangular with ``Qhat = Y Y^T`` (:meth:`Majorizer.factor`);
+its actions go through ``Y`` and the ``T_i`` and run no sweep.
 """
 
 import numbers
@@ -207,8 +206,8 @@ class BlockSymOperator:
     lower triangle is their transpose.  Diagonal blocks must be symmetric
     (relative tolerance 1e-12) and positive definite: each is factored
     once, ``Q_ii = T_i T_i^T`` with ``T_i = J L_i J`` and ``L_i`` the lower
-    Cholesky factor of the reversed block ``J Q_ii J``, shared by
-    :meth:`diag_solve` and :meth:`Majorizer.factor`.  The dense store
+    Cholesky factor of the reversed block ``J Q_ii J``, the only factor of
+    ``Q_ii`` (:meth:`diag_solve`, :meth:`factor_solve`).  The dense store
     (:meth:`panels`), written here, is the one copy of ``Q``; it aliases no input.
     Semidefiniteness of the full operator is *not* assumed.
 
@@ -353,6 +352,13 @@ class BlockSymOperator:
         return dtrsv(L, dtrsv(L, rhs[::-1], lower=1), lower=1, trans=1,
                      overwrite_x=1)[::-1]
 
+    def factor_solve(self, v, trans=False):
+        """``T^{-1} v`` (``T^{-T} v`` when ``trans``), ``T`` block diagonal:
+        per block ``T_i^{-1} v_i = J L_i^{-1} J v_i``, one ``dtrsv``."""
+        blocks = zip(self.diag_factors(), self.partition.split(v))
+        return np.concatenate([dtrsv(L, b[::-1], lower=1, trans=trans)[::-1]
+                               for L, b in blocks])
+
     # -- derived operators -------------------------------------------
 
     def with_added_diag(self, shifts):
@@ -421,11 +427,10 @@ class Majorizer:
     Built by :func:`sgs_operator` or :func:`ssor_operator`; never
     instantiated directly.  With the outer scale ``a`` and middle scale
     ``c`` (``a = c = 1`` for Gauss-Seidel), ``Qhat = (a Dhat + U)(c
-    Dhat)^{-1}(a Dhat + U^*)``.  Every action goes through the factor
-    ``(Y, T)`` of :meth:`factor`, built once on first use from the
-    operator's diagonal factors: products with ``Qhat`` and ``T``, solves
-    with ``Qhat``, the perturbation and both norms of its bound.
-    ``densify`` forms the dense weights, for certification only.
+    Dhat)^{-1}(a Dhat + U^*)``.  Every action goes through its only factor
+    ``Y`` (:meth:`factor`) or the operator's ``T_i``: products with ``Qhat``
+    and ``T``, solves with ``Qhat``, the perturbation and both norms of its
+    bound.  ``densify`` forms the dense weights, for certification only.
     """
 
     def __init__(self, base, eff, a, c, shifts=None, omega=None):
@@ -452,35 +457,31 @@ class Majorizer:
                          shifts=self.shifts, omega=omega)
 
     def factor(self):
-        """``(Y, T)``, Fortran-ordered for BLAS and cached: ``Y`` upper
-        triangular with ``Y Y^T = Qhat``, and the block diagonal ``T`` with
-        ``Dhat = T T^T``, each ``T_i`` upper triangular.
-
-        ``T_i = J L_i J`` is the operator's diagonal factor
-        (:meth:`BlockSymOperator.diag_factors`) and ``Y = c^{-1/2} (a Dhat
-        + U) T^{-T}``: its diagonal blocks are ``(a / sqrt(c)) T_i``, its
-        column panels above them ``c^{-1/2} U_{:,i} T_i^{-T}``.
-        """
+        """``Y``, upper triangular with ``Y Y^T = Qhat``, Fortran-ordered and
+        cached: ``c^{-1/2} (a Dhat + U) T^{-T}``, ``T_i = J L_i J`` the
+        operator's factors (:meth:`BlockSymOperator.diag_factors`), so its
+        diagonal blocks are ``(a / sqrt(c)) T_i`` and the panels above them
+        ``c^{-1/2} U_{:,i} T_i^{-T}``."""
         if self._factor is None:
             S, off, r = self.eff.panels()[0], self.partition.offsets, self._c ** -0.5
-            Y, T = (np.zeros(S.shape, order="F") for _ in range(2))
-            for i, L in enumerate(self.eff.diag_factors()):
-                lo, hi = off[i], off[i + 1]
-                Ti = T[lo:hi, lo:hi] = L[::-1, ::-1]
+            self._factor = Y = np.zeros(S.shape, order="F")
+            for L, lo, hi in zip(self.eff.diag_factors(), off, off[1:]):
+                Ti = L[::-1, ::-1]
                 Y[lo:hi, lo:hi] = (self._a * r) * Ti
                 Y[:lo, lo:hi] = S[:lo, lo:hi] @ (r * dtrtri(Ti)[0].T)
-            self._factor = (Y, T)
         return self._factor
 
     # -- public operator interface -----------------------------------
-    # Vectors go in as array_like (a BlockVector included) and come out flat.
+    # Vectors go in as array_like (a BlockVector included) of length N, checked
+    # by BlockVector (DimensionMismatch otherwise), and come out flat.
 
     def apply_T(self, x):
-        """``T x = c^{-1} M M^T x + diag(J) x`` with ``M = sqrt(c) Y + (1 -
-        2a) T``, since ``(1 - a) Dhat + U = M T^T``; PSD by construction."""
-        vec = np.asarray(x, dtype=float)
-        Y, T = self.factor()
-        M = np.sqrt(self._c) * Y + (1.0 - 2.0 * self._a) * T
+        """``T x = c^{-1} M M^T x + diag(J) x``, PSD: ``M = ((1 - a) Dhat +
+        U) T^{-T}`` is ``sqrt(c) Y`` with its diagonal blocks times ``(1-a)/a``."""
+        vec = BlockVector(self.partition, x).data
+        M, off = np.sqrt(self._c) * self.factor(), self.partition.offsets
+        for lo, hi in zip(off, off[1:]):
+            M[lo:hi, lo:hi] *= (1.0 - self._a) / self._a
         return self.plus_shift(M @ (M.T @ vec) / self._c, vec)
 
     def plus_shift(self, v, x):
@@ -497,27 +498,26 @@ class Majorizer:
 
     def apply_Qhat(self, x):
         """``Qhat x = Y Y^T x``, two triangular products."""
-        Y = self.factor()[0]
-        return dtrmv(Y, dtrmv(Y, np.asarray(x, dtype=float), trans=1))
+        Y = self.factor()
+        return dtrmv(Y, dtrmv(Y, BlockVector(self.partition, x).data, trans=1))
 
     def solve_Qhat(self, y):
         """``Qhat^{-1} y = Y^{-T} Y^{-1} y``, two triangular solves."""
-        Y = self.factor()[0]
-        return dtrsv(Y, dtrsv(Y, np.asarray(y, dtype=float)), trans=1)
+        Y = self.factor()
+        return dtrsv(Y, dtrsv(Y, BlockVector(self.partition, y).data), trans=1)
 
     def dinv_norm(self, v):
         """``||(c Dhat)^{-1/2} v|| = ||T^{-1} v|| / sqrt(c)``, the weight of
         the perturbation bound (``c Dhat`` is ``rho D`` when over-relaxed)."""
-        vec = np.asarray(v, dtype=float)
-        return float(np.linalg.norm(dtrsv(self.factor()[1], vec))) / np.sqrt(self._c)
+        vec = BlockVector(self.partition, v).data
+        return float(np.linalg.norm(self.eff.factor_solve(vec))) / np.sqrt(self._c)
 
     def perturbation(self, delta_prime, delta):
         """Aggregate perturbation of an inexact cycle, ``delta' + (a Dhat +
         U)(c Dhat)^{-1}(delta - delta') = delta' + c^{-1/2} Y T^{-1}(delta -
         delta')``; both vectors agree on block 1, as a cycle's do."""
-        dp = np.asarray(delta_prime, dtype=float)
-        Y, T = self.factor()
-        w = dtrmv(Y, dtrsv(T, np.asarray(delta, dtype=float) - dp))
+        dp, d = (BlockVector(self.partition, v).data for v in (delta_prime, delta))
+        w = dtrmv(self.factor(), self.eff.factor_solve(d - dp))
         return dp + self._c ** -0.5 * w
 
     # -- norms and dense hooks ---------------------------------------
@@ -525,11 +525,11 @@ class Majorizer:
     def quad_norm(self, x, which):
         """``sqrt(<x, M x>)`` for ``M`` in ``{Qhat, Qhat_inv}``: ``||Y^T x||``
         or ``||Y^{-1} x||``, one triangular product or solve."""
-        vec = np.asarray(x, dtype=float)
+        vec = BlockVector(self.partition, x).data
         if which == "Qhat":
-            out = dtrmv(self.factor()[0], vec, trans=1)
+            out = dtrmv(self.factor(), vec, trans=1)
         elif which == "Qhat_inv":
-            out = dtrsv(self.factor()[0], vec)
+            out = dtrsv(self.factor(), vec)
         else:
             raise InvalidParams(f"unknown quadratic norm {which!r}")
         return float(np.linalg.norm(out))

@@ -229,6 +229,9 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
             dual, primal = prob.kkt(x_new.data, y_new, Px, resid_new, ATy_new)
             F = prob.objective(x_new.data, Px)
             y_norm = np.linalg.norm(y_new)
+            if np.isinf(y_norm) and np.isfinite(y_new).all():
+                top = np.abs(y_new).max()       # the squares overflowed
+                y_norm = top * np.linalg.norm(y_new / top)
             Qx_new = Px + prob.A.T @ (sigma * (resid_new + prob.d))
         if not (np.isfinite(dual) and np.isfinite(primal)):
             # diverged (e.g. an indefinite penalized operator): keep the

@@ -148,8 +148,19 @@ class ProxSpec:
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
 
 
+def _head_vec(spec, x):
+    """``x`` as a float array; :class:`ShapeMismatch` unless its length is
+    the one a box or PSD head needs (a box with one bound pair takes any)."""
+    x = np.asarray(x, dtype=float)
+    want = spec.block_dim()
+    if want is not None and x.shape != (want,) and (spec.kind, want) != ("box", 1):
+        raise ShapeMismatch(f"{spec.kind} head needs length {want}, got {x.shape}")
+    return x
+
+
 def prox(spec, mu, v):
-    """``argmin_x p(x) + (mu/2) ||x - v||^2`` in closed form.
+    """``argmin_x p(x) + (mu/2) ||x - v||^2`` in closed form; ``mu`` must be
+    finite and positive (:class:`InvalidParams`).
 
     Examples
     --------
@@ -158,10 +169,8 @@ def prox(spec, mu, v):
     >>> prox(ProxSpec.box(0.0, 1.0), 7.3, np.array([2.0]))
     array([1.])
     """
-    mu = float(mu)
-    if mu <= 0:
-        raise InvalidParams(f"prox parameter must be positive, got {mu}")
-    v = np.asarray(v, dtype=float)
+    mu = finite_real(mu, "prox parameter", positive=True)
+    v = _head_vec(spec, v)
     if spec.kind == "zero":
         return v.copy()
     if spec.kind == "l1":
@@ -184,7 +193,7 @@ def prox(spec, mu, v):
 
 def prox_value(spec, x):
     """``p(x)``; ``+inf`` for an infeasible indicator argument."""
-    x = np.asarray(x, dtype=float)
+    x = _head_vec(spec, x)
     if spec.kind == "zero":
         return 0.0
     if spec.kind == "l1":
@@ -206,10 +215,12 @@ def subgrad_residual(spec, x, g):
     """Distance from ``g`` to the subdifferential of ``p`` at ``x``.
 
     Returns ``+inf`` when ``x`` is outside the domain of an indicator.
-    The distances are exact per kind; no smoothing is involved.
+    The distances are exact per kind; no smoothing is involved.  ``x`` and
+    ``g`` of different shapes raise :class:`ShapeMismatch`.
     """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
+    x, g = _head_vec(spec, x), _head_vec(spec, g)
+    if x.shape != g.shape:
+        raise ShapeMismatch(f"x has shape {x.shape}, g has shape {g.shape}")
     if spec.kind == "zero":
         return float(np.linalg.norm(g))
     if spec.kind == "l1":
@@ -322,10 +333,5 @@ def solve_block1(spec, Q11, c1):
     if head.chol is not None:
         x = cho_solve(head.chol, c1, check_finite=False)
         return x, c1 - head.A @ x
-    want = spec.block_dim()
-    if want is not None and c1.shape != (want,):
-        raise ShapeMismatch(
-            f"first block has length {c1.shape[0]}, prox expects {want}"
-        )
-    x = prox(spec, head.mu, c1 / head.mu)
+    x = prox(spec, head.mu, c1 / head.mu)     # checks the head's length
     return x, c1 - head.mu * x

@@ -20,9 +20,9 @@ it.  With ``A = Dhat + U + U^*`` the backward sweep solves ``(tau Dhat +
 U) d = r`` for ``d = x' - xbar`` and the forward sweep ``(tau Dhat + U^*)
 e = r - U d - (1 - tau) Dhat d`` for ``e = x+ - xbar``: each reads one
 triangle, so each off-diagonal block is read once (Eisenstat's trick).
-With ``p = 0`` and exact solves the step is two solves with the
-majorizer's factor ``Qhat = Y Y^T``, ``z = Y^{-1} r`` and ``x+ = xbar +
-Y^{-T} z``; ``x' = xbar + c^{-1/2} T^{-T} z`` is solved for on first read.
+With ``p = 0`` and exact solves the step is two solves with ``Y``, the
+majorizer's only factor (``Qhat = Y Y^T``): ``z = Y^{-1} r``, ``x+ = xbar
++ Y^{-T} z``, and on first read ``x' = xbar + c^{-1/2} T^{-T} z``.
 """
 
 import math
@@ -36,8 +36,8 @@ from scipy.linalg.blas import dtrsv
 from .blockla import (BlockVector, Majorizer, block_split, dense_pd, finite,
                       finite_real, int_at_least, sgs_operator, sweep)
 from .errors import DimensionMismatch, InvalidParams
-from .proxmap import (ProxSpec, kkt_distance, prepare_block1, prox_value,
-                      solve_block1)
+from .proxmap import (Block1, ProxSpec, kkt_distance, prepare_block1,
+                      prox_value, solve_block1)
 
 __all__ = [
     "CompositeQP",
@@ -176,10 +176,12 @@ class CompositeQP:
 
     def _head(self, maj):
         """The cycle's first-block quadratic ``(tau^2/rho) Dhat_11`` for the
-        majorizer ``maj``, prepared once by :func:`prepare_block1`."""
+        majorizer ``maj``, kept once: as is for the zero head, which solves
+        with the operator's factor, else prepared by :func:`prepare_block1`."""
         if maj not in self._heads:
             A00 = (maj._a * maj._a / maj._c) * maj.eff.block(0, 0)
-            self._heads[maj] = prepare_block1(self.prox, A00)
+            self._heads[maj] = (Block1(A00) if self.prox.kind == "zero"
+                                else prepare_block1(self.prox, A00))
         return self._heads[maj]
 
     def effective_b(self, xbar):
@@ -217,11 +219,11 @@ class CycleResult:
     equals ``x_plus``'s for the Gauss-Seidel kind).  ``backward`` is the
     sweep's ``x_prime`` itself, or the factored step's pair ``(xbar, z)``
     from which ``x_prime = xbar + c^{-1/2} T^{-T} z`` is solved on first
-    read; ``xbar`` is a copy, so a caller may reuse its centre.
-    ``delta_prime`` and ``delta`` are the realized backward/forward
-    residuals, equal on block 1 by construction, and ``maj`` is the
-    cycle's majorizer.  ``Delta``, their aggregate perturbation, and
-    ``xi``/``xi_bound``, the exact and bounding values of
+    read by the operator's ``factor_solve``; ``xbar`` is a copy, so a
+    caller may reuse its centre.  ``delta_prime`` and ``delta`` are the
+    realized backward/forward residuals, equal on block 1 by construction,
+    and ``maj`` is the cycle's majorizer.  ``Delta``, their aggregate
+    perturbation, and ``xi``/``xi_bound``, the exact and bounding values of
     ``||Qhat^{-1/2} Delta||``, are computed from ``maj`` when first read;
     the bound is ``||M^{-1/2}(delta - delta')|| + ||Qhat^{-1/2} delta'||``,
     ``M`` the majorizer's middle diagonal.
@@ -250,9 +252,8 @@ class CycleResult:
         if isinstance(self.backward, BlockVector):
             return self.backward
         centre, z = self.backward
-        T = self.maj.factor()[1]
-        return BlockVector(self.maj.partition,
-                           centre + self.maj._c ** -0.5 * dtrsv(T, z, trans=1))
+        step = self.maj.eff.factor_solve(z, trans=True)
+        return BlockVector(self.maj.partition, centre + self.maj._c ** -0.5 * step)
 
     @property
     def delta_tilde_norm(self):
@@ -344,7 +345,7 @@ def _factored_step(prob, xb, r, maj):
     """The exact cycle with no head term: the factored step of the module
     docstring, two solves with ``Y`` on the residual ``r``."""
     part = prob.partition
-    Y = maj.factor()[0]
+    Y = maj.factor()
     z = dtrsv(Y, r)
     return CycleResult(
         x_plus=BlockVector(part, xb + dtrsv(Y, z, trans=1)),
@@ -412,9 +413,9 @@ def _sweep_cycle(prob, xb, r, mode, maj, reuse_c):
             x1, gamma1 = solve_block1(prob.prox, head, rhs + head.mu * xb1)
         elif isinstance(mode, IterativeMode):
             x1, gamma1 = xb1 + cg_block(0, head.A, rhs, dprime), np.zeros(n1)
-        else:
-            e, gamma1 = solve_block1(prob.prox, head, rhs)
-            x1 = xb1 + e
+        else:       # zero head: ``e = H^{-1} rhs`` by the operator's factor
+            e = A.diag_solve(0, rhs) * (maj._c / tau ** 2)
+            x1, gamma1 = xb1 + e, rhs - head.A @ e
         delta[:n1] = dprime[:n1]
         if tau == 1.0:
             return x1 - xb1
@@ -506,11 +507,12 @@ def ssor_cycle(prob, xbar, omega, mode="exact"):
 
 def classical_sgs_step(Q, b, xk, maj=None):
     """Fixed-point step ``x + Qhat^{-1} (b - Q x)`` of the classical
-    symmetric Gauss-Seidel iteration (no nonsmooth term involved); a
-    centre ``xk`` holding NaN or inf raises :class:`NonFinite`."""
+    symmetric Gauss-Seidel iteration (no nonsmooth term involved); a ``b``
+    of the wrong length raises :class:`DimensionMismatch`, and ``b`` or
+    the centre ``xk`` holding NaN or inf :class:`NonFinite`."""
     maj = maj if maj is not None else sgs_operator(Q)
-    x = finite(xk, "xk")
-    step = maj.solve_Qhat(np.asarray(b, dtype=float) - Q.matvec(x))
+    x, b = finite(xk, "xk"), finite(BlockVector(Q.partition, b), "b")
+    step = maj.solve_Qhat(b - Q.matvec(x))
     return BlockVector(Q.partition, x + step)
 
 

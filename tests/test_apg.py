@@ -325,7 +325,7 @@ class TestFactoredIteration:
 
     def test_cycles_solve_only_with_Y(self, monkeypatch):
         prob = random_problem(1)
-        Y = prob.majorizer().factor()[0]
+        Y = prob.majorizer().factor()
         mats = []
         orig = sgs.dtrsv
         monkeypatch.setattr(sgs, "dtrsv",

@@ -11,6 +11,7 @@ from sgsqp import (
 )
 from sgsqp.errors import (
     DiagonalNotPD,
+    DimensionMismatch,
     InvalidParams,
     NotSymmetric,
     OmegaOutOfRange,
@@ -267,6 +268,22 @@ class TestMajorizerActions:
         want = np.sqrt(x @ Qhat @ x)
         assert maj.quad_norm(BlockVector(part, x), "Qhat") == pytest.approx(
             want, rel=1e-12)
+
+    @pytest.mark.parametrize("action", [
+        lambda maj, v: maj.apply_T(v),
+        lambda maj, v: maj.apply_Qhat(v),
+        lambda maj, v: maj.solve_Qhat(v),
+        lambda maj, v: maj.dinv_norm(v),
+        lambda maj, v: maj.perturbation(v, v),
+        lambda maj, v: maj.quad_norm(v, "Qhat_inv"),
+    ], ids=["apply_T", "apply_Qhat", "solve_Qhat", "dinv_norm", "perturbation",
+            "quad_norm"])
+    @pytest.mark.parametrize("length", [6, 8])
+    def test_vector_of_the_wrong_length_refused(self, action, length, rng):
+        part, blocks, _ = _dense_blocks(rng, [2, 3, 2])
+        maj = ssor_operator(BlockSymOperator(part, blocks), 1.5)
+        with pytest.raises(DimensionMismatch):
+            action(maj, np.ones(length))
 
     def test_m_constant_matches_dense_eigs(self, rng):
         part, blocks, Qd = _dense_blocks(rng, [2, 3])

@@ -87,7 +87,8 @@ def test_solve_start_point(bad):
 
 
 @pytest.mark.parametrize("bad", BAD)
-@pytest.mark.parametrize("entry", ["sgs_cycle", "ssor_cycle", "classical_sgs_step"])
+@pytest.mark.parametrize("entry", ["sgs_cycle", "ssor_cycle", "classical_sgs_step",
+                                   "classical_sgs_step_rhs"])
 def test_cycle_centre(entry, bad):
     prob = random_problem(0)
     x = _poison(np.zeros(prob.partition.total), bad)
@@ -95,6 +96,8 @@ def test_cycle_centre(entry, bad):
         "sgs_cycle": (lambda: sgs_cycle(prob, x), "xbar"),
         "ssor_cycle": (lambda: ssor_cycle(prob, x, 1.5), "xbar"),
         "classical_sgs_step": (lambda: classical_sgs_step(prob.Q, prob.b, x), "xk"),
+        "classical_sgs_step_rhs": (lambda: classical_sgs_step(prob.Q, x, np.zeros(7)),
+                                   "b"),
     }[entry]
     with pytest.raises(NonFinite, match=f"{name} contains"):
         call()

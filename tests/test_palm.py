@@ -326,6 +326,20 @@ class TestPalmSolve:
         assert tr.termination == "nonfinite"
         assert np.isfinite(x.data).all() and np.isfinite(y).all()
 
+    def test_multiplier_norm_does_not_overflow(self):
+        """A finite multiplier near 1e200, here in the kernel of ``A^T``,
+        records a finite norm; in the normal range it is numpy's, exactly."""
+        part = BlockPartition((1, 1))
+        P = BlockSymOperator(part, {(0, 0): np.eye(1), (1, 1): np.eye(1)})
+        lp = LinConQP(P, [[1.0, 0.0], [-1.0, 0.0]], np.ones(2), [0.5, -0.5])
+        _, y, tr = palm_solve(lp, 1.0, 1.0, y0=np.full(2, 1e200),
+                              stop=PalmStop(max_iter=1))
+        assert np.isfinite(y).all() and np.abs(y).max() >= 1e200
+        assert tr.rows[0].y_norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+        lp = gen_lincon((2, 2), m=2, seed=0).lincon_problem()
+        _, y, tr = palm_solve(lp, 5.0, 1.0, stop=PalmStop(max_iter=20))
+        assert tr.rows[-1].y_norm == np.linalg.norm(y) > 0.0
+
 
 class TestLagrangian:
     def test_definition_equals_expansion(self):

@@ -16,7 +16,7 @@ from sgsqp import (
     svec_dim,
 )
 from sgsqp import proxmap
-from sgsqp.errors import InvalidParams, NeedsShift
+from sgsqp.errors import InvalidParams, NeedsShift, ShapeMismatch
 from sgsqp.oracle import dense_qp_minimize
 
 
@@ -154,6 +154,37 @@ class TestValuesAndSubgradients:
         from sgsqp.errors import DiagonalNotPD, InvalidParams, SgsQpError
         with pytest.raises(SgsQpError):
             prox(ProxSpec.l1(1.0), 0.0, np.array([1.0]))
+
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_mu_rejected(self, mu):
+        with pytest.raises(InvalidParams, match="prox parameter"):
+            prox(ProxSpec.l1(1.0), mu, np.array([1.0]))
+
+    @pytest.mark.parametrize("spec, length", [
+        (ProxSpec.box([0.0, 0.0], [1.0, 1.0]), 3),
+        (ProxSpec.box([0.0, 0.0], [1.0, 1.0]), 1),
+        (ProxSpec.psd_cone(2), 4),
+    ], ids=["box-long", "box-short", "psd"])
+    def test_head_of_the_wrong_length_refused(self, spec, length):
+        v = np.ones(length)
+        for call in (lambda: prox(spec, 1.0, v), lambda: prox_value(spec, v),
+                     lambda: subgrad_residual(spec, v, v)):
+            with pytest.raises(ShapeMismatch):
+                call()
+
+    def test_scalar_box_bounds_apply_to_any_length(self):
+        spec = ProxSpec.box(0.0, 1.0)
+        v = np.array([-1.0, 0.5, 2.0])
+        np.testing.assert_array_equal(prox(spec, 1.0, v), [0.0, 0.5, 1.0])
+        assert prox_value(spec, prox(spec, 1.0, v)) == 0.0
+
+    @pytest.mark.parametrize("spec", [
+        ProxSpec.zero(), ProxSpec.l1(0.7), ProxSpec.nonneg(), ProxSpec.box(0.0, 1.0),
+    ], ids=["zero", "l1", "nonneg", "box"])
+    @pytest.mark.parametrize("glen", [1, 2])
+    def test_subgradient_of_another_length_refused(self, spec, glen):
+        with pytest.raises(ShapeMismatch):
+            subgrad_residual(spec, np.full(3, 0.5), np.ones(glen))
 
 
 class TestBlock1Solve:

@@ -45,15 +45,19 @@ class TestExactCycle:
     @pytest.mark.parametrize("shifted, omega", [(False, None), (True, None),
                                                 (False, 1.5)])
     def test_factored_x_prime_is_formed_on_demand(self, shifted, omega):
-        """``x' = xbar + c^{-1/2} T^{-T} z`` to the bit, from a copy of the
-        centre: the caller may overwrite ``xbar`` before reading it."""
+        """``x' = xbar + c^{-1/2} T^{-T} z`` to the bit, ``T_i^{-T} z_i = J
+        L_i^{-T} J z_i`` per block, from a copy of the centre: the caller may
+        overwrite ``xbar`` before reading it."""
         prob = shifted_problem(1, prox_kind="zero") if shifted else random_problem(3)
         maj = prob.majorizer() if omega is None else prob.majorizer("ssor", omega)
         xbar = random_point(prob, 4)
-        Y, T = maj.factor()
+        Y = maj.factor()
         Axbar = maj.plus_shift(prob.Q.matvec(xbar.data), xbar.data)
         z = dtrsv(Y, prob.effective_b(xbar).data - Axbar)
-        want = xbar.data + maj._c ** -0.5 * dtrsv(T, z, trans=1)
+        step = np.concatenate([
+            dtrsv(L, zi[::-1], lower=1, trans=1)[::-1]
+            for L, zi in zip(maj.eff.diag_factors(), prob.partition.split(z))])
+        want = xbar.data + maj._c ** -0.5 * step
         res = sgs_cycle(prob, xbar) if omega is None else ssor_cycle(prob, xbar, omega)
         xbar.data[:] = np.nan
         np.testing.assert_array_equal(res.x_prime.data, want)
@@ -376,6 +380,12 @@ class TestClassicalStep:
             x = classical_sgs_step(prob.Q, prob.b, x, maj)
             rel = np.linalg.norm(x.data - via_cycle.data)
             assert rel <= 1e-12 * (1.0 + np.linalg.norm(via_cycle.data))
+
+    @pytest.mark.parametrize("length", [6, 8])
+    def test_rhs_of_the_wrong_length_refused(self, length):
+        prob = random_problem(0)
+        with pytest.raises(DimensionMismatch):
+            classical_sgs_step(prob.Q, np.ones(length), np.zeros(7))
 
 
 class TestForwardReuse:

@@ -14,6 +14,7 @@ of the input blocks, and against the same inputs with one bad block.
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import block_diag
 
 from sgsqp import (
     BlockPartition,
@@ -26,7 +27,7 @@ from sgsqp import (
     sgs_cycle,
     ssor_cycle,
 )
-from sgsqp import blockla, sgs
+from sgsqp import blockla, proxmap, sgs
 from sgsqp.blockla import dpotrf, sweep
 from sgsqp.errors import (DiagonalNotPD, DimensionMismatch, InvalidParams,
                           NonFinite, NotSymmetric)
@@ -284,8 +285,13 @@ def factored(draw):
 @PROPS
 @given(factored())
 def test_factor_is_triangular_and_squares_to_qhat(case):
+    """``Y`` is the majorizer's one stored array; ``T``, assembled from the
+    operator's ``T_i = J L_i J``, squares to the block diagonal."""
     prob, maj, _, A, Qhat, _ = case
-    Y, T = maj.factor()
+    Y = maj.factor()
+    arrays = [v for v in vars(maj).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is Y
+    T = block_diag(*(L[::-1, ::-1] for L in maj.eff.diag_factors()))
     assert np.array_equal(Y, np.triu(Y)) and np.array_equal(T, np.triu(T))
     assert np.linalg.norm(Y @ Y.T - Qhat, 2) <= 1e-12 * np.linalg.norm(Qhat, 2)
     D = _diag_part(prob.partition, A)
@@ -335,16 +341,21 @@ def test_majorizer_actions_match_dense_formulas(case):
 def test_each_diagonal_block_is_factored_once(shifted, op):
     """Building an ``s``-block problem and factoring both its majorizers
     runs one Cholesky per diagonal block of each operator: ``Q`` and,
-    when shifted, ``Q + diag(J)``.  Neither ``factor()`` adds any."""
+    when shifted, ``Q + diag(J)``.  Neither ``factor()`` adds any, and
+    neither do noisy, iterative and forward-reuse cycles on the zero
+    head: counted through ``dpotrf`` and ``cho_factor`` alike."""
     Q, _ = op
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return dpotrf(*args, **kwargs)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(blockla, "dpotrf", counted)
+        mp.setattr(blockla, "dpotrf", counted(dpotrf))
+        mp.setattr(proxmap, "cho_factor", counted(proxmap.cho_factor))
         Q = BlockSymOperator(Q.partition, dict(Q.stored_items()))
         prob = CompositeQP(Q, np.zeros(Q.n),
                            shifts=conservative_shifts(Q) if shifted else None)
@@ -352,6 +363,10 @@ def test_each_diagonal_block_is_factored_once(shifted, op):
         built = len(calls)
         prob.majorizer().factor()
         prob.majorizer("ssor", 1.5).factor()
+        xbar = np.ones(Q.n)
+        sgs_cycle(prob, xbar, mode=NoisyMode())
+        ssor_cycle(prob, xbar, 1.5, mode=IterativeMode())
+        sgs_cycle(prob, xbar, forward_reuse=1.0)
     assert built == len(calls) == Q.s * (2 if shifted else 1)
 
 

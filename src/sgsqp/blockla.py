@@ -17,7 +17,9 @@ as the diagonal blocks are.
 
 An operator's one copy of ``Q`` is a dense row-major store written at
 construction, which also factors each diagonal block once, ``Q_ii = T_i
-T_i^T`` with ``T_i`` upper triangular.  Every sweep runs through
+T_i^T`` with ``T_i`` upper triangular.  ``Q x`` reads only the store's upper
+triangle (``dsymv``) when the stored blocks span the operator, else one
+product on the principal sub-block they span.  Every sweep runs through
 :func:`sweep`, one block substitution kernel for ``(a D + U) z = y`` or
 ``(a D + U^*) z = y``: per block one product with a panel of that triangle
 and two triangular solves with ``T_i``.  A majorizer's only factor is
@@ -31,7 +33,7 @@ from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import block_diag, eigvalsh
-from scipy.linalg.blas import dtrmv, dtrsv
+from scipy.linalg.blas import dsymv, dtrmv, dtrsv
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import (
@@ -305,13 +307,16 @@ class BlockSymOperator:
     # -- products -----------------------------------------------------
 
     def matvec(self, x):
-        """``Q x`` for a flat vector ``x``: one product on the principal
-        sub-block of the store that spans the stored blocks, zeros
-        outside it."""
+        """``Q x`` for a flat vector ``x``.  When the stored blocks span the
+        whole operator, one ``dsymv`` that reads only the upper triangle of
+        the store (``S.T`` is its Fortran-ordered view, no copy); otherwise
+        one product on the principal sub-block they span, zeros outside it."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"expected length {self.n}, got shape {x.shape}")
         lo, hi = self._span
+        if hi - lo == self.n:
+            return dsymv(1.0, self._panels[0].T, x, lower=1)
         out = np.zeros(self.n)
         out[lo:hi] = self._panels[0][lo:hi, lo:hi] @ x[lo:hi]
         return out
@@ -477,12 +482,18 @@ class Majorizer:
 
     def apply_T(self, x):
         """``T x = c^{-1} M M^T x + diag(J) x``, PSD: ``M = ((1 - a) Dhat +
-        U) T^{-T}`` is ``sqrt(c) Y`` with its diagonal blocks times ``(1-a)/a``."""
+        U) T^{-T}`` is ``sqrt(c) Y`` with its diagonal blocks times ``f =
+        (1-a)/a``, applied per block column of ``Y`` (its panel above the
+        diagonal and ``f Y_ii``), with no N x N temporary."""
         vec = BlockVector(self.partition, x).data
-        M, off = np.sqrt(self._c) * self.factor(), self.partition.offsets
+        Y, off, f = self.factor(), self.partition.offsets, (1.0 - self._a) / self._a
+        out = np.zeros(vec.shape)
         for lo, hi in zip(off, off[1:]):
-            M[lo:hi, lo:hi] *= (1.0 - self._a) / self._a
-        return self.plus_shift(M @ (M.T @ vec) / self._c, vec)
+            P, Yii = Y[:lo, lo:hi], Y[lo:hi, lo:hi]
+            u = P.T @ vec[:lo] + f * (Yii.T @ vec[lo:hi])
+            out[:lo] += P @ u
+            out[lo:hi] += f * (Yii @ u)
+        return self.plus_shift(out, vec)
 
     def plus_shift(self, v, x):
         """``v + diag(J) x`` for flat ``v`` and ``x``, added block by block

@@ -137,12 +137,11 @@ class ProxSpec:
         return cls("psd_cone", side=int_at_least(side, "side", 1))
 
     def block_dim(self):
-        """Length the first block must have, or None when unconstrained."""
+        """Length the first block must have, or None when unconstrained (a
+        box with one bound pair applies to a head of any length)."""
         if self.kind == "psd_cone":
             return svec_dim(self.side)
-        if self.kind == "box":
-            return len(self.lo)
-        return None
+        return len(self.lo) if self.kind == "box" and len(self.lo) > 1 else None
 
     def _bounds(self):
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
@@ -150,10 +149,10 @@ class ProxSpec:
 
 def _head_vec(spec, x):
     """``x`` as a float array; :class:`ShapeMismatch` unless its length is
-    the one a box or PSD head needs (a box with one bound pair takes any)."""
+    the one a box or PSD head needs (:meth:`ProxSpec.block_dim`)."""
     x = np.asarray(x, dtype=float)
     want = spec.block_dim()
-    if want is not None and x.shape != (want,) and (spec.kind, want) != ("box", 1):
+    if want is not None and x.shape != (want,):
         raise ShapeMismatch(f"{spec.kind} head needs length {want}, got {x.shape}")
     return x
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -259,6 +261,24 @@ class TestMajorizerActions:
             x = rng.standard_normal(part.total)
             np.testing.assert_allclose(maj.apply_T(BlockVector(part, x)),
                                        Td @ x, atol=1e-11)
+
+    @pytest.mark.parametrize("omega", [None, 1.6], ids=["sgs", "ssor"])
+    def test_apply_T_makes_no_dense_temporary(self, omega, rng):
+        """With ``Y`` built, ``T x`` at N = 400 allocates less than a
+        quarter of one N x N array."""
+        part, blocks, _ = _dense_blocks(rng, [100, 150, 50, 100])
+        Q = BlockSymOperator(part, blocks)
+        maj = sgs_operator(Q) if omega is None else ssor_operator(Q, omega)
+        x = rng.standard_normal(part.total)
+        maj.factor()
+        maj.apply_T(x)
+        tracemalloc.start()
+        try:
+            maj.apply_T(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < part.total ** 2 * 8 / 4
 
     def test_quad_norm_matches_dense(self, rng):
         part, blocks, _ = _dense_blocks(rng, [2, 2])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from sgsqp import LinConQP, QsdpData, read_instance, write_instance
+from sgsqp import (LinConQP, ProxSpec, QsdpData, StopRule, read_instance,
+                   solve, write_instance)
 from sgsqp.errors import InvalidParams
 from sgsqp.instances import (
     dumps_instance,
@@ -15,6 +17,7 @@ from sgsqp.instances import (
     gen_qsdp,
     loads_instance,
 )
+from sgsqp.oracle import dense_optimum
 
 
 class TestGen:
@@ -34,6 +37,24 @@ class TestGen:
             np.testing.assert_array_equal(back.Q[key], arr)
         np.testing.assert_array_equal(back.b, inst.b)
         assert back.prox == inst.prox
+
+    def test_one_bound_pair_box_applies_to_a_wide_head(self):
+        """``ProxSpec.box(0.0, 1.0)`` on a 3-wide head survives a round
+        trip, both problem forms accept it, and a solve reaches the dense
+        optimum, one head entry at its bound."""
+        spec = ProxSpec.box(0.0, 1.0)
+        inst = dataclasses.replace(gen((3, 2, 2), seed=0, prox_kind="box"),
+                                   prox=spec)
+        back = loads_instance(dumps_instance(inst))
+        assert back.prox == spec
+        prob = back.composite()
+        xs, _ = dense_optimum(prob)
+        assert (xs.data[:3] == 0.0).sum() == 1
+        tr = solve(prob, stop=StopRule(kkt_tol=1e-10, max_iter=1000))
+        assert np.linalg.norm(tr.x_final.data - xs.data) <= 1e-8
+        lincon = dataclasses.replace(
+            gen_lincon((3, 2), m=2, prox_kind="box", seed=8), prox=spec)
+        assert loads_instance(dumps_instance(lincon)).lincon_problem().prox == spec
 
     def test_composite_is_solvable(self):
         prob = gen((2, 2, 3), seed=5, prox_kind="nonneg").composite()

@@ -8,7 +8,9 @@ majorizer's triangular factor ``Qhat = Y Y^T`` is checked against the
 oracle's weights and plain numpy solves, and its products, norms and
 perturbation against dense formulas from this file's own block split.
 The operator's dense store is checked against this file's own assembly
-of the input blocks, and against the same inputs with one bad block.
+of the input blocks, and against the same inputs with one bad block; a
+full-span product, against the dense one with NaN in the store's strict
+lower triangle.
 """
 
 import numpy as np
@@ -433,6 +435,38 @@ def test_factored_paths_skip_the_sweep(monkeypatch):
     assert calls == []
     sgs_cycle(prob, xbar, mode=NoisyMode())     # the counters do count
     assert "sweep" in calls and "diag_solve" in calls
+
+
+@st.composite
+def full_span_operators(draw):
+    """An operator whose stored blocks span it: 2 to 6 blocks of width 1
+    to 12, the off-diagonal blocks stored at random or in a band."""
+    s = draw(st.integers(2, 6))
+    dims = draw(st.lists(st.integers(1, 12), min_size=s, max_size=s))
+    pairs = [(i, j) for i in range(s) for j in range(i + 1, s)]
+    if draw(st.booleans()):
+        width = draw(st.integers(1, s - 1))
+        pairs = [(i, j) for i, j in pairs if j - i <= width]
+    else:
+        stored = draw(st.lists(st.booleans(), min_size=len(pairs),
+                               max_size=len(pairs)))
+        pairs = [p for p, keep in zip(pairs, stored) if keep]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _operator(dims, pairs, draw(st.sampled_from((1.0, 1e-3))), rng, False)
+
+
+@PROPS
+@given(full_span_operators(), st.integers(0, 2**32 - 1))
+def test_full_span_matvec_reads_one_triangle(op, seed):
+    """With NaN written over the strict lower triangle of the store, ``Q x``
+    is still the dense product of the operator as built."""
+    Q, _ = op
+    x = np.random.default_rng(seed).standard_normal(Q.n)
+    want = Q.dense() @ x
+    S = Q.panels()[0]
+    S[np.tril_indices_from(S, -1)] = np.nan
+    got = Q.matvec(x)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @st.composite

@@ -64,7 +64,7 @@ class LinConQP:
         self.prox = prox if prox is not None else ProxSpec.zero()
         bd = self.prox.block_dim()
         if bd is not None and bd != part.dims[0]:
-            raise ShapeMismatch(
+            raise DimensionMismatch(
                 f"prox expects block dimension {bd}, partition has {part.dims[0]}"
             )
 

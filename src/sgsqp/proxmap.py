@@ -6,7 +6,13 @@ block: nothing, an l1 penalty, the nonnegative-orthant indicator, a box
 indicator, or the positive-semidefinite cone indicator on a symmetric
 matrix block.  Matrix blocks travel in packed form (:func:`svec`), which
 scales off-diagonal entries by ``sqrt(2)`` so Euclidean norms equal
-Frobenius norms.
+Frobenius norms; packing and unpacking are one gather each, from tables
+built once per side.  A PSD head is decomposed by :func:`eigh`, which
+calls LAPACK ``dsyevr`` directly as ``scipy.linalg.eigh`` does by default
+and so returns its eigenpairs bit for bit; a head holding NaN or inf is
+refused with :class:`NonFinite` before LAPACK sees it.  The spectrum
+comes back ascending, so the projection keeps a suffix of the
+eigenvectors and the certificates read the kernel off its ends.
 """
 
 import functools
@@ -14,10 +20,10 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import eigvalsh
-from scipy.linalg import cho_factor, cho_solve, eigh
+from numpy.linalg import LinAlgError, eigvalsh
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
-from .blockla import finite_real, int_at_least
+from .blockla import finite, finite_real, int_at_least
 from .errors import DiagonalNotPD, InvalidParams, NeedsShift, ShapeMismatch
 
 __all__ = [
@@ -40,6 +46,9 @@ _PSD_FEAS_RTOL = 1e-10
 _PSD_RANK_RTOL = 1e-8
 _IDENT_RTOL = 1e-10
 
+_syevr, _syevr_lwork = get_lapack_funcs(("syevr", "syevr_lwork"),
+                                        dtype=np.float64)
+
 # ``_last.psd``: (output, clipped ascending eigenvalues, eigenvectors) of this
 # thread's last PSD prox, replaced in one assignment; certificates reuse it
 # for that exact output.  Per thread, so concurrent solves keep their own
@@ -54,28 +63,66 @@ def _saved_eig(x):
     return last[1:] if last is not None and np.array_equal(last[0], x) else None
 
 
+@functools.lru_cache(maxsize=64)
+def _syevr_work(n):
+    """``(lwork, liwork)`` for side ``n``, as ``scipy.linalg.eigh`` queries
+    them (lower triangle), asked of LAPACK once per side."""
+    work, iwork, info = _syevr_lwork(n=n, lower=1)
+    if info:
+        raise LinAlgError(f"dsyevr workspace query failed with info {info}")
+    return int(work), int(iwork)
+
+
+def eigh(M):
+    """Ascending eigenvalues and eigenvectors ``(w, V)`` of the symmetric
+    ``M``, read from its lower triangle by LAPACK ``dsyevr`` with the
+    workspace ``scipy.linalg.eigh`` uses, so both agree bit for bit;
+    :class:`NonFinite` if ``M`` holds NaN or inf."""
+    M = finite(M, "PSD head")
+    lwork, liwork = _syevr_work(M.shape[0])
+    w, V, _, _, info = _syevr(M, lower=1, lwork=lwork, liwork=liwork)
+    if info:
+        raise LinAlgError(f"dsyevr failed with info {info}")
+    return w, V
+
+
+def _psd_scale(w):
+    """The scale ``max(|w|, 1)`` of a head with ascending eigenvalues ``w``,
+    read off its ends; None when the least eigenvalue is below
+    ``-_PSD_FEAS_RTOL`` times it (not PSD)."""
+    scale = max(-w[0], w[-1], 1.0)
+    return None if w[0] < -_PSD_FEAS_RTOL * scale else scale
+
+
 def svec_dim(n):
     return n * (n + 1) // 2
 
 
 @functools.lru_cache(maxsize=64)
-def _triu(n):
-    """Packed upper-triangle indices of side ``n`` and the off-diagonal
-    mask, built once per side (read-only: every caller shares them)."""
+def _pack(n):
+    """Gather tables of side ``n``, built once (read-only: every caller
+    shares them).  For :func:`svec`: the flat index of each packed
+    upper-triangle entry and its factor (``sqrt(2)`` off the diagonal, 1
+    on it).  For :func:`smat`: the packed index of each matrix entry and
+    its divisor, the same factor."""
     iu, ju = np.triu_indices(n)
-    off = iu != ju
-    for a in (iu, ju, off):
+    flat = iu * n + ju
+    mul = np.where(iu != ju, _SQRT2, 1.0)
+    packed = np.empty((n, n), dtype=np.intp)
+    packed[iu, ju] = packed[ju, iu] = np.arange(iu.size)
+    div = mul[packed]
+    for a in (flat, mul, packed, div):
         a.flags.writeable = False
-    return iu, ju, off
+    return flat, mul, packed, div
 
 
 def svec(S):
     """Packed upper-triangle vectorization with off-diagonals scaled by
     ``sqrt(2)``, so that ``<svec(A), svec(B)> = <A, B>_F``."""
     S = np.asarray(S, dtype=float)
-    iu, ju, off = _triu(S.shape[0])
-    v = S[iu, ju]
-    v[off] *= _SQRT2
+    flat, mul, _, _ = _pack(S.shape[0])
+    v = np.take(S, flat)
+    v *= mul
     return v
 
 
@@ -86,12 +133,9 @@ def smat(v, n):
         raise ShapeMismatch(
             f"expected packed length {svec_dim(n)} for side {n}, got {v.shape}"
         )
-    S = np.zeros((n, n))
-    iu, ju, off = _triu(n)
-    w = v.copy()
-    w[off] /= _SQRT2
-    S[iu, ju] = w
-    S[ju, iu] = w
+    _, _, packed, div = _pack(n)
+    S = np.take(v, packed)
+    S /= div
     return S
 
 
@@ -182,8 +226,10 @@ def prox(spec, mu, v):
         return np.clip(v, lo, hi)
     if spec.kind == "psd_cone":
         w, V = eigh(smat(v, spec.side))
-        pos = w > 0.0
-        P = (V[:, pos] * w[pos]) @ V[:, pos].T
+        # ascending spectrum: the positive part is a suffix
+        k = w.searchsorted(0.0, "right")
+        Vp = V[:, k:]
+        P = (Vp * w[k:]) @ Vp.T
         out = svec(0.5 * (P + P.T))
         _last.psd = (out.copy(), np.maximum(w, 0.0), V)
         return out
@@ -204,9 +250,11 @@ def prox_value(spec, x):
         return 0.0 if np.all(x >= lo) and np.all(x <= hi) else np.inf
     if spec.kind == "psd_cone":
         saved = _saved_eig(x)
-        w = saved[0] if saved else eigvalsh(smat(x, spec.side))
-        scale = max(abs(w).max() if w.size else 0.0, 1.0)
-        return 0.0 if w.min() >= -_PSD_FEAS_RTOL * scale else np.inf
+        if saved is None:
+            w = eigvalsh(smat(finite(x, "PSD head"), spec.side))
+        else:
+            w = saved[0]
+        return np.inf if _psd_scale(w) is None else 0.0
     raise InvalidParams(f"unknown prox kind {spec.kind!r}")
 
 
@@ -246,13 +294,13 @@ def subgrad_residual(spec, x, g):
     if spec.kind == "psd_cone":
         G = smat(g, spec.side)
         w, V = _saved_eig(x) or eigh(smat(x, spec.side))
-        scale = max(abs(w).max() if w.size else 0.0, 1.0)
-        if w.min() < -_PSD_FEAS_RTOL * scale:
+        scale = _psd_scale(w)
+        if scale is None:
             return np.inf
         # Normal cone at X: matrices supported on ker(X) with nonpositive
         # eigenvalues there.  ``w`` is ascending, so the kernel columns are
         # a prefix of V: split the eigenbasis there, project, measure.
-        k = int(np.count_nonzero(w <= _PSD_RANK_RTOL * scale))
+        k = int(w.searchsorted(_PSD_RANK_RTOL * scale, "right"))
         Gt = V.T @ G @ V
         acc = np.linalg.norm(Gt[k:, k:]) ** 2
         acc += 2.0 * np.linalg.norm(Gt[k:, :k]) ** 2

@@ -14,9 +14,13 @@ import numpy as np
 import pytest
 
 from sgsqp import (
+    BlockPartition,
+    BlockSymOperator,
     BlockVector,
+    CompositeQP,
     DimensionMismatch,
     InvalidParams,
+    LinConQP,
     NoisyMode,
     PalmStop,
     ProxSpec,
@@ -174,6 +178,19 @@ def test_bad_option_is_refused_where_it_enters(case):
     error, call = BAD_OPTIONS[case]
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("spec", [ProxSpec.box([0.0, 0.0], [1.0, 1.0]),
+                                  ProxSpec.psd_cone(2)], ids=["box", "psd_cone"])
+def test_head_length_mismatch_is_one_error_type(spec):
+    """A head block whose width is not ``spec.block_dim()`` is refused
+    with the same type by the composite and the constrained problem."""
+    part = BlockPartition((4, 2))
+    Q = BlockSymOperator(part, {(0, 0): np.eye(4), (1, 1): np.eye(2)})
+    with pytest.raises(DimensionMismatch, match="partition has 4"):
+        CompositeQP(Q, np.zeros(6), spec)
+    with pytest.raises(DimensionMismatch, match="partition has 4"):
+        LinConQP(Q, np.ones((1, 6)), np.zeros(6), np.zeros(1), prox=spec)
 
 
 def test_boundary_options_stay_valid():

@@ -14,6 +14,7 @@ from sgsqp import (
     CompositeQP,
     LinConQP,
     NonFinite,
+    ProxSpec,
     QsdpData,
     classical_sgs_step,
     palm_solve,
@@ -21,7 +22,9 @@ from sgsqp import (
     solve,
     ssor_cycle,
 )
+from sgsqp import proxmap
 from sgsqp.instances import gen_lincon, gen_qsdp
+from sgsqp.proxmap import kkt_distance, prox, prox_value, subgrad_residual, svec
 
 from conftest import random_problem
 
@@ -128,3 +131,38 @@ def test_qsdp_data(field, bad):
     data[field] = _poison(data[field], bad)
     with pytest.raises(NonFinite, match=f"{field} contains"):
         QsdpData(3, **data)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("entry", ["prox", "subgrad_residual", "prox_value"])
+def test_psd_head(entry, bad, monkeypatch):
+    """A PSD head holding NaN or inf is refused before LAPACK sees it."""
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK reached with a non-finite head")
+    monkeypatch.setattr(proxmap, "_syevr", no_lapack)
+    monkeypatch.setattr(proxmap, "eigvalsh", no_lapack)
+    spec = ProxSpec.psd_cone(2)
+    head = np.array([bad, 0.0, 0.0])
+    call = {
+        "prox": lambda: prox(spec, 1.0, head),
+        "subgrad_residual": lambda: subgrad_residual(spec, head, np.zeros(3)),
+        "prox_value": lambda: prox_value(spec, head),
+    }[entry]
+    with pytest.raises(NonFinite, match="PSD head contains"):
+        call()
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("where", [0, 1])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_psd_residual_distance_reads_inf(where, bad):
+    """A non-finite head residual at a finite PSD head, on or off the
+    diagonal, is no refusal: with the saved pairs or without, the
+    distance reads inf."""
+    spec = ProxSpec.psd_cone(2)
+    x = prox(spec, 1.0, svec(np.diag([2.0, -1.0])))
+    r = np.zeros(4)
+    r[where] = bad
+    for _ in range(2):
+        assert kkt_distance(spec, np.append(x, 0.0), r, 3) == np.inf
+        proxmap._last.psd = None

@@ -16,8 +16,8 @@ from sgsqp.oracle import dense_optimum
 
 
 def observed_rate(prob, x_star, omega):
-    tr = solve(prob, steps=StepSchedule.constant(), variant="ssor",
-               omega=omega, stop=StopRule(kkt_tol=1e-10, max_iter=4000),
+    tr = solve(prob, steps=StepSchedule.constant(), omega=omega,
+               stop=StopRule(kkt_tol=1e-10, max_iter=4000),
                x_star=x_star)
     dists = [tr.dist0_qhat] + [r.dist_qhat for r in tr.rows]
     floor = 1e-5 * max(1.0, tr.dist0_qhat)

@@ -6,7 +6,7 @@ solve, forward — is an exact proximal-point step in a computable
 operator norm.  On top of that single primitive the package provides an
 accelerated (and restartable) outer loop with inexact inner solves and
 complexity certificates, a Schur-complement factorization view with
-verifiable identities, an over-relaxed sweep family, a proximal
+verifiable identities, over-relaxation through one ``omega``, a proximal
 augmented Lagrangian driver for linearly constrained problems including
 quadratic SDP, dense brute-force oracles, and a CLI with a reproducible
 instance format.
@@ -18,7 +18,6 @@ from .blockla import (
     BlockVector,
     Majorizer,
     sgs_operator,
-    ssor_operator,
 )
 from .errors import (
     DiagonalNotPD,
@@ -57,7 +56,6 @@ from .sgs import (
     SsorTuning,
     classical_sgs_step,
     sgs_cycle,
-    ssor_cycle,
     ssor_tuning,
     subproblem_kkt,
 )
@@ -94,7 +92,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockPartition", "BlockSymOperator", "BlockVector", "Majorizer",
-    "sgs_operator", "ssor_operator",
+    "sgs_operator",
     "SgsQpError", "DimensionMismatch", "ShapeMismatch", "NotSymmetric",
     "NotPD", "DiagonalNotPD", "ShiftNotPSD", "OmegaOutOfRange",
     "TauOutOfRange", "NeedsShift",
@@ -103,7 +101,7 @@ __all__ = [
     "ProxSpec", "prox", "prox_value", "subgrad_residual", "solve_block1",
     "svec", "smat", "svec_dim",
     "CompositeQP", "CycleResult", "ExactMode", "IterativeMode", "NoisyMode",
-    "sgs_cycle", "ssor_cycle", "classical_sgs_step", "subproblem_kkt",
+    "sgs_cycle", "classical_sgs_step", "subproblem_kkt",
     "SsorTuning", "ssor_tuning",
     "ScbFactors", "ScbResult", "build_factors", "scb_eliminate",
     "verify_identities",

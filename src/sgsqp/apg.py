@@ -13,14 +13,14 @@ restarts periodically); the emitted pairs always satisfy
 
 import contextlib
 import csv
-import numbers
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .blockla import BlockVector, dense_pd, finite, finite_real, int_at_least
+from .blockla import (BlockVector, dense_pd, finite, finite_real, int_at_least,
+                      is_real)
 from .errors import IdentityViolation, InvalidParams, NotPD
 from .sgs import ExactMode, IterativeMode, _cycle
 
@@ -139,15 +139,15 @@ class ToleranceSchedule:
 
 @dataclass(frozen=True)
 class StopRule:
-    """Stop once the KKT residual is at most ``kkt_tol`` (a real ``>= 0``;
-    ``inf`` stops after one iteration), or after ``max_iter`` (an int ``>=
-    0``) iterations; other values raise :class:`InvalidParams`."""
+    """Stop once the KKT residual is at most ``kkt_tol`` (a real ``>= 0``,
+    bools not; ``inf`` stops after one iteration), or after ``max_iter``
+    (an int ``>= 0``) iterations; other values raise :class:`InvalidParams`."""
 
     kkt_tol: float = 1e-8
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not (isinstance(self.kkt_tol, numbers.Real) and self.kkt_tol >= 0):
+        if not (is_real(self.kkt_tol) and self.kkt_tol >= 0):
             raise InvalidParams(f"kkt_tol must be a real >= 0, got {self.kkt_tol!r}")
         int_at_least(self.max_iter, "max_iter", 0)
 
@@ -187,7 +187,6 @@ class SolveTrace:
     x_final: BlockVector = None
     x0: BlockVector = None
     dist0_qhat: float = np.nan
-    variant: str = "sgs"
     omega: float = None
 
     @property
@@ -198,8 +197,8 @@ class SolveTrace:
         write_csv(self.rows, TraceRow, path_or_file)
 
 
-def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
-          omega=None, mode="exact", inner_cap=1e-2, x_star=None):
+def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
+          mode="exact", inner_cap=1e-2, x_star=None):
     """Run the accelerated (or plain) outer loop on a composite program.
 
     Parameters
@@ -213,7 +212,7 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
         inexact runs — with the exact budget an inexact run can only
         stall)
     stop : StopRule
-    variant : "sgs" or "ssor" (only the latter takes ``omega``)
+    omega : None (Gauss-Seidel) or a real in ``[1, 2)`` (over-relaxed)
     mode : "exact" or "inexact"
         Inexact runs solve block systems by conjugate gradients, halving
         the inner tolerance (at most 30 times per iteration) until the
@@ -234,14 +233,10 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
     steps = steps if steps is not None else StepSchedule.nesterov()
     tols = tols if tols is not None else ToleranceSchedule.exact()
     stop = stop if stop is not None else StopRule()
-    if variant not in ("sgs", "ssor"):
-        raise InvalidParams(f"unknown variant {variant!r}")
-    if (variant == "ssor") != (omega is not None):
-        raise InvalidParams("the ssor variant needs omega; sgs takes none")
     if mode not in ("exact", "inexact"):
         raise InvalidParams(f"unknown mode {mode!r}")
     inner_cap = finite_real(inner_cap, "inner_cap", positive=True)
-    maj = prob.majorizer(variant, omega)
+    maj = prob.majorizer(omega)
 
     if x0 is None:
         from .proxmap import prox
@@ -256,8 +251,7 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, variant="sgs",
         xs_vec = finite(BlockVector(part, x_star).data, "x_star")
         dist0 = maj.quad_norm(x0.data - xs_vec, "Qhat")
 
-    trace = SolveTrace(x0=x0.copy(), dist0_qhat=dist0, variant=variant,
-                       omega=omega)
+    trace = SolveTrace(x0=x0.copy(), dist0_qhat=dist0, omega=maj.omega)
     bnorm = prob.b.norm()
     kkt_target = stop.kkt_tol * (1.0 + bnorm)
 
@@ -371,7 +365,7 @@ def complexity_certificates(trace, prob, steps, tols, fstar, slack=1e-8):
     must follow the geometric envelope of the contraction factor.
     Requires the trace to have been produced with ``x_star`` set.
     """
-    maj = prob.majorizer(trace.variant, trace.omega)
+    maj = prob.majorizer(trace.omega)
     M = maj.m_constant()
     rep = CertificateReport(kind="none", M=M)
     dist0 = trace.dist0_qhat

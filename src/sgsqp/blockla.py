@@ -8,9 +8,9 @@ triangle, ``D`` the block diagonal) induces the majorizers handled here:
 * ``sgs``:          ``T = U D^{-1} U^*`` and ``Qhat = (D+U) D^{-1} (D+U^*)``
 * ``sgs`` shifted:  ``D`` replaced by ``Dhat = D + diag(J_i)`` with PSD
   shifts, ``T = diag(J) + U Dhat^{-1} U^*``
-* ``ssor``:         with ``tau = 1/omega``, ``rho = 2 tau - 1``,
+* ``omega in [1, 2)``: with ``tau = 1/omega``, ``rho = 2 tau - 1``,
   ``T = ((1-tau)D+U)(rho D)^{-1}((1-tau)D+U^*)`` and
-  ``Qhat = (tau D+U)(rho D)^{-1}(tau D+U^*)``
+  ``Qhat = (tau D+U)(rho D)^{-1}(tau D+U^*)`` (over-relaxed)
 
 In every case ``Qhat = Q + T`` and ``Qhat`` is positive definite as soon
 as the diagonal blocks are.
@@ -54,7 +54,6 @@ __all__ = [
     "BlockSymOperator",
     "Majorizer",
     "sgs_operator",
-    "ssor_operator",
     "block_split",
     "sweep",
 ]
@@ -173,14 +172,31 @@ def int_at_least(value, what, least):
     return int(value)
 
 
+def is_real(value):
+    """Whether ``value`` is a real number (numpy ones included, bools not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def finite_real(value, what, positive=False):
-    """``value`` as a float if it is a finite real ``>= 0`` (``> 0`` when
-    ``positive``); :class:`InvalidParams` otherwise."""
-    if not (isinstance(value, numbers.Real) and np.isfinite(value)
+    """``value`` as a float if it is a finite real (bools not) ``>= 0``
+    (``> 0`` when ``positive``); :class:`InvalidParams` otherwise."""
+    if not (is_real(value) and np.isfinite(value)
             and (value > 0 if positive else value >= 0)):
         raise InvalidParams(f"{what} must be finite and "
                             f"{'positive' if positive else '>= 0'}, got {value!r}")
     return float(value)
+
+
+def relaxation(omega):
+    """``omega`` as a float if it is a real (bools not) in ``[1, 2)``;
+    :class:`InvalidParams` for a non-real, :class:`OmegaOutOfRange` for
+    one outside the interval."""
+    if not is_real(omega):
+        raise InvalidParams(f"omega must be a real number, got {omega!r}")
+    omega = float(omega)
+    if not (1.0 <= omega < 2.0):
+        raise OmegaOutOfRange(f"omega must lie in [1, 2), got {omega}")
+    return omega
 
 
 def dense_pd(op, what):
@@ -429,7 +445,7 @@ def block_split(op):
 class Majorizer:
     """Implicit proximal weight ``T`` and majorized operator ``Qhat = Q + T``.
 
-    Built by :func:`sgs_operator` or :func:`ssor_operator`; never
+    Built by :func:`sgs_operator` and :meth:`relaxed`; never
     instantiated directly.  With the outer scale ``a`` and middle scale
     ``c`` (``a = c = 1`` for Gauss-Seidel), ``Qhat = (a Dhat + U)(c
     Dhat)^{-1}(a Dhat + U^*)``.  Every action goes through its only factor
@@ -449,14 +465,10 @@ class Majorizer:
         self._factor = None
 
     def relaxed(self, omega):
-        """The over-relaxed majorizer, ``omega in [1, 2)``, of the same
-        (shifted) operator, sharing its store and diagonal factors.  A
-        non-real ``omega`` raises :class:`InvalidParams`."""
-        if not isinstance(omega, numbers.Real):
-            raise InvalidParams(f"omega must be a real number, got {omega!r}")
-        omega = float(omega)
-        if not (1.0 <= omega < 2.0):
-            raise OmegaOutOfRange(f"omega must lie in [1, 2), got {omega}")
+        """The over-relaxed majorizer, ``omega in [1, 2)`` (checked by
+        :func:`relaxation`), of the same (shifted) operator, sharing its
+        store and diagonal factors."""
+        omega = relaxation(omega)
         tau = 1.0 / omega
         return Majorizer(self.base, self.eff, tau, 2.0 * tau - 1.0,
                          shifts=self.shifts, omega=omega)
@@ -580,8 +592,3 @@ def sgs_operator(Q, shifts=None):
         return Majorizer(Q, Q, 1.0, 1.0)
     kept = [None if J is None else np.asarray(J, dtype=float) for J in shifts]
     return Majorizer(Q, Q.with_added_diag(shifts), 1.0, 1.0, shifts=kept)
-
-
-def ssor_operator(Q, omega, shifts=None):
-    """Symmetric over-relaxed majorizer, ``omega in [1, 2)``."""
-    return sgs_operator(Q, shifts).relaxed(omega)

@@ -67,11 +67,11 @@ def _parse_mode(text):
     raise ValueError(f"bad --mode {text!r} (exact, inexact:RTOL)")
 
 
-def _parse_variant(text):
+def _parse_omega(text):
     if text == "sgs":
-        return "sgs", None
+        return None
     if text.startswith("ssor:"):
-        return "ssor", float(text.split(":", 1)[1])
+        return float(text.split(":", 1)[1])
     raise ValueError(f"bad --variant {text!r} (sgs, ssor:OMEGA)")
 
 
@@ -131,14 +131,14 @@ def cmd_solve(args):
     prob = inst.composite()
     steps = _parse_schedule(args.schedule)
     mode, rtol_cap = _parse_mode(args.mode)
-    variant, omega = _parse_variant(args.variant)
+    omega = _parse_omega(args.variant)
     if mode == "exact":
         tols = ToleranceSchedule.exact()
     else:
         tols = ToleranceSchedule.power(args.eps0, args.eps_power)
     trace = solve(prob, steps=steps, tols=tols,
                   stop=StopRule(kkt_tol=args.kkt_tol, max_iter=args.max_iter),
-                  variant=variant, omega=omega, mode=mode, inner_cap=rtol_cap)
+                  omega=omega, mode=mode, inner_cap=rtol_cap)
     if args.trace:
         trace.to_csv(args.trace)
     return _finish(trace, lambda r: f"F={r.F:.12g} kkt={r.kkt:.3e}")
@@ -170,11 +170,11 @@ def cmd_verify(args):
             lines.append((f"stage {j} Schur reconstruction", r, 1e-12))
 
     Qd = Q.dense()
-    for name, kind, omega, ref in (
-            ("majorizer", "sgs", None, oracle.dense_sgs_weight(prob.partition, Qd)),
-            ("over-relaxed", "ssor", 1.5,
+    for name, omega, ref in (
+            ("majorizer", None, oracle.dense_sgs_weight(prob.partition, Qd)),
+            ("over-relaxed", 1.5,
              oracle.dense_ssor_weight(prob.partition, Qd, 1.5))):
-        Qhat = prob.majorizer(kind, omega).densify("Qhat")
+        Qhat = prob.majorizer(omega).densify("Qhat")
         err = np.linalg.norm(Qhat - (Qd + ref), "fro") / max(
             np.linalg.norm(Qhat, "fro"), np.finfo(float).tiny)
         lines.append((f"{name} splitting identity", err, 1e-12))
@@ -210,18 +210,18 @@ def cmd_bench(args):
                              prox_kind="zero", seed=seed)
         prob = inst.composite()
         xs, _ = oracle.dense_optimum(prob)
-        runs = [("classical", StepSchedule.constant(), "sgs", None),
-                ("accelerated", StepSchedule.nesterov(), "sgs", None)]
+        runs = [("classical", StepSchedule.constant(), None),
+                ("accelerated", StepSchedule.nesterov(), None)]
         tune = ssor_tuning(prob.Q)
         for om in list(omegas) + [tune.omega_star]:
-            runs.append(("ssor", StepSchedule.constant(), "ssor", float(om)))
-        for name, steps, variant, om in runs:
+            runs.append(("ssor", StepSchedule.constant(), float(om)))
+        for name, steps, om in runs:
             trace = solve(prob, steps=steps, tols=ToleranceSchedule.exact(),
                           stop=StopRule(kkt_tol=args.kkt_tol,
                                         max_iter=args.max_iter),
-                          variant=variant, omega=om, x_star=xs)
+                          omega=om, x_star=xs)
             if steps.kind == "constant":
-                predicted = contraction_factor(prob.majorizer(variant, om))
+                predicted = contraction_factor(prob.majorizer(om))
             else:
                 predicted = float("nan")
             dists = [r.dist_qhat for r in trace.rows]

@@ -6,7 +6,6 @@ Quadratic SDP enters as data (:class:`QsdpData`) and is solved through
 its linearly constrained form (:func:`qsdp_to_lincon`).
 """
 
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -15,7 +14,7 @@ from scipy.linalg import eigh
 
 from .apg import StopRule, write_csv
 from .blockla import (BlockPartition, BlockSymOperator, BlockVector, finite,
-                      finite_real)
+                      finite_real, is_real)
 from .errors import (DimensionMismatch, InvalidParams, ShapeMismatch,
                      TauOutOfRange)
 from .proxmap import (ProxSpec, _identity_multiple, kkt_distance, prox,
@@ -184,7 +183,7 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
     residual is not finite: that iterate gets no row, and the pair before
     it is returned.
     """
-    if not isinstance(tau, numbers.Real):
+    if not is_real(tau):
         raise InvalidParams(f"tau must be a real number, got {tau!r}")
     if not (0.0 < tau < 2.0):
         raise TauOutOfRange(f"tau must lie in (0, 2), got {tau}")

@@ -292,11 +292,11 @@ def subgrad_residual(spec, x, g):
                               np.where(at_hi, np.minimum(g, 0.0), g)))
         return float(np.linalg.norm(d))
     if spec.kind == "psd_cone":
-        G = smat(g, spec.side)
         w, V = _saved_eig(x) or eigh(smat(x, spec.side))
         scale = _psd_scale(w)
-        if scale is None:
+        if scale is None or not np.isfinite(g).all():
             return np.inf
+        G = smat(g, spec.side)
         # Normal cone at X: matrices supported on ker(X) with nonpositive
         # eigenvalues there.  ``w`` is ascending, so the kernel columns are
         # a prefix of V: split the eigenbasis there, project, measure.

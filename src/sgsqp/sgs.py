@@ -34,7 +34,8 @@ from scipy.linalg import eigh, solve as dense_solve
 from scipy.linalg.blas import dtrsv
 
 from .blockla import (BlockVector, Majorizer, block_split, dense_pd, finite,
-                      finite_real, int_at_least, sgs_operator, sweep)
+                      finite_real, int_at_least, relaxation, sgs_operator,
+                      sweep)
 from .errors import DimensionMismatch, InvalidParams
 from .proxmap import (Block1, ProxSpec, kkt_distance, prepare_block1,
                       prox_value, solve_block1)
@@ -46,7 +47,6 @@ __all__ = [
     "IterativeMode",
     "NoisyMode",
     "sgs_cycle",
-    "ssor_cycle",
     "classical_sgs_step",
     "subproblem_kkt",
     "SsorTuning",
@@ -162,16 +162,16 @@ class CompositeQP:
         the Gauss-Seidel majorizer, so a problem holds one shifted copy."""
         return self.majorizer().eff
 
-    def majorizer(self, kind="sgs", omega=None):
-        """The cached majorizer of ``kind``; ``omega`` keys "ssor" only."""
-        key = (kind, omega if kind == "ssor" else None)
+    def majorizer(self, omega=None):
+        """The cached majorizer: Gauss-Seidel for ``omega=None`` (also
+        spelled ``"sgs"``, as the benchmark harness does), else over-relaxed
+        with ``omega`` checked by :func:`~sgsqp.blockla.relaxation`."""
+        if isinstance(omega, str) and omega == "sgs":
+            omega = None
+        key = None if omega is None else relaxation(omega)
         if key not in self._majs:
-            if kind == "sgs":
-                self._majs[key] = sgs_operator(self.Q, self.shifts)
-            elif kind == "ssor":
-                self._majs[key] = self.majorizer().relaxed(omega)
-            else:
-                raise InvalidParams(f"unknown majorizer kind {kind!r}")
+            self._majs[key] = (sgs_operator(self.Q, self.shifts) if key is None
+                               else self.majorizer().relaxed(key))
         return self._majs[key]
 
     def _head(self, maj):
@@ -216,7 +216,7 @@ class CycleResult:
     """Everything one cycle produced; its certificates on demand.
 
     ``x_prime`` holds the backward-sweep intermediates (its first block
-    equals ``x_plus``'s for the Gauss-Seidel kind).  ``backward`` is the
+    equals ``x_plus``'s when ``omega`` is None or 1).  ``backward`` is the
     sweep's ``x_prime`` itself, or the factored step's pair ``(xbar, z)``
     from which ``x_prime = xbar + c^{-1/2} T^{-T} z`` is solved on first
     read by the operator's ``factor_solve``; ``xbar`` is a copy, so a
@@ -238,10 +238,6 @@ class CycleResult:
     stalled: tuple = ()
     reused: tuple = ()
     inner_iters: tuple = ()
-
-    @property
-    def variant(self):
-        return "sgs" if self.maj.omega is None else "ssor"
 
     @property
     def omega(self):
@@ -328,7 +324,7 @@ def cg(A, b, *, rtol, maxiter, callback):
 def _cycle(prob, xbar, mode, maj, reuse_c=None, Qxbar=None):
     """One cycle of ``prob`` at ``xbar`` with the majorizer ``maj`` of
     ``prob``, which fixes the outer scale ``tau``, the middle scale ``rho``
-    and the relaxation ``omega`` (None for the Gauss-Seidel kind).  Both
+    and the relaxation ``omega`` (None for Gauss-Seidel).  Both
     paths take the residual ``r`` from ``Qxbar = Q xbar`` (unshifted ``Q``),
     one product when it is not handed over."""
     mode = _as_mode(mode)
@@ -460,7 +456,8 @@ def _sweep_cycle(prob, xb, r, mode, maj, reuse_c):
         reused=tuple(reused), inner_iters=tuple(inner))
 
 
-def sgs_cycle(prob, xbar, mode="exact", forward_reuse=None, Qxbar=None):
+def sgs_cycle(prob, xbar, mode="exact", *, omega=None, forward_reuse=None,
+              Qxbar=None):
     """One backward/forward symmetric Gauss-Seidel cycle at ``xbar``.
 
     Parameters
@@ -468,11 +465,17 @@ def sgs_cycle(prob, xbar, mode="exact", forward_reuse=None, Qxbar=None):
     prob : CompositeQP
     xbar : BlockVector or array_like
     mode : ExactMode, IterativeMode, NoisyMode or "exact"
+    omega : float or None
+        ``None`` for the Gauss-Seidel majorizer, a real in ``[1, 2)`` for
+        the over-relaxed one (:meth:`CompositeQP.majorizer`); at ``omega =
+        1`` the arithmetic agrees exactly with ``None``.
     forward_reuse : float or None
         When set (a positive constant ``c``), forward-sweep blocks whose
         coupling change is within ``(c/sqrt(s)) ||delta_prime||`` keep
         their backward intermediates; rejected blocks are recomputed with
-        the direct factorization.
+        the direct factorization.  Gauss-Seidel only: the reused residual
+        omits ``(1 - tau) Dhat d``, so with ``omega`` set it raises
+        :class:`InvalidParams`.
     Qxbar : array_like or None
         Data, not an option: ``Q xbar`` (unshifted ``Q``) from a caller
         that holds it, so the cycle makes no product.  It is taken as
@@ -486,23 +489,15 @@ def sgs_cycle(prob, xbar, mode="exact", forward_reuse=None, Qxbar=None):
 
     A centre or ``Qxbar`` holding NaN or inf raises :class:`NonFinite`.
     """
+    maj = prob.majorizer(omega)
     if forward_reuse is not None:
+        if maj.omega is not None:
+            raise InvalidParams("forward_reuse needs the Gauss-Seidel majorizer")
         finite_real(forward_reuse, "forward_reuse", positive=True)
     if Qxbar is not None:
         Qxbar = BlockVector(prob.partition, finite(Qxbar, "Qxbar")).data
-    return _cycle(prob, finite(xbar, "xbar"), mode, prob.majorizer(),
+    return _cycle(prob, finite(xbar, "xbar"), mode, maj,
                   reuse_c=forward_reuse, Qxbar=Qxbar)
-
-
-def ssor_cycle(prob, xbar, omega, mode="exact"):
-    """One symmetric over-relaxed cycle, ``omega in [1, 2)``.
-
-    At ``omega = 1`` this coincides with :func:`sgs_cycle` (the code path
-    is the over-relaxed one; the arithmetic agrees exactly).  A centre
-    holding NaN or inf raises :class:`NonFinite`.
-    """
-    return _cycle(prob, finite(xbar, "xbar"), mode,
-                  prob.majorizer("ssor", omega))
 
 
 def classical_sgs_step(Q, b, xk, maj=None):

@@ -32,7 +32,6 @@ from sgsqp import (
     sgs_cycle,
     smat,
     solve,
-    ssor_cycle,
     ssor_tuning,
     subproblem_kkt,
     svec,
@@ -116,12 +115,12 @@ def test_criterion_02_majorizer_identities():
             for j in range(i + 1, part.s):
                 U[si, part.slice(j)] = Qd[si, part.slice(j)]
         product = (D + U) @ np.linalg.solve(D, (D + U).T)
-        Qhat = prob.majorizer("sgs").densify("Qhat")
+        Qhat = prob.majorizer().densify("Qhat")
         worst_plain = max(worst_plain,
                           np.linalg.norm(Qhat - product, "fro")
                           / np.linalg.norm(Qhat, "fro"))
         for omega in (1.0, 1.25, 1.5, 1.9):
-            Qhat_w = prob.majorizer("ssor", omega).densify("Qhat")
+            Qhat_w = prob.majorizer(omega).densify("Qhat")
             T_w = dense_ssor_weight(part, Qd, omega)
             worst_relaxed = max(worst_relaxed,
                                 np.linalg.norm(Qhat_w - Qd - T_w, "fro")
@@ -454,7 +453,7 @@ def test_criterion_10_over_relaxed_reduction_and_rate():
             prob = random_problem(seed, dims=dims, prox_kind=prox_kind)
         xbar = random_point(prob, seed + 300)
         a = sgs_cycle(prob, xbar)
-        b = ssor_cycle(prob, xbar, omega=1.0)
+        b = sgs_cycle(prob, xbar, omega=1.0)
         worst_collapse = max(worst_collapse,
                              _rel(a.x_plus.data - b.x_plus.data,
                                   a.x_plus.data))
@@ -471,7 +470,7 @@ def test_criterion_10_over_relaxed_reduction_and_rate():
             if tune.gamma * tune.Gamma > 1.0:
                 continue
             xs, _ = dense_optimum(prob)
-            tr = solve(prob, steps=StepSchedule.constant(), variant="ssor",
+            tr = solve(prob, steps=StepSchedule.constant(),
                        omega=tune.omega_star,
                        stop=StopRule(kkt_tol=1e-10, max_iter=3000),
                        x_star=xs)

@@ -273,16 +273,14 @@ class TestSolve:
 
     def test_ssor_variant_runs(self):
         prob = random_problem(3)
-        tr = solve(prob, variant="ssor", omega=1.4,
+        tr = solve(prob, omega=1.4,
                    stop=StopRule(kkt_tol=1e-9, max_iter=2000))
         assert tr.termination == "tol"
-        assert tr.variant == "ssor" and tr.omega == 1.4
+        assert tr.omega == 1.4
 
-    def test_sgs_variant_refuses_omega_and_keeps_one_majorizer(self):
+    def test_gauss_seidel_keeps_one_majorizer(self):
         prob = shifted_problem(0)
-        with pytest.raises(InvalidParams):
-            solve(prob, variant="sgs", omega=1.5)
-        assert prob.majorizer("sgs", 1.5) is prob.majorizer()
+        assert prob.majorizer(None) is prob.majorizer() is prob.majorizer("sgs")
         tr = solve(prob, stop=StopRule(kkt_tol=1e-8, max_iter=500))
         assert tr.omega is None
         assert len(prob._majs) == 1
@@ -346,12 +344,13 @@ class TestFactoredIteration:
                  "constant": StepSchedule.constant()}.get(case, StepSchedule.nesterov())
         omega = 1.4 if case == "ssor" else None
         seen = _spy_cycles(monkeypatch)
-        solve(prob, steps=steps, variant="sgs" if omega is None else "ssor",
-              omega=omega, stop=StopRule(kkt_tol=1e-10, max_iter=40))
+        solve(prob, steps=steps, omega=omega,
+              stop=StopRule(kkt_tol=1e-10, max_iter=40))
         # every cycle is handed its product, zeros at the zero start
         assert [handed for _, handed, _ in seen] == [True] * len(seen)
         for xbar, _, res in seen:
-            ref = dense_subproblem_solve(prob, xbar, kind=res.variant, omega=omega)
+            kind = "sgs" if res.omega is None else "ssor"
+            ref = dense_subproblem_solve(prob, xbar, kind=kind, omega=res.omega)
             assert np.linalg.norm(res.x_plus.data - ref.data) <= 1e-9 * (
                 1.0 + np.linalg.norm(ref.data))
 

@@ -9,7 +9,6 @@ from sgsqp import (
     BlockSymOperator,
     BlockVector,
     sgs_operator,
-    ssor_operator,
 )
 from sgsqp.errors import (
     DiagonalNotPD,
@@ -193,7 +192,7 @@ class TestMajorizerWeights:
     @pytest.mark.parametrize("omega", [1.0, 1.25, 1.5, 1.9])
     def test_ssor_weight_matches_oracle(self, omega, rng):
         part, blocks, Qd = _dense_blocks(rng, [2, 2, 3])
-        maj = ssor_operator(BlockSymOperator(part, blocks), omega)
+        maj = sgs_operator(BlockSymOperator(part, blocks)).relaxed(omega)
         T = dense_ssor_weight(part, Qd, omega)
         got = maj.densify("Qhat")
         assert np.linalg.norm(got - (Qd + T)) <= 1e-12 * np.linalg.norm(got)
@@ -202,14 +201,14 @@ class TestMajorizerWeights:
         part, blocks, _ = _dense_blocks(rng, [3, 2])
         Q = BlockSymOperator(part, blocks)
         a = sgs_operator(Q).densify("Qhat")
-        b = ssor_operator(Q, 1.0).densify("Qhat")
+        b = sgs_operator(Q).relaxed(1.0).densify("Qhat")
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("omega", [0.5, 2.0, 2.5, -1.0])
     def test_omega_range(self, omega, rng):
         part, blocks, _ = _dense_blocks(rng, [2, 2])
         with pytest.raises(OmegaOutOfRange):
-            ssor_operator(BlockSymOperator(part, blocks), omega)
+            sgs_operator(BlockSymOperator(part, blocks)).relaxed(omega)
 
     def test_shifted_weight_dense_identity(self, rng):
         part, blocks, Qd = _dense_blocks(rng, [2, 2, 2])
@@ -256,7 +255,7 @@ class TestMajorizerActions:
     def test_apply_T_consistent_with_densify(self, rng):
         part, blocks, _ = _dense_blocks(rng, [1, 2, 2])
         for maj in (sgs_operator(BlockSymOperator(part, blocks)),
-                    ssor_operator(BlockSymOperator(part, blocks), 1.6)):
+                    sgs_operator(BlockSymOperator(part, blocks)).relaxed(1.6)):
             Td = maj.densify("T")
             x = rng.standard_normal(part.total)
             np.testing.assert_allclose(maj.apply_T(BlockVector(part, x)),
@@ -268,7 +267,7 @@ class TestMajorizerActions:
         quarter of one N x N array."""
         part, blocks, _ = _dense_blocks(rng, [100, 150, 50, 100])
         Q = BlockSymOperator(part, blocks)
-        maj = sgs_operator(Q) if omega is None else ssor_operator(Q, omega)
+        maj = sgs_operator(Q) if omega is None else sgs_operator(Q).relaxed(omega)
         x = rng.standard_normal(part.total)
         maj.factor()
         maj.apply_T(x)
@@ -301,7 +300,7 @@ class TestMajorizerActions:
     @pytest.mark.parametrize("length", [6, 8])
     def test_vector_of_the_wrong_length_refused(self, action, length, rng):
         part, blocks, _ = _dense_blocks(rng, [2, 3, 2])
-        maj = ssor_operator(BlockSymOperator(part, blocks), 1.5)
+        maj = sgs_operator(BlockSymOperator(part, blocks)).relaxed(1.5)
         with pytest.raises(DimensionMismatch):
             action(maj, np.ones(length))
 

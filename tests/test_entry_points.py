@@ -20,6 +20,7 @@ from sgsqp import (
     CompositeQP,
     DimensionMismatch,
     InvalidParams,
+    IterativeMode,
     LinConQP,
     NoisyMode,
     PalmStop,
@@ -29,10 +30,10 @@ from sgsqp import (
     ToleranceSchedule,
     classical_sgs_step,
     palm_solve,
+    prox,
     scb_eliminate,
     sgs_cycle,
     solve,
-    ssor_cycle,
     subproblem_kkt,
 )
 from sgsqp.instances import gen_lincon
@@ -53,7 +54,7 @@ ENTRY_POINTS = {
     "CompositeQP.objective": lambda w: PROB.objective(w(X)),
     "CompositeQP.kkt_residual": lambda w: PROB.kkt_residual(w(X)),
     "sgs_cycle": lambda w: sgs_cycle(PROB, w(X)),
-    "ssor_cycle": lambda w: ssor_cycle(PROB, w(X), 1.5),
+    "ssor_cycle": lambda w: sgs_cycle(PROB, w(X), omega=1.5),
     "classical_sgs_step": lambda w: classical_sgs_step(PROB.Q, w(PROB.b), w(X), MAJ),
     "subproblem_kkt": lambda w: subproblem_kkt(PROB, w(X), NOISY),
     "Majorizer.apply_T": lambda w: MAJ.apply_T(w(X)),
@@ -147,9 +148,9 @@ BAD_OPTIONS = {
     "power-exponent-text": (InvalidParams, lambda: ToleranceSchedule.power(1e-3, "x")),
     "tolerance-kind-unknown": (InvalidParams, lambda: ToleranceSchedule("bogus")),
     "ssor-omega-text": (InvalidParams,
-                        lambda: ssor_cycle(SMALL, np.zeros(7), omega="x")),
+                        lambda: sgs_cycle(SMALL, np.zeros(7), omega="x")),
     "solve-omega-text": (InvalidParams,
-                         lambda: solve(SMALL, variant="ssor", omega="x")),
+                         lambda: solve(SMALL, omega="x")),
     "stop-max-iter-fraction": (InvalidParams, lambda: StopRule(max_iter=2.5)),
     "stop-max-iter-negative": (InvalidParams, lambda: StopRule(max_iter=-3)),
     "stop-kkt-tol-nan": (InvalidParams, lambda: StopRule(kkt_tol=np.nan)),
@@ -168,6 +169,26 @@ BAD_OPTIONS = {
     "box-nan": (InvalidParams, lambda: ProxSpec.box(0.0, np.nan)),
     "forward-reuse-nan": (InvalidParams,
                           lambda: sgs_cycle(SMALL, np.zeros(7), forward_reuse=np.nan)),
+    "forward-reuse-with-omega": (InvalidParams, lambda: sgs_cycle(
+        SMALL, np.zeros(7), omega=1.5, forward_reuse=1.0)),
+    "majorizer-omega-list": (InvalidParams, lambda: SMALL.majorizer([1.5])),
+    "majorizer-omega-bool": (InvalidParams, lambda: SMALL.majorizer(True)),
+    "cycle-omega-bool": (InvalidParams,
+                         lambda: sgs_cycle(SMALL, np.zeros(7), omega=True)),
+    "solve-omega-list": (InvalidParams, lambda: solve(SMALL, omega=[1.5])),
+    "forward-reuse-bool": (InvalidParams,
+                           lambda: sgs_cycle(SMALL, np.zeros(7), forward_reuse=True)),
+    "palm-sigma-bool": (InvalidParams, lambda: palm_solve(LP, True, 1.6)),
+    "palm-tau-bool": (InvalidParams, lambda: palm_solve(LP, 1.0, True)),
+    "stop-kkt-tol-bool": (InvalidParams, lambda: StopRule(kkt_tol=True)),
+    "rel-tol-bool": (InvalidParams, lambda: IterativeMode(rel_tol=True)),
+    "noisy-scale-bool": (InvalidParams, lambda: NoisyMode(scale=True)),
+    "power-eps0-bool": (InvalidParams, lambda: ToleranceSchedule.power(True)),
+    "inner-cap-bool": (InvalidParams,
+                       lambda: solve(SMALL, mode="inexact", inner_cap=True)),
+    "l1-weight-bool": (InvalidParams, lambda: ProxSpec.l1(True)),
+    "prox-parameter-bool": (InvalidParams,
+                            lambda: prox(ProxSpec.l1(1.0), True, np.zeros(2))),
     "x-star-length": (DimensionMismatch, lambda: solve(SMALL, x_star=np.zeros(3))),
     "y0-length": (DimensionMismatch, lambda: palm_solve(LP, 1.0, 1.6, y0=np.zeros(5))),
 }

@@ -20,7 +20,6 @@ from sgsqp import (
     palm_solve,
     sgs_cycle,
     solve,
-    ssor_cycle,
 )
 from sgsqp import proxmap
 from sgsqp.instances import gen_lincon, gen_qsdp
@@ -97,7 +96,7 @@ def test_cycle_centre(entry, bad):
     x = _poison(np.zeros(prob.partition.total), bad)
     call, name = {
         "sgs_cycle": (lambda: sgs_cycle(prob, x), "xbar"),
-        "ssor_cycle": (lambda: ssor_cycle(prob, x, 1.5), "xbar"),
+        "ssor_cycle": (lambda: sgs_cycle(prob, x, omega=1.5), "xbar"),
         "classical_sgs_step": (lambda: classical_sgs_step(prob.Q, prob.b, x), "xk"),
         "classical_sgs_step_rhs": (lambda: classical_sgs_step(prob.Q, x, np.zeros(7)),
                                    "b"),
@@ -154,15 +153,15 @@ def test_psd_head(entry, bad, monkeypatch):
 
 @pytest.mark.parametrize("bad", BAD)
 @pytest.mark.parametrize("where", [0, 1])
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_psd_residual_distance_reads_inf(where, bad):
     """A non-finite head residual at a finite PSD head, on or off the
     diagonal, is no refusal: with the saved pairs or without, the
-    distance reads inf."""
+    distance reads inf, and no product with the eigenbasis warns."""
     spec = ProxSpec.psd_cone(2)
     x = prox(spec, 1.0, svec(np.diag([2.0, -1.0])))
     r = np.zeros(4)
     r[where] = bad
     for _ in range(2):
+        assert subgrad_residual(spec, x, r[:3]) == np.inf
         assert kkt_distance(spec, np.append(x, 0.0), r, 3) == np.inf
         proxmap._last.psd = None

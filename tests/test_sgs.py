@@ -15,7 +15,6 @@ from sgsqp import (
     NoisyMode,
     classical_sgs_step,
     sgs_cycle,
-    ssor_cycle,
     ssor_tuning,
     subproblem_kkt,
 )
@@ -40,7 +39,7 @@ class TestExactCycle:
         np.testing.assert_allclose(res.x_prime.data, [0.25, 0.5], atol=1e-15)
         np.testing.assert_allclose(res.Delta.data, 0.0, atol=1e-15)
         assert res.xi == 0.0
-        assert res.variant == "sgs"
+        assert res.omega is None
 
     @pytest.mark.parametrize("shifted, omega", [(False, None), (True, None),
                                                 (False, 1.5)])
@@ -49,7 +48,7 @@ class TestExactCycle:
         L_i^{-T} J z_i`` per block, from a copy of the centre: the caller may
         overwrite ``xbar`` before reading it."""
         prob = shifted_problem(1, prox_kind="zero") if shifted else random_problem(3)
-        maj = prob.majorizer() if omega is None else prob.majorizer("ssor", omega)
+        maj = prob.majorizer(omega)
         xbar = random_point(prob, 4)
         Y = maj.factor()
         Axbar = maj.plus_shift(prob.Q.matvec(xbar.data), xbar.data)
@@ -58,7 +57,7 @@ class TestExactCycle:
             dtrsv(L, zi[::-1], lower=1, trans=1)[::-1]
             for L, zi in zip(maj.eff.diag_factors(), prob.partition.split(z))])
         want = xbar.data + maj._c ** -0.5 * step
-        res = sgs_cycle(prob, xbar) if omega is None else ssor_cycle(prob, xbar, omega)
+        res = sgs_cycle(prob, xbar, omega=omega)
         xbar.data[:] = np.nan
         np.testing.assert_array_equal(res.x_prime.data, want)
         assert res.x_prime is res.x_prime
@@ -254,7 +253,8 @@ class TestCertificatesOnDemand:
         "iterative": lambda p, x: sgs_cycle(p, x, mode=IterativeMode(rel_tol=1e-3)),
         "forward-reuse": lambda p, x: sgs_cycle(
             p, x, mode=TestCertificatesOnDemand.NOISY, forward_reuse=1.0),
-        "ssor": lambda p, x: ssor_cycle(p, x, 1.6, mode=TestCertificatesOnDemand.NOISY),
+        "ssor": lambda p, x: sgs_cycle(
+            p, x, mode=TestCertificatesOnDemand.NOISY, omega=1.6),
     }
 
     @staticmethod
@@ -268,11 +268,9 @@ class TestCertificatesOnDemand:
     def test_values_are_the_majorizer_formulas(self, case):
         prob, xbar = self._problem(case)
         res = self.CASES[case](prob, xbar)
-        maj = (prob.majorizer("ssor", 1.6) if case == "ssor"
-               else prob.majorizer())
+        maj = prob.majorizer(1.6 if case == "ssor" else None)
         assert res.maj is maj
-        assert (res.variant, res.omega) == (("ssor", 1.6) if case == "ssor"
-                                            else ("sgs", None))
+        assert res.omega == (1.6 if case == "ssor" else None)
         assert bool(res.reused) == (case == "forward-reuse")
         dp, d = res.delta_prime, res.delta
         np.testing.assert_array_equal(dp.block(0), d.block(0))
@@ -284,7 +282,7 @@ class TestCertificatesOnDemand:
                                 + maj.quad_norm(dp.data, "Qhat_inv"))
         for name in ("Delta", "xi", "xi_bound"):
             assert getattr(res, name) is getattr(res, name)
-        assert not {"Delta", "xi", "xi_bound", "variant", "omega"} & {
+        assert not {"Delta", "xi", "xi_bound", "omega"} & {
             f.name for f in dataclasses.fields(res)}
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -309,25 +307,24 @@ class TestSsor:
             prob = random_problem(seed, prox_kind=("zero", "nonneg")[seed % 2])
             xbar = random_point(prob, seed + 50)
             a = sgs_cycle(prob, xbar)
-            b = ssor_cycle(prob, xbar, omega=1.0)
+            b = sgs_cycle(prob, xbar, omega=1.0)
             assert np.linalg.norm(a.x_plus.data - b.x_plus.data) <= 1e-12
 
     @pytest.mark.parametrize("omega", [1.25, 1.5, 1.9])
     def test_matches_dense_subproblem(self, omega):
         prob = random_problem(8, dims=(2, 3, 2), prox_kind="l1")
         xbar = random_point(prob, 9)
-        res = ssor_cycle(prob, xbar, omega=omega)
+        res = sgs_cycle(prob, xbar, omega=omega)
         ref = dense_subproblem_solve(prob, xbar, Delta=res.Delta, kind="ssor",
                                      omega=omega)
         scale = 1.0 + np.linalg.norm(ref.data)
         assert np.linalg.norm(res.x_plus.data - ref.data) <= 1e-9 * scale
-        assert res.variant == "ssor"
         assert res.omega == omega
 
     def test_shifted_ssor_matches_dense(self):
         prob = shifted_problem(4)
         xbar = random_point(prob, 5)
-        res = ssor_cycle(prob, xbar, omega=1.7)
+        res = sgs_cycle(prob, xbar, omega=1.7)
         ref = dense_subproblem_solve(prob, xbar, Delta=res.Delta, kind="ssor",
                                      omega=1.7)
         scale = 1.0 + np.linalg.norm(ref.data)
@@ -337,7 +334,7 @@ class TestSsor:
         prob = random_problem(0)
         xbar = random_point(prob, 0)
         with pytest.raises(OmegaOutOfRange):
-            ssor_cycle(prob, xbar, omega=2.0)
+            sgs_cycle(prob, xbar, omega=2.0)
 
 
 class TestShiftedOperator:
@@ -348,7 +345,7 @@ class TestShiftedOperator:
 
     def test_relaxed_majorizer_shares_the_shifted_operator(self):
         prob = shifted_problem(0)
-        assert prob.majorizer("ssor", 1.5).eff is prob.shifted_Q
+        assert prob.majorizer(1.5).eff is prob.shifted_Q
 
     def test_unshifted_problem_sweeps_its_own_operator(self):
         prob = random_problem(0)

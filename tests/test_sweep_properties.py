@@ -27,7 +27,6 @@ from sgsqp import (
     ProxSpec,
     prox_value,
     sgs_cycle,
-    ssor_cycle,
 )
 from sgsqp import blockla, proxmap, sgs
 from sgsqp.blockla import dpotrf, sweep
@@ -117,11 +116,8 @@ def cycles(draw, prox_kind, path):
 @given(data=st.data())
 def test_cycle_solves_the_proximal_subproblem(prox_kind, path, data):
     prob, xbar, mode, omega = data.draw(cycles(prox_kind, path))
-    if path == "ssor":
-        res = ssor_cycle(prob, xbar, omega, mode=mode)
-    else:
-        res = sgs_cycle(prob, xbar, mode=mode,
-                        forward_reuse=1.0 if path == "reuse" else None)
+    res = sgs_cycle(prob, xbar, mode=mode, omega=omega,
+                    forward_reuse=1.0 if path == "reuse" else None)
     ref = dense_subproblem_solve(prob, xbar, Delta=res.Delta,
                                  kind="ssor" if omega else "sgs", omega=omega)
     scale = 1.0 + np.linalg.norm(ref.data)
@@ -132,7 +128,7 @@ def test_cycle_solves_the_proximal_subproblem(prox_kind, path, data):
 
 
 def _run(prob, xbar, mode, omega, path, **kw):
-    maj = prob.majorizer() if omega is None else prob.majorizer("ssor", omega)
+    maj = prob.majorizer(omega)
     return sgs._cycle(prob, xbar, mode, maj,
                       reuse_c=1.0 if path == "reuse" else None, **kw)
 
@@ -206,7 +202,7 @@ def test_qhat_apply_and_solve_match_dense_weights(op, omega, shifted):
     part = Q.partition
     shifts = conservative_shifts(Q) if shifted else None
     prob = CompositeQP(Q, np.zeros(part.total), shifts=shifts)
-    maj = prob.majorizer("sgs" if omega is None else "ssor", omega)
+    maj = prob.majorizer(omega)
     if omega is None:
         Qhat = M + dense_sgs_weight(part, M, shifts)
     else:
@@ -280,7 +276,7 @@ def factored(draw):
         Qhat = M + dense_sgs_weight(part, M, shifts)
     else:
         Qhat = M + J + dense_ssor_weight(part, M + J, omega)
-    maj = prob.majorizer("sgs" if omega is None else "ssor", omega)
+    maj = prob.majorizer(omega)
     return prob, maj, omega, M + J, Qhat, rng.standard_normal(part.total)
 
 
@@ -364,10 +360,10 @@ def test_each_diagonal_block_is_factored_once(shifted, op):
         prob.majorizer().eff        # builds the shifted operator, if any
         built = len(calls)
         prob.majorizer().factor()
-        prob.majorizer("ssor", 1.5).factor()
+        prob.majorizer(1.5).factor()
         xbar = np.ones(Q.n)
         sgs_cycle(prob, xbar, mode=NoisyMode())
-        ssor_cycle(prob, xbar, 1.5, mode=IterativeMode())
+        sgs_cycle(prob, xbar, mode=IterativeMode(), omega=1.5)
         sgs_cycle(prob, xbar, forward_reuse=1.0)
     assert built == len(calls) == Q.s * (2 if shifted else 1)
 
@@ -392,7 +388,7 @@ def test_exact_smooth_cycle_matches_dense_solves(case):
         res = sgs_cycle(prob, xbar)
         ref = dense_subproblem_solve(prob, xbar)
     else:
-        res = ssor_cycle(prob, xbar, omega)
+        res = sgs_cycle(prob, xbar, omega=omega)
         ref = dense_subproblem_solve(prob, xbar, kind="ssor", omega=omega)
     assert np.linalg.norm(res.x_plus.data - ref.data) <= 1e-9 * (
         1.0 + np.linalg.norm(ref.data))
@@ -424,11 +420,11 @@ def test_factored_paths_skip_the_sweep(monkeypatch):
     Q, _ = _operator((2, 1, 3), [(0, 1), (1, 2)], 1.0, rng, False)
     prob = CompositeQP(Q, rng.standard_normal(6), shifts=conservative_shifts(Q))
     xbar = rng.standard_normal(6)
-    majs = [prob.majorizer(), prob.majorizer("ssor", 1.5)]
+    majs = [prob.majorizer(), prob.majorizer(1.5)]
     for maj in majs:
         maj.factor()
     sgs_cycle(prob, xbar)
-    ssor_cycle(prob, xbar, 1.5)
+    sgs_cycle(prob, xbar, omega=1.5)
     for maj in majs:
         maj.solve_Qhat(xbar)
         maj.quad_norm(xbar, "Qhat_inv")

@@ -278,7 +278,7 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
                     res = None
                     break
                 res = _cycle(prob, xt, IterativeMode(rt), maj, Qxbar=Qxt)
-                realized = max(res.delta_tilde_norm, res.delta_norm)
+                realized = max(res.delta_prime.norm(), res.delta.norm())
                 if realized <= budget:
                     break
                 rt *= 0.5
@@ -306,7 +306,7 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
             dist = maj.quad_norm(x_new.data - xs_vec, "Qhat")
         trace.rows.append(TraceRow(
             k=k, F=Fv, kkt=kkt,
-            delta_tilde=res.delta_tilde_norm, delta=res.delta_norm,
+            delta_tilde=res.delta_prime.norm(), delta=res.delta.norm(),
             t=t, beta=beta, dist_qhat=dist,
             time_s=time.perf_counter() - t0,
         ))

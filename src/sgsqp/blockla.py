@@ -383,15 +383,20 @@ class BlockSymOperator:
     # -- derived operators -------------------------------------------
 
     def with_added_diag(self, shifts):
-        """A new operator with ``shifts[i]`` added to each diagonal block.
+        """A new operator with ``shifts[i]`` added to each diagonal block,
+        or this one when every entry is ``None`` (a zero shift).
 
-        Each shift must be symmetric PSD (eigenvalues >= -1e-10 relative);
-        ``None`` entries mean a zero shift.
+        Each shift must be finite, of its block's shape, symmetric and PSD
+        (eigenvalues >= -1e-10 relative), and each shifted diagonal block
+        positive definite; :class:`DimensionMismatch` for a list of the
+        wrong length.
         """
         if len(shifts) != self.s:
             raise DimensionMismatch(
                 f"expected {self.s} shift blocks, got {len(shifts)}"
             )
+        if all(J is None for J in shifts):
+            return self
         blocks = dict(self.stored_items())
         for i, J in enumerate(shifts):
             if J is None:
@@ -587,8 +592,10 @@ class Majorizer:
 
 def sgs_operator(Q, shifts=None):
     """Symmetric Gauss-Seidel majorizer of ``Q``, with the PSD ``shifts``
-    (if any is not None) folded into the diagonal of its operator."""
-    if shifts is None or all(J is None for J in shifts):
+    (if any is not None) folded into the diagonal of its operator and
+    checked there (:meth:`BlockSymOperator.with_added_diag`)."""
+    eff = Q if shifts is None else Q.with_added_diag(shifts)
+    if eff is Q:
         return Majorizer(Q, Q, 1.0, 1.0)
     kept = [None if J is None else np.asarray(J, dtype=float) for J in shifts]
-    return Majorizer(Q, Q.with_added_diag(shifts), 1.0, 1.0, shifts=kept)
+    return Majorizer(Q, eff, 1.0, 1.0, shifts=kept)

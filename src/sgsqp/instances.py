@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigvalsh, qr
 
-from .blockla import BlockPartition, BlockSymOperator, BlockVector
+from .blockla import BlockPartition, BlockSymOperator, BlockVector, int_at_least
 from .errors import InvalidParams
 from .palm import LinConQP, QsdpData, qsdp_to_lincon
 from .proxmap import ProxSpec, prox, smat, svec, svec_dim
@@ -225,7 +225,8 @@ def loads_instance(text):
     qsdp = None
     if "qsdp" in doc:
         qd = doc["qsdp"]
-        qsdp = QsdpData(_conv(int, _get(qd, "n", "qsdp"), "qsdp.n"),
+        qsdp = QsdpData(_conv(lambda n: int_at_least(n, "n", 1),
+                              _get(qd, "n", "qsdp"), "qsdp.n"),
                         *(_darr(_get(qd, k, "qsdp"), f"qsdp.{k}")
                           for k in ("H", "B", "h", "C")))
     dims = _get(_get(doc, "partition"), "dims", "partition")

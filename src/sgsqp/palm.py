@@ -14,9 +14,9 @@ from scipy.linalg import eigh
 
 from .apg import StopRule, write_csv
 from .blockla import (BlockPartition, BlockSymOperator, BlockVector, finite,
-                      finite_real, is_real)
-from .errors import (DimensionMismatch, InvalidParams, ShapeMismatch,
-                     TauOutOfRange)
+                      finite_real, int_at_least, is_real)
+from .errors import (DimensionMismatch, InvalidParams, NotSymmetric,
+                     ShapeMismatch, TauOutOfRange)
 from .proxmap import (ProxSpec, _identity_multiple, kkt_distance, prox,
                       prox_value, svec, svec_dim)
 from .sgs import CompositeQP, sgs_cycle
@@ -61,11 +61,7 @@ class LinConQP:
             raise DimensionMismatch("d length does not match the rows of A")
         self.d = d
         self.prox = prox if prox is not None else ProxSpec.zero()
-        bd = self.prox.block_dim()
-        if bd is not None and bd != part.dims[0]:
-            raise DimensionMismatch(
-                f"prox expects block dimension {bd}, partition has {part.dims[0]}"
-            )
+        self.prox.check_head(part.dims[0])
 
     @property
     def partition(self):
@@ -257,17 +253,18 @@ class QsdpData:
     """min  delta_PSD(Z) + (1/2)<W, H W> - <h, xi>
     s.t.  Z + B^T xi + H W = C   (all matrices in packed symmetric
     coordinates; ``H`` acts on that space, ``B`` maps it to R^p).
-    All data must be finite (:class:`NonFinite`).
+    All data must be finite (:class:`NonFinite`), ``n`` an int ``>= 1``
+    (:class:`InvalidParams`) and ``H`` symmetric (:class:`NotSymmetric`).
     """
 
     def __init__(self, n, H, B, h, C):
-        self.n = int(n)
+        self.n = int_at_least(n, "n", 1)
         dim = svec_dim(self.n)
         H = finite(H, "H")
         if H.shape != (dim, dim):
             raise ShapeMismatch(f"H must be {dim}x{dim} for n={n}")
         if np.linalg.norm(H - H.T) > 1e-12 * max(1.0, np.linalg.norm(H)):
-            raise ShapeMismatch("H must be symmetric")
+            raise NotSymmetric("H must be symmetric")
         self.H = 0.5 * (H + H.T)
         B = np.atleast_2d(finite(B, "B"))
         if B.shape[1] != dim:

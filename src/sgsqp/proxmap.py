@@ -24,7 +24,8 @@ from numpy.linalg import LinAlgError, eigvalsh
 from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
 from .blockla import finite, finite_real, int_at_least
-from .errors import DiagonalNotPD, InvalidParams, NeedsShift, ShapeMismatch
+from .errors import (DiagonalNotPD, DimensionMismatch, InvalidParams, NeedsShift,
+                     ShapeMismatch)
 
 __all__ = [
     "ProxSpec",
@@ -33,7 +34,7 @@ __all__ = [
     "subgrad_residual",
     "kkt_distance",
     "solve_block1",
-    "prepare_block1",
+    "head_scale",
     "svec",
     "smat",
     "svec_dim",
@@ -187,6 +188,14 @@ class ProxSpec:
             return svec_dim(self.side)
         return len(self.lo) if self.kind == "box" and len(self.lo) > 1 else None
 
+    def check_head(self, n1):
+        """:class:`DimensionMismatch` unless a first block of length ``n1``
+        fits this term (:meth:`block_dim`)."""
+        want = self.block_dim()
+        if want is not None and want != n1:
+            raise DimensionMismatch(f"prox kind {self.kind!r} needs first block "
+                                    f"of length {want}, partition has {n1}")
+
     def _bounds(self):
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
 
@@ -333,25 +342,10 @@ def _identity_multiple(A):
     return None
 
 
-@dataclass(frozen=True)
-class Block1:
-    """A first-block quadratic ``A`` prepared for repeated solves: its
-    Cholesky factor for the zero ``p``, its identity multiple otherwise."""
-
-    A: np.ndarray
-    chol: tuple = None
-    mu: float = None
-
-
-def prepare_block1(spec, A):
-    """Factor ``A`` (zero ``p``) or find ``mu`` with ``A = mu I``, raising
-    :class:`DiagonalNotPD` or :class:`NeedsShift` as :func:`solve_block1` does."""
-    A = np.asarray(A, dtype=float)
-    if spec.kind == "zero":
-        try:
-            return Block1(A, chol=cho_factor(0.5 * (A + A.T), lower=True))
-        except np.linalg.LinAlgError as exc:
-            raise DiagonalNotPD(0) from exc
+def head_scale(A):
+    """``mu`` with ``A = mu I``, the head quadratic of a nonsmooth ``p``;
+    :class:`NeedsShift` when ``A`` is no multiple of the identity and
+    :class:`DiagonalNotPD` when ``mu <= 0``."""
     mu = _identity_multiple(A)
     if mu is None:
         raise NeedsShift(
@@ -360,7 +354,7 @@ def prepare_block1(spec, A):
         )
     if mu <= 0:
         raise DiagonalNotPD(0)
-    return Block1(A, mu=mu)
+    return mu
 
 
 def solve_block1(spec, Q11, c1):
@@ -370,15 +364,22 @@ def solve_block1(spec, Q11, c1):
 
     For a nonsmooth ``p`` the quadratic ``Q11`` must be a positive
     multiple of the identity so the minimizer is a single prox
-    evaluation; otherwise :class:`NeedsShift` is raised.  ``Q11`` may be a
-    :class:`Block1` from :func:`prepare_block1`, so that repeated solves
-    with one quadratic factor it once.  Returns the minimizer together
-    with the certifying subgradient ``gamma1 = c1 - Q11 x``.
+    evaluation (:func:`head_scale`); ``Q11`` may also be that multiple
+    ``mu`` itself, a scalar.  Returns the minimizer together with the
+    certifying subgradient ``gamma1 = c1 - Q11 x``.
     """
     c1 = np.asarray(c1, dtype=float)
-    head = Q11 if isinstance(Q11, Block1) else prepare_block1(spec, Q11)
-    if head.chol is not None:
-        x = cho_solve(head.chol, c1, check_finite=False)
-        return x, c1 - head.A @ x
-    x = prox(spec, head.mu, c1 / head.mu)     # checks the head's length
-    return x, c1 - head.mu * x
+    if np.isscalar(Q11):
+        mu = Q11
+    elif spec.kind == "zero":
+        A = np.asarray(Q11, dtype=float)
+        try:
+            chol = cho_factor(0.5 * (A + A.T), lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise DiagonalNotPD(0) from exc
+        x = cho_solve(chol, c1, check_finite=False)
+        return x, c1 - A @ x
+    else:
+        mu = head_scale(Q11)
+    x = prox(spec, mu, c1 / mu)     # checks the head's length
+    return x, c1 - mu * x

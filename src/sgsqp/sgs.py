@@ -37,8 +37,8 @@ from .blockla import (BlockVector, Majorizer, block_split, dense_pd, finite,
                       finite_real, int_at_least, relaxation, sgs_operator,
                       sweep)
 from .errors import DimensionMismatch, InvalidParams
-from .proxmap import (Block1, ProxSpec, kkt_distance, prepare_block1,
-                      prox_value, solve_block1)
+from .proxmap import (ProxSpec, head_scale, kkt_distance, prox_value,
+                      solve_block1)
 
 __all__ = [
     "CompositeQP",
@@ -113,7 +113,11 @@ class CompositeQP:
     folded into the sweeps (they enlarge the proximal weight, never the
     objective); a nonsmooth ``p`` whose ``Q_11`` is not a multiple of the
     identity needs ``J_1 = ||Q_11|| I - Q_11`` to become solvable.  ``b``
-    and the shifts must be finite (:class:`NonFinite` otherwise).
+    must be finite (:class:`NonFinite` otherwise).  The Gauss-Seidel
+    majorizer is built here, so bad shifts raise what
+    :func:`~sgsqp.blockla.sgs_operator` raises, and a nonsmooth head
+    whose ``Q_11 + J_1`` is not ``mu I``, ``mu > 0``, raises
+    :class:`NeedsShift` or :class:`DiagonalNotPD`.
 
     Parameters
     ----------
@@ -133,24 +137,13 @@ class CompositeQP:
         finite(b.data, "b")
         self.b = b
         self.prox = p if p is not None else ProxSpec.zero()
-        want = self.prox.block_dim()
-        if want is not None and want != part.dims[0]:
-            raise DimensionMismatch(
-                f"prox kind {self.prox.kind!r} needs first block of length "
-                f"{want}, partition has {part.dims[0]}"
-            )
-        if shifts is not None:
-            if len(shifts) != part.s:
-                raise DimensionMismatch(
-                    f"expected {part.s} shifts, got {len(shifts)}"
-                )
-            shifts = [None if J is None else finite(J, f"shift {i}")
-                      for i, J in enumerate(shifts)]
-            if all(J is None for J in shifts):
-                shifts = None
-        self.shifts = shifts
-        self._majs = {}
-        self._heads = {}
+        self.prox.check_head(part.dims[0])
+        maj = sgs_operator(Q, shifts)
+        self._majs = {None: maj}
+        self.shifts = maj.shifts
+        # ``mu`` with ``Dhat_11 = mu I``: the nonsmooth head's closed form
+        self._mu = (None if self.prox.kind == "zero"
+                    else head_scale(maj.eff.block(0, 0)))
 
     @property
     def partition(self):
@@ -170,19 +163,8 @@ class CompositeQP:
             omega = None
         key = None if omega is None else relaxation(omega)
         if key not in self._majs:
-            self._majs[key] = (sgs_operator(self.Q, self.shifts) if key is None
-                               else self.majorizer().relaxed(key))
+            self._majs[key] = self._majs[None].relaxed(key)
         return self._majs[key]
-
-    def _head(self, maj):
-        """The cycle's first-block quadratic ``(tau^2/rho) Dhat_11`` for the
-        majorizer ``maj``, kept once: as is for the zero head, which solves
-        with the operator's factor, else prepared by :func:`prepare_block1`."""
-        if maj not in self._heads:
-            A00 = (maj._a * maj._a / maj._c) * maj.eff.block(0, 0)
-            self._heads[maj] = (Block1(A00) if self.prox.kind == "zero"
-                                else prepare_block1(self.prox, A00))
-        return self._heads[maj]
 
     def effective_b(self, xbar):
         """``b + diag(J) xbar`` — the sweeps' right-hand side."""
@@ -250,14 +232,6 @@ class CycleResult:
         centre, z = self.backward
         step = self.maj.eff.factor_solve(z, trans=True)
         return BlockVector(self.maj.partition, centre + self.maj._c ** -0.5 * step)
-
-    @property
-    def delta_tilde_norm(self):
-        return self.delta_prime.norm()
-
-    @property
-    def delta_norm(self):
-        return self.delta.norm()
 
     @cached_property
     def Delta(self):
@@ -357,7 +331,8 @@ def _sweep_cycle(prob, xb, r, mode, maj, reuse_c):
     s, off, n1 = part.s, part.offsets, part.dims[0]
     A, tau = maj.eff, maj._a
     diag = A.panels()[3]
-    head = prob._head(maj)
+    h = tau * tau / maj._c        # the head quadratic is ``h Dhat_11``
+    mu = None if prob._mu is None else h * prob._mu
     rng = np.random.default_rng(mode.seed) if isinstance(mode, NoisyMode) else None
 
     dprime, delta = np.zeros((2, part.total))     # backward/forward residuals
@@ -377,8 +352,8 @@ def _sweep_cycle(prob, xb, r, mode, maj, reuse_c):
             stalled.append(i)
         return x
 
-    # ``tau * A_ii`` for blocks 2..s, formed once for both sweeps
-    scaled = ([None] + [tau * d for d in diag[1:]]
+    # ``h A_11`` and ``tau * A_ii`` for blocks 2..s, formed once per cycle
+    scaled = ([h * diag[0]] + [tau * d for d in diag[1:]]
               if isinstance(mode, IterativeMode) else None)
 
     def solve_block(i, rhs, resid):
@@ -405,13 +380,13 @@ def _sweep_cycle(prob, xb, r, mode, maj, reuse_c):
         if i > 0:
             return solve_block(i, rhs, dprime)
         xb1 = xb[:n1]
-        if head.mu is not None:      # nonsmooth head, ``H = mu I``
-            x1, gamma1 = solve_block1(prob.prox, head, rhs + head.mu * xb1)
-        elif isinstance(mode, IterativeMode):
-            x1, gamma1 = xb1 + cg_block(0, head.A, rhs, dprime), np.zeros(n1)
+        if mu is not None:      # nonsmooth head, ``H = mu I``
+            x1, gamma1 = solve_block1(prob.prox, mu, rhs + mu * xb1)
+        elif scaled is not None:
+            x1, gamma1 = xb1 + cg_block(0, scaled[0], rhs, dprime), np.zeros(n1)
         else:       # zero head: ``e = H^{-1} rhs`` by the operator's factor
             e = A.diag_solve(0, rhs) * (maj._c / tau ** 2)
-            x1, gamma1 = xb1 + e, rhs - head.A @ e
+            x1, gamma1 = xb1 + e, rhs - (h * diag[0]) @ e
         delta[:n1] = dprime[:n1]
         if tau == 1.0:
             return x1 - xb1

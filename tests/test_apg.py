@@ -306,6 +306,37 @@ def _spy_cycles(monkeypatch):
     return seen
 
 
+@pytest.mark.parametrize("over", ["backward", "forward"])
+def test_attempt_over_budget_on_one_sweep_is_retried(monkeypatch, over):
+    """An inexact attempt counts only if both realized residuals, backward
+    ``delta_prime`` and forward ``delta``, are within ``eps_k / t_k``.  The
+    first attempt here reports one over that budget and the other under
+    it, so it is rejected and the next cycle runs at half the inner
+    tolerance."""
+    prob, eps0 = random_problem(2), 1e-3
+    part = prob.partition
+    unit = np.zeros(part.total)
+    unit[-1] = 1.0
+    tols = []
+
+    def first_attempt_split(prob, xbar, mode, maj, **kwargs):
+        tols.append(mode.rel_tol)
+        res = sgs._cycle(prob, xbar, mode, maj, **kwargs)
+        if len(tols) > 1:
+            return res
+        big, small = (BlockVector(part, f * eps0 * unit) for f in (2.0, 0.5))
+        pair = (big, small) if over == "backward" else (small, big)
+        return dataclasses.replace(res, delta_prime=pair[0], delta=pair[1])
+
+    monkeypatch.setattr(apg, "_cycle", first_attempt_split)
+    tr = solve(prob, mode="inexact", tols=ToleranceSchedule.geometric(eps0, 0.5),
+               stop=StopRule(kkt_tol=0.0, max_iter=1))
+    assert tr.iterations == 1 and len(tols) >= 2
+    assert tols[1] == tols[0] / 2
+    row = tr.rows[0]
+    assert max(row.delta_tilde, row.delta) <= eps0
+
+
 class TestFactoredIteration:
     """An exact zero-prox iteration takes ``Q xbar`` by linearity from the
     monitoring products, so it costs one product and two solves with

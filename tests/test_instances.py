@@ -250,6 +250,14 @@ class TestDecoder:
         with pytest.raises(InvalidParams, match="prox.side"):
             loads_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("n", [2.7, "3", True, 0])
+    def test_qsdp_order_not_truncated(self, n):
+        """A QSDP order that is not an int >= 1 is refused, not truncated."""
+        doc = json.loads(dumps_instance(gen_qsdp(3, 2, seed=5)))
+        doc["qsdp"]["n"] = n
+        with pytest.raises(InvalidParams, match="qsdp.n"):
+            loads_instance(json.dumps(doc))
+
     @pytest.mark.parametrize("section,key,what", [
         (None, "b", "b"), ("Q", "0,1", "Q block 0,1"),
         ("lincon", "A", "lincon.A"), ("qsdp", "B", "qsdp.B")])

@@ -64,7 +64,7 @@ def test_composite_rhs_and_shifts(bad):
     Q = BlockSymOperator(BlockPartition((2, 1)), _blocks())
     with pytest.raises(NonFinite, match="b contains"):
         CompositeQP(Q, _poison(np.ones(3), bad))
-    with pytest.raises(NonFinite, match="shift 1"):
+    with pytest.raises(NonFinite, match="shift block 1"):
         CompositeQP(Q, np.ones(3), shifts=[None, np.array([[bad]])])
 
 

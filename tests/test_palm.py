@@ -191,6 +191,16 @@ class TestPalmSolve:
         assert np.linalg.norm(x.data - xs) <= 1e-9 * scale
         assert np.linalg.norm(y - ys) <= 1e-9 * scale
 
+    def test_multiplier_step_is_scaled_by_tau(self):
+        """One iteration returns ``y = y0 + tau sigma (A x+ - d)``."""
+        lp = gen_lincon((2, 3, 2), m=3, seed=1).lincon_problem()
+        sigma, tau, y0 = 2.0, 1.5, np.array([0.3, -1.2, 0.7])
+        x, y, tr = palm_solve(lp, sigma, tau, y0=y0, stop=PalmStop(max_iter=1))
+        assert tr.iterations == 1
+        resid = lp.A @ x.data - lp.d
+        assert np.linalg.norm(resid) > 1e-3
+        np.testing.assert_allclose(y, y0 + tau * sigma * resid, rtol=1e-14, atol=0)
+
     def test_previous_multiplier_variant_converges(self):
         lp = gen_lincon((2, 2), m=2, seed=4).lincon_problem()
         x, y, tr = palm_solve(lp, sigma=8.0, tau=1.0,
@@ -370,6 +380,19 @@ class TestQsdp:
         d = svec_dim(3)
         with pytest.raises(ShapeMismatch):
             QsdpData(3, np.eye(d + 1), np.zeros((1, d)), np.zeros(1), np.eye(3))
+
+    @pytest.mark.parametrize("n", [2.7, 0, -1, True, "2"])
+    def test_order_must_be_a_positive_int(self, n):
+        """``n = 2.7`` once became 2 and fit 3x3 data; now it is refused."""
+        with pytest.raises(InvalidParams, match="n must be an int >= 1"):
+            QsdpData(n, np.eye(3), np.ones((1, 3)), np.zeros(1), np.eye(2))
+
+    def test_asymmetric_H_is_not_symmetric(self):
+        from sgsqp.errors import NotSymmetric
+        H = np.eye(3)
+        H[0, 1] = 0.5
+        with pytest.raises(NotSymmetric):
+            QsdpData(2, H, np.ones((1, 3)), np.zeros(1), np.eye(2))
 
     def test_assembled_blocks_dense_anchor(self):
         d = svec_dim(2)

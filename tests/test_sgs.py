@@ -13,13 +13,15 @@ from sgsqp import (
     IterativeMode,
     Majorizer,
     NoisyMode,
+    ProxSpec,
     classical_sgs_step,
     sgs_cycle,
     ssor_tuning,
     subproblem_kkt,
 )
-from sgsqp.errors import (DiagonalNotPD, DimensionMismatch, InvalidParams, NotPD,
-                          OmegaOutOfRange)
+from sgsqp.errors import (DiagonalNotPD, DimensionMismatch, InvalidParams,
+                          NeedsShift, NotPD, NotSymmetric, OmegaOutOfRange,
+                          ShapeMismatch, ShiftNotPSD)
 from sgsqp.oracle import dense_subproblem_solve
 
 from conftest import anchor_2x2, random_problem, random_point, shifted_problem
@@ -365,6 +367,64 @@ class TestShiftedOperator:
         with pytest.raises(DiagonalNotPD) as err:
             sgs_cycle(CompositeQP(Q, np.ones(4), shifts=[I2, None]), np.zeros(4))
         assert err.value.block == 1
+
+
+class TestBuiltOnce:
+    """``CompositeQP`` builds its Gauss-Seidel majorizer and settles its
+    head when it is built, so bad shifts and unsolvable heads are refused
+    there, before any cycle runs."""
+
+    HEAD = np.array([[3.0, 1.0], [1.0, 2.0]])
+
+    def _op(self, head=None, factor_diag=True):
+        blocks = {(0, 0): self.HEAD if head is None else head, (1, 1): np.eye(2)}
+        return BlockSymOperator(BlockPartition((2, 2)), blocks,
+                                factor_diag=factor_diag)
+
+    def test_nonsmooth_head_not_a_multiple_of_the_identity(self):
+        with pytest.raises(NeedsShift):
+            CompositeQP(self._op(), np.ones(4), ProxSpec.l1(1.0))
+        with pytest.raises(NeedsShift):
+            CompositeQP(self._op(), np.ones(4), ProxSpec.nonneg(),
+                        shifts=[np.eye(2), None])
+
+    def test_nonpositive_head_scale(self):
+        Q = self._op(head=-np.eye(2), factor_diag=False)
+        with pytest.raises(DiagonalNotPD) as err:
+            CompositeQP(Q, np.ones(4), ProxSpec.l1(1.0))
+        assert err.value.block == 0
+
+    def test_shifted_diagonal_block_not_positive_definite(self):
+        Q = BlockSymOperator(BlockPartition((2, 2)), {(0, 0): np.eye(2)},
+                             factor_diag=False)
+        with pytest.raises(DiagonalNotPD) as err:
+            CompositeQP(Q, np.ones(4), shifts=[np.eye(2), np.zeros((2, 2))])
+        assert err.value.block == 1
+
+    def test_shift_not_psd(self):
+        with pytest.raises(ShiftNotPSD):
+            CompositeQP(self._op(), np.ones(4), shifts=[None, -np.eye(2)])
+
+    @pytest.mark.parametrize("J, err", [
+        (np.eye(3), ShapeMismatch), (np.ones(2), ShapeMismatch),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), NotSymmetric),
+    ], ids=["3x3", "vector", "asymmetric"])
+    def test_bad_shift(self, J, err):
+        with pytest.raises(err):
+            CompositeQP(self._op(), np.ones(4), shifts=[J, None])
+
+    @pytest.mark.parametrize("shifts", [[None], [None] * 3, [np.eye(2)]],
+                             ids=["one-none", "three-none", "one-shift"])
+    def test_shift_list_of_the_wrong_length(self, shifts):
+        with pytest.raises(DimensionMismatch):
+            CompositeQP(self._op(), np.ones(4), shifts=shifts)
+
+    def test_head_settled_from_the_shifted_block(self):
+        J1 = 4.0 * np.eye(2) - self.HEAD
+        prob = CompositeQP(self._op(), np.ones(4), ProxSpec.l1(1.0),
+                           shifts=[J1, None])
+        assert prob._mu == pytest.approx(4.0, rel=1e-15)
+        assert prob._majs == {None: prob.majorizer()}
 
 
 class TestClassicalStep:

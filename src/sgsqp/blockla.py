@@ -593,9 +593,14 @@ class Majorizer:
 def sgs_operator(Q, shifts=None):
     """Symmetric Gauss-Seidel majorizer of ``Q``, with the PSD ``shifts``
     (if any is not None) folded into the diagonal of its operator and
-    checked there (:meth:`BlockSymOperator.with_added_diag`)."""
+    checked there (:meth:`BlockSymOperator.with_added_diag`).  An operator
+    assembled with ``factor_diag=False`` and no shift is factored in a
+    copy, so a diagonal block that is not PD raises :class:`DiagonalNotPD`
+    here."""
     eff = Q if shifts is None else Q.with_added_diag(shifts)
     if eff is Q:
-        return Majorizer(Q, Q, 1.0, 1.0)
+        if Q._rchol is None:
+            eff = BlockSymOperator(Q.partition, dict(Q.stored_items()))
+        return Majorizer(Q, eff, 1.0, 1.0)
     kept = [None if J is None else np.asarray(J, dtype=float) for J in shifts]
     return Majorizer(Q, eff, 1.0, 1.0, shifts=kept)

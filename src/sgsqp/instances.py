@@ -148,15 +148,39 @@ def _enc_meta(meta):
 @dataclass
 class Instance:
     """Parsed instance: a composite QP, optionally with constraint or
-    QSDP sections attached."""
+    QSDP sections attached.
 
-    dims: tuple
-    Q: dict
-    b: np.ndarray
-    prox: ProxSpec
+    A QSDP instance derives whichever of ``dims``, ``Q``, ``b`` and
+    ``prox`` it is not given from its linearly constrained form
+    (:func:`~sgsqp.palm.qsdp_to_lincon`): the partition, copies of the
+    blocks of ``P`` and of ``g``, and the PSD head.  That form is built
+    once and :meth:`lincon_problem` returns it.  Any other instance needs
+    all four (:class:`InvalidParams`).
+    """
+
+    dims: tuple = None
+    Q: dict = None
+    b: np.ndarray = None
+    prox: ProxSpec = None
     lincon: dict = None
     qsdp: QsdpData = None
     meta: dict = field(default_factory=dict)
+    _lp: LinConQP = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if any(v is None for v in (self.dims, self.Q, self.b, self.prox)):
+            if self.qsdp is None:
+                raise InvalidParams(
+                    "an instance without a qsdp section needs dims, Q, b and prox")
+            self._lp = lp = qsdp_to_lincon(self.qsdp)
+            if self.dims is None:
+                self.dims = tuple(lp.partition.dims)
+            if self.Q is None:
+                self.Q = {key: np.array(M) for key, M in lp.P.stored_items()}
+            if self.b is None:
+                self.b = np.array(lp.g)
+            if self.prox is None:
+                self.prox = lp.prox
 
     @property
     def partition(self):
@@ -178,7 +202,9 @@ class Instance:
             return LinConQP(P, self.lincon["A"], self.lincon["g"],
                             self.lincon["d"], prox=self.prox)
         if self.qsdp is not None:
-            return qsdp_to_lincon(self.qsdp)
+            if self._lp is None:
+                self._lp = qsdp_to_lincon(self.qsdp)
+            return self._lp
         raise InvalidParams("instance has no constraint section")
 
 
@@ -209,7 +235,10 @@ def dumps_instance(inst):
 
 def loads_instance(text):
     """Parse an instance document; :class:`InvalidParams` naming the field
-    for invalid JSON, a missing field or a value of the wrong kind."""
+    for invalid JSON, a missing field or a value of the wrong kind.  A
+    document with a ``"qsdp"`` section is rebuilt from that section (see
+    :class:`Instance`): its ``"Q"`` and ``"b"``, derived data, are neither
+    read nor required."""
     try:
         doc = json.loads(text)
     except ValueError as exc:
@@ -230,10 +259,11 @@ def loads_instance(text):
                         *(_darr(_get(qd, k, "qsdp"), f"qsdp.{k}")
                           for k in ("H", "B", "h", "C")))
     dims = _get(_get(doc, "partition"), "dims", "partition")
+    derived = qsdp is not None
     return Instance(
         dims=_conv(lambda v: BlockPartition(v).dims, dims, "partition.dims"),
-        Q=_dec_blocks(_get(doc, "Q"), "Q"),
-        b=_darr(_get(doc, "b"), "b"),
+        Q=None if derived else _dec_blocks(_get(doc, "Q"), "Q"),
+        b=None if derived else _darr(_get(doc, "b"), "b"),
         prox=_dec_prox(_get(doc, "prox")),
         lincon=lincon,
         qsdp=qsdp,
@@ -440,9 +470,5 @@ def gen_qsdp(n, p, seed=0, rank_H=None):
     w = -y
     C = smat(svec(0.5 * (Zs + Zs.T)) + B.T @ xi + H @ w, n)
 
-    q = QsdpData(n, H, B, h, C)
-    lp = qsdp_to_lincon(q)
-    blocks = {key: np.array(M) for key, M in lp.P.stored_items()}
     meta = {"seed": int(seed), "n": n, "p": p, "rank_H": rank_H}
-    return Instance(dims=tuple(lp.partition.dims), Q=blocks, b=np.array(lp.g),
-                    prox=lp.prox, qsdp=q, meta=meta)
+    return Instance(qsdp=QsdpData(n, H, B, h, C), meta=meta)

@@ -249,12 +249,18 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
 # quadratic SDP: three blocks (Z, xi, W), the W variable only through H W
 
 
+def _check_sym(M, name):
+    if np.linalg.norm(M - M.T) > 1e-12 * max(1.0, np.linalg.norm(M)):
+        raise NotSymmetric(f"{name} must be symmetric")
+
+
 class QsdpData:
     """min  delta_PSD(Z) + (1/2)<W, H W> - <h, xi>
     s.t.  Z + B^T xi + H W = C   (all matrices in packed symmetric
     coordinates; ``H`` acts on that space, ``B`` maps it to R^p).
     All data must be finite (:class:`NonFinite`), ``n`` an int ``>= 1``
-    (:class:`InvalidParams`) and ``H`` symmetric (:class:`NotSymmetric`).
+    (:class:`InvalidParams`) and ``H`` and ``C`` symmetric
+    (:class:`NotSymmetric`, relative tolerance 1e-12).
     """
 
     def __init__(self, n, H, B, h, C):
@@ -263,8 +269,7 @@ class QsdpData:
         H = finite(H, "H")
         if H.shape != (dim, dim):
             raise ShapeMismatch(f"H must be {dim}x{dim} for n={n}")
-        if np.linalg.norm(H - H.T) > 1e-12 * max(1.0, np.linalg.norm(H)):
-            raise NotSymmetric("H must be symmetric")
+        _check_sym(H, "H")
         self.H = 0.5 * (H + H.T)
         B = np.atleast_2d(finite(B, "B"))
         if B.shape[1] != dim:
@@ -278,6 +283,7 @@ class QsdpData:
         C = finite(C, "C")
         if C.shape != (self.n, self.n):
             raise ShapeMismatch("C must be n x n")
+        _check_sym(C, "C")
         self.C = 0.5 * (C + C.T)
 
     @property

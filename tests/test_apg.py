@@ -337,6 +337,22 @@ def test_attempt_over_budget_on_one_sweep_is_retried(monkeypatch, over):
     assert max(row.delta_tilde, row.delta) <= eps0
 
 
+def test_stop_target_scales_with_the_norm_of_b():
+    """With ``||b||`` near 1e4, ``solve`` stops at the first iteration
+    whose KKT residual is at most ``kkt_tol (1 + ||b||)``, and not before.
+    The run passes through residuals between that target and one a
+    hundred times looser, so a looser target would stop too early."""
+    base = random_problem(1)
+    prob = CompositeQP(base.Q, 1e4 * base.b.data, base.prox)
+    kkt_tol = 1e-9
+    target = kkt_tol * (1.0 + np.linalg.norm(prob.b.data))
+    tr = solve(prob, stop=StopRule(kkt_tol=kkt_tol, max_iter=2000))
+    assert tr.termination == "tol"
+    assert tr.rows[-1].kkt <= target
+    assert all(r.kkt > target for r in tr.rows[:-1])
+    assert any(target < r.kkt <= 100 * target for r in tr.rows)
+
+
 class TestFactoredIteration:
     """An exact zero-prox iteration takes ``Q xbar`` by linearity from the
     monitoring products, so it costs one product and two solves with
@@ -462,6 +478,24 @@ class TestCertificates:
         assert rep.ok
         assert len(rep.rows) == tr.iterations
         assert rep.linear_rows == []
+
+    def test_gap_decaying_like_one_over_k_fails_the_accelerated_bound(self):
+        """A doctored trace whose objective gap is ``dist0^2 / (2k)`` meets
+        the bound at ``k = 1`` and stays within ``2 dist0^2 / (k + 1)``,
+        yet breaks the accelerated ``2 dist0^2 / (k + 1)^2`` after it."""
+        prob = random_problem(1)
+        xs, fs = dense_optimum(prob)
+        steps, tols = StepSchedule.nesterov(), ToleranceSchedule.exact()
+        tr = solve(prob, steps=steps, tols=tols,
+                   stop=StopRule(kkt_tol=1e-10, max_iter=500), x_star=xs)
+        assert complexity_certificates(tr, prob, steps, tols, fs).ok
+        d2 = tr.dist0_qhat ** 2
+        slow = dataclasses.replace(tr, rows=[
+            dataclasses.replace(r, F=fs + d2 / (2.0 * r.k)) for r in tr.rows])
+        rep = complexity_certificates(slow, prob, steps, tols, fs)
+        assert tr.iterations >= 3
+        assert rep.ok is False
+        assert rep.rows[0][3] and not any(ok for *_, ok in rep.rows[1:])
 
     def test_accelerated_inexact(self):
         prob = random_problem(2, prox_kind="nonneg")

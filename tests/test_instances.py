@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from sgsqp import (LinConQP, ProxSpec, QsdpData, StopRule, read_instance,
-                   solve, write_instance)
+from sgsqp import (LinConQP, PalmStop, ProxSpec, QsdpData, StopRule,
+                   palm_solve, read_instance, solve, write_instance)
 from sgsqp.errors import InvalidParams
 from sgsqp.instances import (
     dumps_instance,
@@ -161,6 +161,66 @@ class TestGenQsdp:
         B = inst.qsdp.B if isinstance(inst.qsdp, QsdpData) \
             else np.asarray(inst.qsdp["B"])
         assert np.linalg.matrix_rank(B) == 3
+
+
+class TestQsdpLoad:
+    """A QSDP document is rebuilt from its ``"qsdp"`` section alone: its
+    ``"Q"`` and ``"b"`` sections, the blocks of ``P`` and ``g`` of its
+    linearly constrained form, are neither read nor required."""
+
+    TEXT = dumps_instance(gen_qsdp(4, 2, seed=3))
+
+    @pytest.mark.parametrize("edit", ["removed", "garbage"])
+    def test_derived_sections_neither_read_nor_required(self, edit):
+        full = loads_instance(self.TEXT)
+        doc = json.loads(self.TEXT)
+        if edit == "removed":
+            del doc["Q"], doc["b"]
+        else:
+            doc["Q"], doc["b"] = "not blocks", [1, "x"]
+        bare = loads_instance(json.dumps(doc))
+        assert bare.dims == full.dims and bare.Q.keys() == full.Q.keys()
+        for key, M in full.Q.items():
+            np.testing.assert_array_equal(bare.Q[key], M)
+        np.testing.assert_array_equal(bare.b, full.b)
+        lf, lb = full.lincon_problem(), bare.lincon_problem()
+        np.testing.assert_array_equal(lb.P.dense(), lf.P.dense())
+        for name in "Agd":
+            np.testing.assert_array_equal(getattr(lb, name), getattr(lf, name))
+        assert lb.prox == lf.prox
+        stop = PalmStop(kkt_tol=1e-7, max_iter=10000)
+        xf, yf, tf = palm_solve(lf, 1.0, 1.6, stop=stop)
+        xb, yb, tb = palm_solve(lb, 1.0, 1.6, stop=stop)
+        assert tb.termination == tf.termination == "tol"
+        assert tb.iterations == tf.iterations
+        np.testing.assert_array_equal(xb.data, xf.data)
+        np.testing.assert_array_equal(yb, yf)
+
+    def test_load_decomposes_H_once(self, monkeypatch):
+        """A load followed by ``lincon_problem()`` builds the linearly
+        constrained form once, with one eigendecomposition of ``H``."""
+        calls = []
+        real = QsdpData.range_coords
+        monkeypatch.setattr(QsdpData, "range_coords",
+                            lambda q: calls.append(q) or real(q))
+        inst = loads_instance(self.TEXT)
+        lp = inst.lincon_problem()
+        assert inst.lincon_problem() is lp
+        assert len(calls) == 1
+
+    def test_replace_keeps_the_derived_data(self):
+        inst = loads_instance(self.TEXT)
+        moved = dataclasses.replace(inst, meta={"note": "moved"})
+        assert moved.Q is inst.Q and moved.b is inst.b
+        np.testing.assert_array_equal(moved.lincon_problem().A,
+                                      inst.lincon_problem().A)
+        assert dumps_instance(dataclasses.replace(moved, meta=inst.meta)) \
+            == self.TEXT
+
+    def test_other_instances_need_every_field(self):
+        inst = gen((2, 2), seed=0)
+        with pytest.raises(InvalidParams, match="needs dims, Q, b and prox"):
+            dataclasses.replace(inst, b=None)
 
 
 class TestFileFormat:

@@ -394,6 +394,17 @@ class TestQsdp:
         with pytest.raises(NotSymmetric):
             QsdpData(2, H, np.ones((1, 3)), np.zeros(1), np.eye(2))
 
+    def test_asymmetric_C_is_not_symmetric(self):
+        """``C`` is refused as ``H`` is, at the same relative tolerance,
+        instead of being symmetrized; a rounding-level asymmetry is
+        symmetrized exactly."""
+        from sgsqp.errors import NotSymmetric
+        with pytest.raises(NotSymmetric, match="C"):
+            QsdpData(2, np.eye(3), np.ones((1, 3)), np.zeros(1), [[1, 2], [0, 1]])
+        C = np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]])
+        q = QsdpData(2, np.eye(3), np.ones((1, 3)), np.zeros(1), C)
+        assert (q.C == q.C.T).all()
+
     def test_assembled_blocks_dense_anchor(self):
         d = svec_dim(2)
         H = np.eye(d)

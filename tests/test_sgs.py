@@ -394,6 +394,32 @@ class TestBuiltOnce:
             CompositeQP(Q, np.ones(4), ProxSpec.l1(1.0))
         assert err.value.block == 0
 
+    def test_unfactored_operator_cycles_on_a_factored_copy(self):
+        """An operator assembled with ``factor_diag=False`` and no shift
+        is factored in a copy by its majorizer, so its cycle runs, matches
+        the dense subproblem solve and equals the factored operator's."""
+        I2 = np.eye(2)
+        blocks = {(0, 0): 2 * I2, (1, 1): I2}
+        Q = BlockSymOperator(BlockPartition((2, 2)), blocks, factor_diag=False)
+        prob = CompositeQP(Q, np.ones(4))
+        assert prob.Q is Q and prob.shifted_Q is not Q
+        xbar = np.array([1.0, -2.0, 0.5, 3.0])
+        res = sgs_cycle(prob, xbar)
+        want = dense_subproblem_solve(prob, xbar)
+        np.testing.assert_allclose(res.x_plus.data, want.data, rtol=0, atol=1e-14)
+        ref = CompositeQP(BlockSymOperator(BlockPartition((2, 2)), blocks),
+                          np.ones(4))
+        np.testing.assert_array_equal(res.x_plus.data,
+                                      sgs_cycle(ref, xbar).x_plus.data)
+
+    def test_unfactored_diagonal_block_not_positive_definite(self):
+        Q = BlockSymOperator(BlockPartition((2, 2)),
+                             {(0, 0): self.HEAD, (1, 1): -np.eye(2)},
+                             factor_diag=False)
+        with pytest.raises(DiagonalNotPD) as err:
+            CompositeQP(Q, np.ones(4))
+        assert err.value.block == 1
+
     def test_shifted_diagonal_block_not_positive_definite(self):
         Q = BlockSymOperator(BlockPartition((2, 2)), {(0, 0): np.eye(2)},
                              factor_diag=False)

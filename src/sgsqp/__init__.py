@@ -73,7 +73,6 @@ from .apg import (
 from .palm import (
     LinConQP,
     PalmStop,
-    PalmTrace,
     QsdpData,
     assemble_penalized,
     palm_solve,
@@ -108,8 +107,8 @@ __all__ = [
     "SolveTrace", "StepSchedule", "StopRule", "ToleranceSchedule",
     "solve", "contraction_factor", "complexity_certificates",
     "CertificateReport",
-    "LinConQP", "PalmStop", "PalmTrace", "QsdpData", "assemble_penalized",
-    "palm_solve", "qsdp_to_lincon",
+    "LinConQP", "PalmStop", "QsdpData", "assemble_penalized", "palm_solve",
+    "qsdp_to_lincon",
     "Instance", "gen", "gen_lincon", "gen_qsdp", "read_instance",
     "write_instance",
 ]

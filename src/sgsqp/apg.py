@@ -154,28 +154,23 @@ class StopRule:
 
 @dataclass
 class TraceRow:
+    """One iteration of either loop.  A :func:`solve` row has ``primal_inf
+    = y_norm = 0`` (no constraints, no multiplier); a
+    :func:`~sgsqp.palm.palm_solve` row has ``delta_tilde = delta = 0``
+    (exact cycles), ``t = 1`` and ``beta = 0`` (no momentum) and
+    ``dist_qhat = nan``."""
+
     k: int
     F: float
     kkt: float
+    primal_inf: float
+    y_norm: float
     delta_tilde: float
     delta: float
     t: float
     beta: float
     dist_qhat: float
     time_s: float
-
-
-def write_csv(rows, row_type, path_or_file):
-    """Write trace rows as CSV: a header of ``row_type``'s field names, then
-    ``k`` as an int and every other field as ``repr(float)``."""
-    names = [f.name for f in fields(row_type)]
-    own = isinstance(path_or_file, (str, bytes))
-    with (open(path_or_file, "w", newline="") if own
-          else contextlib.nullcontext(path_or_file)) as fh:
-        w = csv.writer(fh)
-        w.writerow(names)
-        for r in rows:
-            w.writerow([r.k] + [repr(float(getattr(r, n))) for n in names[1:]])
 
 
 @dataclass
@@ -194,7 +189,18 @@ class SolveTrace:
         return len(self.rows)
 
     def to_csv(self, path_or_file):
-        write_csv(self.rows, TraceRow, path_or_file)
+        """Write the rows as CSV: a header of :class:`TraceRow`'s field
+        names, then ``k`` as an int and every other field as
+        ``repr(float)``."""
+        names = [f.name for f in fields(TraceRow)]
+        own = isinstance(path_or_file, (str, bytes))
+        with (open(path_or_file, "w", newline="") if own
+              else contextlib.nullcontext(path_or_file)) as fh:
+            w = csv.writer(fh)
+            w.writerow(names)
+            for r in self.rows:
+                w.writerow([r.k] + [repr(float(getattr(r, n)))
+                                    for n in names[1:]])
 
 
 def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
@@ -305,7 +311,7 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
         if xs_vec is not None:
             dist = maj.quad_norm(x_new.data - xs_vec, "Qhat")
         trace.rows.append(TraceRow(
-            k=k, F=Fv, kkt=kkt,
+            k=k, F=Fv, kkt=kkt, primal_inf=0.0, y_norm=0.0,
             delta_tilde=res.delta_prime.norm(), delta=res.delta.norm(),
             t=t, beta=beta, dist_qhat=dist,
             time_s=time.perf_counter() - t0,

@@ -58,13 +58,11 @@ def _parse_schedule(text):
 
 
 def _parse_mode(text):
-    if text == "exact":
-        return "exact", 1e-2
-    if text.startswith("inexact"):
-        if ":" in text:
-            return "inexact", float(text.split(":", 1)[1])
-        return "inexact", 1e-2
-    raise ValueError(f"bad --mode {text!r} (exact, inexact:RTOL)")
+    if text in ("exact", "inexact"):
+        return text, 1e-2
+    if text.startswith("inexact:"):
+        return "inexact", float(text.split(":", 1)[1])
+    raise ValueError(f"bad --mode {text!r} (exact, inexact, inexact:RTOL)")
 
 
 def _parse_omega(text):
@@ -105,11 +103,14 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def _finish(trace, last_fields):
-    """Print the run summary, with ``last_fields(row)`` of the final row
-    when there is one, and map the termination to an exit code."""
+def _finish(trace):
+    """Print the run summary, with ``F``, ``kkt`` and ``primal_inf`` of the
+    final row when there is one, and map the termination to an exit code."""
     line = f"termination={trace.termination} iterations={trace.iterations}"
-    print(f"{line} {last_fields(trace.rows[-1])}" if trace.rows else line)
+    if trace.rows:
+        r = trace.rows[-1]
+        line += f" F={r.F:.12g} kkt={r.kkt:.3e} primal_inf={r.primal_inf:.3e}"
+    print(line)
     return {"tol": EXIT_OK, "stall": EXIT_STALL,
             "nonfinite": EXIT_NONFINITE}.get(trace.termination, EXIT_MAXITER)
 
@@ -117,31 +118,26 @@ def _finish(trace, last_fields):
 def cmd_solve(args):
     inst = _read(args.instance)
     if inst.has_constraints():
-        prob = inst.lincon_problem()
-        x, y, trace = palm_solve(
-            prob, args.sigma, args.tau,
+        _, _, trace = palm_solve(
+            inst.lincon_problem(), args.sigma, args.tau,
             stop=PalmStop(kkt_tol=args.kkt_tol, max_iter=args.max_iter),
             multiplier_update=args.multiplier_update,
         )
-        if args.trace:
-            trace.to_csv(args.trace)
-        return _finish(trace, lambda r: f"F={r.F:.12g} primal_inf="
-                       f"{r.primal_inf:.3e} kkt={r.kkt:.3e}")
-
-    prob = inst.composite()
-    steps = _parse_schedule(args.schedule)
-    mode, rtol_cap = _parse_mode(args.mode)
-    omega = _parse_omega(args.variant)
-    if mode == "exact":
-        tols = ToleranceSchedule.exact()
     else:
-        tols = ToleranceSchedule.power(args.eps0, args.eps_power)
-    trace = solve(prob, steps=steps, tols=tols,
-                  stop=StopRule(kkt_tol=args.kkt_tol, max_iter=args.max_iter),
-                  omega=omega, mode=mode, inner_cap=rtol_cap)
+        steps = _parse_schedule(args.schedule)
+        mode, rtol_cap = _parse_mode(args.mode)
+        omega = _parse_omega(args.variant)
+        if mode == "exact":
+            tols = ToleranceSchedule.exact()
+        else:
+            tols = ToleranceSchedule.power(args.eps0, args.eps_power)
+        trace = solve(inst.composite(), steps=steps, tols=tols,
+                      stop=StopRule(kkt_tol=args.kkt_tol,
+                                    max_iter=args.max_iter),
+                      omega=omega, mode=mode, inner_cap=rtol_cap)
     if args.trace:
         trace.to_csv(args.trace)
-    return _finish(trace, lambda r: f"F={r.F:.12g} kkt={r.kkt:.3e}")
+    return _finish(trace)
 
 
 def cmd_verify(args):
@@ -278,7 +274,8 @@ def _build_parser():
     s.add_argument("instance")
     s.add_argument("--schedule", default="nesterov",
                    help="constant | nesterov | restart:P")
-    s.add_argument("--mode", default="exact", help="exact | inexact:RTOL")
+    s.add_argument("--mode", default="exact",
+                   help="exact | inexact | inexact:RTOL")
     s.add_argument("--variant", default="sgs", help="sgs | ssor:OMEGA")
     s.add_argument("--eps0", type=float, default=1e-2)
     s.add_argument("--eps-power", type=float, default=1.5)

@@ -237,8 +237,8 @@ def loads_instance(text):
     """Parse an instance document; :class:`InvalidParams` naming the field
     for invalid JSON, a missing field or a value of the wrong kind.  A
     document with a ``"qsdp"`` section is rebuilt from that section (see
-    :class:`Instance`): its ``"Q"`` and ``"b"``, derived data, are neither
-    read nor required."""
+    :class:`Instance`): its ``"partition"``, ``"Q"``, ``"b"`` and
+    ``"prox"``, derived data, are neither read nor required."""
     try:
         doc = json.loads(text)
     except ValueError as exc:
@@ -251,22 +251,20 @@ def loads_instance(text):
         lincon = {"P": _dec_blocks(_get(lc, "P", "lincon"), "lincon.P")}
         for k in ("A", "g", "d"):
             lincon[k] = _darr(_get(lc, k, "lincon"), f"lincon.{k}")
-    qsdp = None
     if "qsdp" in doc:
         qd = doc["qsdp"]
         qsdp = QsdpData(_conv(lambda n: int_at_least(n, "n", 1),
                               _get(qd, "n", "qsdp"), "qsdp.n"),
                         *(_darr(_get(qd, k, "qsdp"), f"qsdp.{k}")
                           for k in ("H", "B", "h", "C")))
+        return Instance(lincon=lincon, qsdp=qsdp, meta=doc.get("meta", {}))
     dims = _get(_get(doc, "partition"), "dims", "partition")
-    derived = qsdp is not None
     return Instance(
         dims=_conv(lambda v: BlockPartition(v).dims, dims, "partition.dims"),
-        Q=None if derived else _dec_blocks(_get(doc, "Q"), "Q"),
-        b=None if derived else _darr(_get(doc, "b"), "b"),
+        Q=_dec_blocks(_get(doc, "Q"), "Q"),
+        b=_darr(_get(doc, "b"), "b"),
         prox=_dec_prox(_get(doc, "prox")),
         lincon=lincon,
-        qsdp=qsdp,
         meta=doc.get("meta", {}),
     )
 

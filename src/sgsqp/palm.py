@@ -7,12 +7,12 @@ its linearly constrained form (:func:`qsdp_to_lincon`).
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .apg import StopRule, write_csv
+from .apg import SolveTrace, StopRule, TraceRow
 from .blockla import (BlockPartition, BlockSymOperator, BlockVector, finite,
                       finite_real, int_at_least, is_real)
 from .errors import (DimensionMismatch, InvalidParams, NotSymmetric,
@@ -24,8 +24,6 @@ from .sgs import CompositeQP, sgs_cycle
 __all__ = [
     "LinConQP",
     "PalmStop",
-    "PalmRow",
-    "PalmTrace",
     "assemble_penalized",
     "palm_solve",
     "QsdpData",
@@ -132,29 +130,6 @@ class PalmStop(StopRule):
     max_iter: int = 10000
 
 
-@dataclass
-class PalmRow:
-    k: int
-    F: float
-    primal_inf: float
-    kkt: float
-    y_norm: float
-    time_s: float
-
-
-@dataclass
-class PalmTrace:
-    rows: list = field(default_factory=list)
-    termination: str = "max_iter"
-
-    @property
-    def iterations(self):
-        return len(self.rows)
-
-    def to_csv(self, path_or_file):
-        write_csv(self.rows, PalmRow, path_or_file)
-
-
 def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
                multiplier_update="new"):
     """Run the proximal augmented Lagrangian loop.
@@ -173,7 +148,8 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
     one ``P`` product per iteration.  A PSD head's certificate reuses the
     cycle's projection eigenpairs: one eigendecomposition per iteration.
 
-    Returns ``(x, y, trace)``; termination is ``"tol"`` once both the
+    Returns ``(x, y, trace)``, ``trace`` a :class:`~sgsqp.apg.SolveTrace`
+    with ``x0`` and ``x_final`` set; termination is ``"tol"`` once both the
     primal infeasibility and the dual KKT residual fall below
     ``stop.kkt_tol``, and ``"nonfinite"`` at the first iterate whose KKT
     residual is not finite: that iterate gets no row, and the pair before
@@ -205,7 +181,7 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
     gd = prob.g + prob.A.T @ (sigma * prob.d)
     ATy = prob.A.T @ y
     Qx = None if x.data.any() else np.zeros(part.total)
-    trace = PalmTrace()
+    trace = SolveTrace(x0=x.copy())
     t0 = time.perf_counter()
     for k in range(1, stop.max_iter + 1):
         # Step 1: one cycle of the T-weighted subproblem at the current x
@@ -232,16 +208,17 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
             # diverged (e.g. an indefinite penalized operator): keep the
             # last finite pair
             trace.termination = "nonfinite"
-            return x, y, trace
+            break
         x, y, ATy, Qx = x_new, y_new, ATy_new, Qx_new
-        trace.rows.append(PalmRow(
-            k=k, F=F, primal_inf=primal, kkt=dual,
-            y_norm=y_norm, time_s=time.perf_counter() - t0,
+        trace.rows.append(TraceRow(
+            k=k, F=F, kkt=dual, primal_inf=primal, y_norm=y_norm,
+            delta_tilde=0.0, delta=0.0, t=1.0, beta=0.0, dist_qhat=np.nan,
+            time_s=time.perf_counter() - t0,
         ))
         if max(dual, primal) <= stop.kkt_tol:
             trace.termination = "tol"
-            return x, y, trace
-    trace.termination = "max_iter"
+            break
+    trace.x_final = x
     return x, y, trace
 
 

@@ -11,6 +11,7 @@ from sgsqp import (
     BlockVector,
     CompositeQP,
     Majorizer,
+    PalmStop,
     SolveTrace,
     StepSchedule,
     StopRule,
@@ -18,13 +19,14 @@ from sgsqp import (
     classical_sgs_step,
     complexity_certificates,
     contraction_factor,
+    palm_solve,
     solve,
     sgs_operator,
 )
 from sgsqp import apg, sgs
 from sgsqp.apg import TraceRow
 from sgsqp.errors import InvalidParams, NotPD
-from sgsqp.instances import gen
+from sgsqp.instances import gen, gen_lincon
 from sgsqp.oracle import dense_optimum, dense_subproblem_solve
 
 from conftest import (anchor_2x2, indefinite_2x2, random_point, random_problem,
@@ -426,7 +428,8 @@ class TestFactoredIteration:
 
 
 class TestTrace:
-    _HEADER = "k,F,kkt,delta_tilde,delta,t,beta,dist_qhat,time_s"
+    _HEADER = ("k,F,kkt,primal_inf,y_norm,delta_tilde,delta,t,beta,"
+               "dist_qhat,time_s")
 
     def test_csv_header_and_parse(self):
         prob = random_problem(0)
@@ -443,13 +446,37 @@ class TestTrace:
             float(cell)  # plain decimal text, no numpy repr noise
 
     def test_csv_bytes(self):
-        tr = SolveTrace(rows=[TraceRow(k=3, F=0.5, kkt=1e-9, delta_tilde=0,
-                                       delta=2, t=1.5, beta=np.nan,
-                                       dist_qhat=0.1, time_s=7)])
+        tr = SolveTrace(rows=[TraceRow(k=3, F=0.5, kkt=1e-9, primal_inf=0,
+                                       y_norm=4, delta_tilde=0, delta=2,
+                                       t=1.5, beta=np.nan, dist_qhat=0.1,
+                                       time_s=7)])
         buf = io.StringIO()
         tr.to_csv(buf)
-        assert buf.getvalue() == (self._HEADER + "\r\n"
-                                  "3,0.5,1e-09,0.0,2.0,1.5,nan,0.1,7.0\r\n")
+        assert buf.getvalue() == (
+            self._HEADER + "\r\n"
+            "3,0.5,1e-09,0.0,4.0,0.0,2.0,1.5,nan,0.1,7.0\r\n")
+
+    def test_each_loop_fills_the_fields_it_has_no_use_for(self):
+        """Both loops record :class:`TraceRow`s in a :class:`SolveTrace`:
+        a ``solve`` row has no constraint residual and no multiplier, a
+        ``palm_solve`` row no inexactness, no momentum and no distance."""
+        tr = solve(random_problem(0), stop=StopRule(kkt_tol=1e-9,
+                                                    max_iter=200))
+        assert tr.iterations > 1
+        for r in tr.rows:
+            assert type(r) is TraceRow
+            assert r.primal_inf == 0.0 and r.y_norm == 0.0
+        lp = gen_lincon((2, 2), m=2, seed=0).lincon_problem()
+        x, _, ptr = palm_solve(lp, 5.0, 1.0, stop=PalmStop(max_iter=10))
+        assert type(ptr) is SolveTrace and ptr.iterations == 10
+        assert ptr.x_final is x
+        np.testing.assert_array_equal(ptr.x0.data, np.zeros(4))
+        for r in ptr.rows:
+            assert type(r) is TraceRow
+            assert (r.delta_tilde, r.delta, r.t, r.beta) == (0.0, 0.0, 1.0,
+                                                             0.0)
+            assert np.isnan(r.dist_qhat)
+            assert r.y_norm > 0.0 and r.primal_inf > 0.0
 
     def test_distance_column_needs_reference(self):
         prob = random_problem(0)

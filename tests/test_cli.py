@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -120,6 +121,29 @@ class TestSolve:
         assert lines[0].startswith("k,F,kkt")
         for cell in lines[1].split(",")[1:]:
             float(cell)
+
+    def test_mode_accepts_only_exact_inexact_or_inexact_rtol(self, tmp_path):
+        path = _gen(tmp_path, "a.json", "--dims", "2,2")
+        assert main(["solve", path, "--mode", "inexact:1e-3"]) == 0
+        run = _run_cli("solve", path, "--mode", "inexactly")
+        assert run.returncode == 1
+        assert "--mode" in run.stderr and "inexactly" in run.stderr
+
+    def test_both_loops_share_the_summary_and_the_trace_header(self, tmp_path,
+                                                                capsys):
+        lines, heads = [], []
+        for name, args in (("a.json", ("--dims", "2,2")),
+                           ("c.json", ("--dims", "2,2", "--lincon", "2"))):
+            path = _gen(tmp_path, name, *args)
+            trace = tmp_path / (name + ".csv")
+            capsys.readouterr()
+            assert main(["solve", path, "--trace", str(trace)]) == 0
+            lines.append(capsys.readouterr().out)
+            heads.append(trace.read_text().splitlines()[0])
+        for out in lines:
+            assert re.fullmatch(r"termination=tol iterations=\d+ F=\S+ "
+                                r"kkt=\S+ primal_inf=\S+\n", out)
+        assert heads[0] == heads[1]
 
     def test_ssor_variant_flag(self, tmp_path):
         path = _gen(tmp_path, "a.json", "--dims", "2,2")

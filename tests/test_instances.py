@@ -165,7 +165,8 @@ class TestGenQsdp:
 
 class TestQsdpLoad:
     """A QSDP document is rebuilt from its ``"qsdp"`` section alone: its
-    ``"Q"`` and ``"b"`` sections, the blocks of ``P`` and ``g`` of its
+    ``"partition"``, ``"Q"``, ``"b"`` and ``"prox"`` sections, the
+    partition, the blocks of ``P``, the ``g`` and the PSD head of its
     linearly constrained form, are neither read nor required."""
 
     TEXT = dumps_instance(gen_qsdp(4, 2, seed=3))
@@ -195,6 +196,19 @@ class TestQsdpLoad:
         assert tb.iterations == tf.iterations
         np.testing.assert_array_equal(xb.data, xf.data)
         np.testing.assert_array_equal(yb, yf)
+
+    @pytest.mark.parametrize("edit", ["removed", "contradicting"])
+    def test_partition_and_prox_come_from_the_qsdp_section(self, edit):
+        doc = json.loads(self.TEXT)
+        if edit == "removed":
+            del doc["partition"], doc["prox"]
+        else:
+            doc["partition"]["dims"], doc["prox"]["side"] = [3, 3, 3], 2
+        inst = loads_instance(json.dumps(doc))
+        lp = inst.lincon_problem()
+        assert inst.dims == lp.partition.dims == (10, 2, 10)
+        assert inst.prox == lp.prox == ProxSpec.psd_cone(4)
+        assert dumps_instance(inst) == self.TEXT
 
     def test_load_decomposes_H_once(self, monkeypatch):
         """A load followed by ``lincon_problem()`` builds the linearly
@@ -304,8 +318,11 @@ class TestDecoder:
 
     @pytest.mark.parametrize("side", [2.5, "3", True, 0])
     def test_psd_side_not_truncated(self, side):
-        """A PSD side that is not an int >= 1 is refused, not truncated."""
+        """A PSD side that is not an int >= 1 is refused, not truncated.
+        A QSDP document derives its head from the ``"qsdp"`` section, so
+        the side is read from the composite document left without it."""
         doc = json.loads(dumps_instance(gen_qsdp(3, 2, seed=5)))
+        del doc["qsdp"]
         doc["prox"]["side"] = side
         with pytest.raises(InvalidParams, match="prox.side"):
             loads_instance(json.dumps(doc))

@@ -300,7 +300,8 @@ class TestPalmSolve:
         out = tmp_path / "trace.csv"
         tr.to_csv(str(out))
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "k,F,primal_inf,kkt,y_norm,time_s"
+        assert lines[0] == ("k,F,kkt,primal_inf,y_norm,delta_tilde,delta,t,"
+                            "beta,dist_qhat,time_s")
         for cell in lines[1].split(",")[1:]:
             float(cell)
 

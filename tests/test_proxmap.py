@@ -129,6 +129,18 @@ class TestValuesAndSubgradients:
                              np.array([2.0, -3.0]))
         assert r == pytest.approx(2.0)
 
+    def test_psd_distance_counts_a_small_eigenvalue_in_the_range(self):
+        """At ``X = O diag(0, 0, 1e-6, 1) O^T`` the eigenvalue 1e-6 is above
+        the kernel cut (1e-8 of the largest), so ``G = -v v^T`` on its
+        eigenvector ``v`` lies off the normal cone, at distance
+        ``||v v^T||_F = 1``."""
+        O, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))
+        X = (O * [0.0, 0.0, 1e-6, 1.0]) @ O.T
+        v = O[:, 2]
+        r = subgrad_residual(ProxSpec.psd_cone(4), svec(0.5 * (X + X.T)),
+                             svec(-np.outer(v, v)))
+        assert abs(r - 1.0) <= 1e-12
+
     def test_l1_subgradient_distance(self):
         spec = ProxSpec.l1(1.0)
         # at x > 0 the subdifferential is {lam}

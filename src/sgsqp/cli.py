@@ -47,30 +47,33 @@ def _parse_float_list(text):
     return [float(t) for t in text.split(",") if t.strip() != ""]
 
 
+def _parse_flag(flag, forms, text, fixed, tag, conv):
+    """``fixed[text]``, or ``conv`` of what follows ``tag:`` in ``text``; a
+    ValueError naming ``flag`` and its accepted ``forms`` otherwise."""
+    if text in fixed:
+        return fixed[text]
+    if text.startswith(tag + ":"):
+        with contextlib.suppress(ValueError):
+            return conv(text[len(tag) + 1:])
+    raise ValueError(f"bad {flag} {text!r} ({forms})")
+
+
 def _parse_schedule(text):
-    if text == "constant":
-        return StepSchedule.constant()
-    if text == "nesterov":
-        return StepSchedule.nesterov()
-    if text.startswith("restart:"):
-        return StepSchedule.restart(int(text.split(":", 1)[1]))
-    raise ValueError(f"bad --schedule {text!r} (constant, nesterov, restart:P)")
+    return _parse_flag("--schedule", "constant, nesterov, restart:P", text,
+                       {"constant": StepSchedule.constant(),
+                        "nesterov": StepSchedule.nesterov()},
+                       "restart", lambda p: StepSchedule.restart(int(p)))
 
 
 def _parse_mode(text):
-    if text in ("exact", "inexact"):
-        return text, 1e-2
-    if text.startswith("inexact:"):
-        return "inexact", float(text.split(":", 1)[1])
-    raise ValueError(f"bad --mode {text!r} (exact, inexact, inexact:RTOL)")
+    return _parse_flag("--mode", "exact, inexact, inexact:RTOL", text,
+                       {"exact": ("exact", 1e-2), "inexact": ("inexact", 1e-2)},
+                       "inexact", lambda r: ("inexact", float(r)))
 
 
 def _parse_omega(text):
-    if text == "sgs":
-        return None
-    if text.startswith("ssor:"):
-        return float(text.split(":", 1)[1])
-    raise ValueError(f"bad --variant {text!r} (sgs, ssor:OMEGA)")
+    return _parse_flag("--variant", "sgs, ssor:OMEGA", text, {"sgs": None},
+                       "ssor", float)
 
 
 def _read(path):
@@ -93,13 +96,11 @@ def cmd_gen(args):
         inst = instances.gen(dims, kappa=args.kappa, coupling=args.coupling,
                              prox_kind=args.prox, seed=args.seed,
                              singular=args.singular)
-    text = instances.dumps_instance(inst)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        instances.write_instance(inst, args.out)
         log.info("wrote %s", args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(instances.dumps_instance(inst))
     return EXIT_OK
 
 
@@ -116,6 +117,10 @@ def _finish(trace):
 
 
 def cmd_solve(args):
+    # parsed before the instance is read, so a bad flag fails on every instance
+    steps = _parse_schedule(args.schedule)
+    mode, rtol_cap = _parse_mode(args.mode)
+    omega = _parse_omega(args.variant)
     inst = _read(args.instance)
     if inst.has_constraints():
         _, _, trace = palm_solve(
@@ -124,9 +129,6 @@ def cmd_solve(args):
             multiplier_update=args.multiplier_update,
         )
     else:
-        steps = _parse_schedule(args.schedule)
-        mode, rtol_cap = _parse_mode(args.mode)
-        omega = _parse_omega(args.variant)
         if mode == "exact":
             tols = ToleranceSchedule.exact()
         else:

@@ -3,9 +3,13 @@
 Instances are JSON documents with every floating-point number written as
 a 17-significant-digit decimal string, which round-trips IEEE doubles
 exactly; keys are sorted and the layout is fixed, so identical seeds
-produce byte-identical files.
+produce byte-identical files.  A text is byte-identical to
+``json.dumps(doc, indent=1, sort_keys=True)`` of the document holding
+each array as nested lists of those decimal strings, but is rendered one
+array per ``%``-format call instead of one Python string per number.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -38,12 +42,49 @@ def _e(x):
     return format(float(x), _FMT)
 
 
-def _earr(a):
-    def rec(v):
-        if isinstance(v, list):
-            return [rec(u) for u in v]
-        return _e(v)
-    return rec(np.asarray(a, dtype=float).tolist())
+@functools.lru_cache(maxsize=32)
+def _template(shape, depth):
+    """``%``-template of an array of ``shape`` whose opening bracket sits
+    at indent ``depth``: one ``"%.17g"`` string per entry, laid out as
+    ``json.dumps(indent=1)`` lays out nested lists."""
+    if not shape:
+        return '"%' + _FMT + '"'
+    if shape[0] == 0:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    rows = ("," + pad).join([_template(shape[1:], depth + 1)] * shape[0])
+    return "[" + pad + rows + "\n" + " " * depth + "]"
+
+
+def _emit(v, depth, out):
+    """Pass ``v`` to ``out`` in pieces that join to the text
+    ``json.dumps(doc, indent=1, sort_keys=True)`` writes for it at nesting
+    ``depth`` of ``doc``, each ``ndarray`` written as nested lists of
+    :func:`_e` strings."""
+    if isinstance(v, np.ndarray):
+        out(_template(v.shape, depth) % tuple(v.ravel().tolist()))
+        return
+    if isinstance(v, dict) and v:
+        # json's key rule: a non-string key is written as its JSON scalar
+        items = [(json.dumps(k if isinstance(k, str) else json.dumps(k))
+                  + ": ", u) for k, u in sorted(v.items())]
+        brackets = "{}"
+    elif isinstance(v, (list, tuple)) and v:
+        items = [("", u) for u in v]
+        brackets = "[]"
+    else:
+        out(json.dumps(v))
+        return
+    pad = "\n" + " " * (depth + 1)
+    out(brackets[0])
+    for n, (key, u) in enumerate(items):
+        out(("," if n else "") + pad + key)
+        _emit(u, depth + 1, out)
+    out("\n" + " " * depth + brackets[1])
+
+
+def _f64(a):
+    return np.asarray(a, dtype=float)
 
 
 def _darr(v, what):
@@ -91,8 +132,8 @@ def _enc_prox(spec):
     if spec.kind == "l1":
         doc["lam"] = _e(spec.lam)
     elif spec.kind == "box":
-        doc["lo"] = _earr(list(spec.lo))
-        doc["hi"] = _earr(list(spec.hi))
+        doc["lo"] = _f64(spec.lo)
+        doc["hi"] = _f64(spec.hi)
     elif spec.kind == "psd_cone":
         doc["side"] = spec.side
     return doc
@@ -115,7 +156,7 @@ def _dec_prox(doc):
 
 
 def _enc_blocks(blocks):
-    return {f"{i},{j}": _earr(M) for (i, j), M in sorted(blocks.items())}
+    return {f"{i},{j}": _f64(M) for (i, j), M in blocks.items()}
 
 
 def _block_key(key):
@@ -127,9 +168,10 @@ def _dec_blocks(doc, what):
     if not isinstance(doc, dict):
         raise InvalidParams(f"{what} must be a JSON object of blocks")
     out = {}
-    for key, M in doc.items():
+    for key in list(doc):
         i, j = _conv(_block_key, key, f"{what} block key")
-        out[(i, j)] = _darr(M, f"{what} block {key}")
+        # pop: each block's strings are freed once it is decoded
+        out[(i, j)] = _darr(doc.pop(key), f"{what} block {key}")
     return out
 
 
@@ -208,29 +250,37 @@ class Instance:
         raise InvalidParams("instance has no constraint section")
 
 
-def dumps_instance(inst):
+def _document(inst):
+    """The instance as a JSON document with its arrays left as ndarrays."""
     doc = {
         "partition": {"dims": [int(n) for n in inst.dims]},
         "Q": _enc_blocks(inst.Q),
-        "b": _earr(inst.b),
+        "b": _f64(inst.b),
         "prox": _enc_prox(inst.prox),
         "meta": _enc_meta(inst.meta),
     }
     if inst.lincon is not None:
         doc["lincon"] = {
             "P": _enc_blocks(inst.lincon["P"]),
-            "A": _earr(inst.lincon["A"]),
-            "g": _earr(inst.lincon["g"]),
-            "d": _earr(inst.lincon["d"]),
+            "A": _f64(inst.lincon["A"]),
+            "g": _f64(inst.lincon["g"]),
+            "d": _f64(inst.lincon["d"]),
         }
     if inst.qsdp is not None:
         q = inst.qsdp
         doc["qsdp"] = {
             "n": q.n, "p": q.p,
-            "H": _earr(q.H), "B": _earr(q.B),
-            "h": _earr(q.h), "C": _earr(q.C),
+            "H": _f64(q.H), "B": _f64(q.B),
+            "h": _f64(q.h), "C": _f64(q.C),
         }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return doc
+
+
+def dumps_instance(inst):
+    pieces = []
+    _emit(_document(inst), 0, pieces.append)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def loads_instance(text):
@@ -270,8 +320,11 @@ def loads_instance(text):
 
 
 def write_instance(inst, path):
+    """Write the text of :func:`dumps_instance` to ``path`` piece by piece,
+    never holding all of it."""
     with open(path, "w") as fh:
-        fh.write(dumps_instance(inst))
+        _emit(_document(inst), 0, fh.write)
+        fh.write("\n")
 
 
 def read_instance(path):

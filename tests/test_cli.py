@@ -129,6 +129,30 @@ class TestSolve:
         assert run.returncode == 1
         assert "--mode" in run.stderr and "inexactly" in run.stderr
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--mode", "inexactly"), ("--schedule", "bogus"), ("--variant", "zz")])
+    def test_solver_flags_are_checked_on_every_instance(self, tmp_path, capsys,
+                                                         flag, value):
+        for name, args in (("a.json", ("--dims", "2,2")),
+                           ("c.json", ("--dims", "2,2", "--lincon", "2")),
+                           ("q.json", ("--qsdp", "3,2"))):
+            path = _gen(tmp_path, name, *args)
+            capsys.readouterr()
+            assert main(["solve", path, flag, value, "--sigma", "1"]) == 1
+            assert f"bad {flag} {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,forms", [
+        ("--mode", "inexact:abc", "exact, inexact, inexact:RTOL"),
+        ("--schedule", "restart:x", "constant, nesterov, restart:P"),
+        ("--variant", "ssor:1.x", "sgs, ssor:OMEGA"),
+    ], ids=["mode", "schedule", "variant"])
+    def test_bad_number_names_the_flag_and_its_forms(self, tmp_path, capsys,
+                                                     flag, value, forms):
+        path = _gen(tmp_path, "a.json", "--dims", "2,2")
+        capsys.readouterr()
+        assert main(["solve", path, flag, value]) == 1
+        assert capsys.readouterr().err == f"error: bad {flag} {value!r} ({forms})\n"
+
     def test_both_loops_share_the_summary_and_the_trace_header(self, tmp_path,
                                                                 capsys):
         lines, heads = [], []

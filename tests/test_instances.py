@@ -3,14 +3,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgsqp import (LinConQP, PalmStop, ProxSpec, QsdpData, StopRule,
                    palm_solve, read_instance, solve, write_instance)
 from sgsqp.errors import InvalidParams
 from sgsqp.instances import (
+    Instance,
     dumps_instance,
     gen,
     gen_lincon,
@@ -237,13 +241,116 @@ class TestQsdpLoad:
             dataclasses.replace(inst, b=None)
 
 
+_ODD = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+        float("nan"), float("inf"), float("-inf"), 0.1)
+
+
+def _reference_dumps(inst):
+    """The text as the document of nested lists of ``format(x, ".17g")``
+    strings, laid out by ``json.dumps(indent=1, sort_keys=True)``."""
+    def arr(a):
+        def rec(v):
+            return ([rec(u) for u in v] if isinstance(v, list)
+                    else format(v, ".17g"))
+        return rec(np.asarray(a, dtype=float).tolist())
+
+    def blocks(bs):
+        return {f"{i},{j}": arr(M) for (i, j), M in bs.items()}
+
+    prox = {"kind": inst.prox.kind}
+    if inst.prox.kind == "l1":
+        prox["lam"] = format(inst.prox.lam, ".17g")
+    elif inst.prox.kind == "box":
+        prox.update(lo=arr(inst.prox.lo), hi=arr(inst.prox.hi))
+    meta = {k: format(v, ".17g") if isinstance(v, float) else v
+            for k, v in inst.meta.items()}
+    doc = {"partition": {"dims": list(inst.dims)}, "Q": blocks(inst.Q),
+           "b": arr(inst.b), "prox": prox, "meta": meta}
+    if inst.lincon is not None:
+        lc = inst.lincon
+        doc["lincon"] = {"P": blocks(lc["P"]),
+                         **{k: arr(lc[k]) for k in "Agd"}}
+    if inst.qsdp is not None:
+        q = inst.qsdp
+        doc["qsdp"] = {"n": q.n, "p": q.p,
+                       **{k: arr(getattr(q, k)) for k in "HBhC"}}
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+_ENTRIES = st.sampled_from(_ODD) | st.floats()
+_META_SCALARS = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
+                 | st.floats() | st.text(max_size=4))
+_META = st.dictionaries(st.text(max_size=4), st.recursive(
+    _META_SCALARS,
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=3), kids, max_size=3)
+                  | st.dictionaries(st.integers(-20, 20), kids, max_size=3)),
+    max_leaves=6), max_size=4)
+
+
+@st.composite
+def _instances(draw):
+    """Composite instances of 1 to 13 blocks of width 0 to 3, entries from
+    the extremes of float64, any head, optional lincon and qsdp sections."""
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=13))
+    s = len(dims)
+    pairs = [(i, i) for i in range(s)] + draw(st.lists(
+        st.tuples(st.integers(0, s - 1), st.integers(0, s - 1)).map(sorted)
+        .map(tuple), max_size=4))
+    Q = {(i, j): draw(arrays(float, (dims[i], dims[j]), elements=_ENTRIES))
+         for i, j in pairs}
+    N = sum(dims)
+    lo = draw(arrays(float, draw(st.integers(1, 3)),
+                     elements=st.sampled_from(_ODD[:4]) | st.floats(-1e3, 1e3)))
+    prox = draw(st.sampled_from([
+        ProxSpec.zero(), ProxSpec.nonneg(), ProxSpec.box(lo, lo),
+        *(ProxSpec.l1(lam) for lam in (5e-324, 0.1, 1.7976931348623157e308))]))
+    inst = Instance(dims=tuple(dims), Q=Q,
+                    b=draw(arrays(float, N, elements=_ENTRIES)),
+                    prox=prox, meta=draw(_META))
+    if draw(st.booleans()):
+        m = draw(st.integers(0, 2))
+        inst.lincon = {"P": Q, **{k: draw(arrays(float, shape, elements=_ENTRIES))
+                                  for k, shape in (("A", (m, N)), ("g", N),
+                                                   ("d", m))}}
+    if draw(st.booleans()):
+        inst.qsdp = gen_qsdp(draw(st.integers(1, 3)), 1, seed=0).qsdp
+    return inst
+
+
 class TestFileFormat:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_instances())
+    def test_text_matches_the_nested_string_reference(self, inst):
+        assert dumps_instance(inst) == _reference_dumps(inst)
+
     def test_file_round_trip(self, tmp_path):
-        inst = gen((2, 2), seed=11, prox_kind="l1")
+        """The file holds exactly the bytes of ``dumps_instance`` and reads
+        back to an instance that writes them again."""
         path = tmp_path / "inst.json"
-        write_instance(inst, str(path))
-        back = read_instance(str(path))
-        assert dumps_instance(back) == dumps_instance(inst)
+        for inst in (gen((2, 2), seed=11, prox_kind="l1"),
+                     gen_lincon((2, 3), m=2, prox_kind="box", seed=1),
+                     gen_qsdp(3, 2, seed=5)):
+            write_instance(inst, str(path))
+            text = dumps_instance(inst)
+            assert path.read_bytes() == text.encode()
+            assert dumps_instance(read_instance(str(path))) == text
+
+    def test_writer_peak_memory(self, tmp_path):
+        """``dumps_instance`` peaks within three times the text it returns,
+        and ``write_instance``, which never holds the whole text, within
+        one."""
+        inst = gen((100,) * 4, prox_kind="l1", coupling=1.0)
+        path = str(tmp_path / "w.json")
+        for write, bound in ((dumps_instance, 3.0),
+                             (lambda i: write_instance(i, path), 1.0)):
+            tracemalloc.start()
+            try:
+                write(inst)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * len(dumps_instance(inst)), write
 
     def test_numbers_serialized_as_decimal_strings(self):
         text = dumps_instance(gen((2, 2), seed=0))
@@ -366,16 +473,19 @@ import hashlib, json
 from sgsqp.instances import dumps_instance, gen, gen_qsdp
 insts = {("qsdp20_palm", "0"): gen_qsdp(20, 10, seed=0),
          ("qsdp20_palm", "1"): gen_qsdp(20, 10, seed=1),
-         ("dense60x5", "0"): gen((5,) * 60, prox_kind="zero", seed=0)}
+         ("dense60x5", "0"): gen((5,) * 60, prox_kind="zero", seed=0),
+         ("wide5x200_l1", "0"): gen((200,) * 5, prox_kind="l1", coupling=1.0,
+                                    seed=0)}
 print(json.dumps([[name, slot, hashlib.sha256(
     dumps_instance(inst).encode()).hexdigest()] for (name, slot), inst in insts.items()]))
 """
 
 
 def test_benchmark_pool_texts_match_recorded_digests():
-    """Three of the benchmark's pool texts hash to what
+    """Four of the benchmark's pool texts hash to what
     ``perfbench/digests.json`` records, so a generator or serializer drift
-    fails here instead of as a refused benchmark run.  The texts are made
+    fails here instead of as a refused benchmark run.  The ``wide5x200_l1``
+    slot covers an l1 head and 200-wide blocks.  The texts are made
     in a child process with BLAS at one thread, as the benchmark makes
     them: the generators' eigendecompositions round differently with
     more threads."""

@@ -13,6 +13,7 @@ restarts periodically); the emitted pairs always satisfy
 
 import contextlib
 import csv
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -80,7 +81,7 @@ class StepSchedule:
         elif self.kind == "restart" and k % self.period == 0:
             t_next, restarted = 1.0, True
         else:
-            t_next, restarted = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t)), False
+            t_next, restarted = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)), False
         if t_next * t_next - t_next > t * t + _T_SLACK * (1.0 + t * t):
             raise IdentityViolation(
                 f"step schedule emitted an invalid pair (t={t}, t_next={t_next})",
@@ -269,14 +270,15 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
     # exactly, so the start value of ``Qx_cur`` drops out
     Qxt, Qx_cur = None if x0.data.any() else np.zeros(part.total), 0.0
     t = 1.0
+    exact = ExactMode()
     t0 = time.perf_counter()
 
     for k in range(1, stop.max_iter + 1):
-        eps_k = tols.value(k)
-        budget = eps_k / t
         if mode == "exact":
-            res = _cycle(prob, xt, ExactMode(), maj, Qxbar=Qxt)
+            res = _cycle(prob, xt, exact, maj, Qxbar=Qxt)
+            delta_tilde = delta = 0.0       # an exact cycle's residuals are zero
         else:
+            budget = tols.value(k) / t
             rt = min(inner_cap, budget / (1.0 + bnorm)) if budget > 0 else 0.0
             res = None
             for _ in range(31):
@@ -284,8 +286,8 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
                     res = None
                     break
                 res = _cycle(prob, xt, IterativeMode(rt), maj, Qxbar=Qxt)
-                realized = max(res.delta_prime.norm(), res.delta.norm())
-                if realized <= budget:
+                delta_tilde, delta = res.delta_prime.norm(), res.delta.norm()
+                if max(delta_tilde, delta) <= budget:
                     break
                 rt *= 0.5
                 res = None
@@ -300,7 +302,7 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
             # a diverging run overflows here first; the stop below names it
             Fv = prob.objective(x_new.data, Qx)
             kkt = prob.kkt_residual(x_new.data, Qx)
-        if not np.isfinite(kkt):
+        if not math.isfinite(kkt):
             # diverged (e.g. an indefinite Q): keep the last finite iterate
             trace.termination = "nonfinite"
             trace.x_final = x_cur
@@ -312,7 +314,7 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
             dist = maj.quad_norm(x_new.data - xs_vec, "Qhat")
         trace.rows.append(TraceRow(
             k=k, F=Fv, kkt=kkt, primal_inf=0.0, y_norm=0.0,
-            delta_tilde=res.delta_prime.norm(), delta=res.delta.norm(),
+            delta_tilde=delta_tilde, delta=delta,
             t=t, beta=beta, dist_qhat=dist,
             time_s=time.perf_counter() - t0,
         ))
@@ -345,7 +347,7 @@ def contraction_factor(maj):
 class CertificateReport:
     """Outcome of checking the applicable complexity bound on a trace."""
 
-    kind: str                      # "nesterov" | "constant" | "none"
+    kind: str                      # "nesterov" | "constant" | "none" (uncertified)
     rows: list = field(default_factory=list)   # (k, lhs, rhs, ok)
     linear_rows: list = field(default_factory=list)
     contraction: float = None
@@ -368,12 +370,14 @@ def complexity_certificates(trace, prob, steps, tols, fstar, slack=1e-8):
     must fall below ``2 (dist0 + 2 M sum_i eps_i)^2 / (k+1)^2``; for the
     constant schedule below ``(dist0 + 4 M sum_i i eps_i)^2 / (2k)`` —
     and, when the operator is positive definite, the weighted distance
-    must follow the geometric envelope of the contraction factor.
+    must follow the geometric envelope of the contraction factor.  Any other
+    schedule is uncertified: kind ``"none"``, no rows, ``ok=False``.
     Requires the trace to have been produced with ``x_star`` set.
     """
     maj = prob.majorizer(trace.omega)
     M = maj.m_constant()
-    rep = CertificateReport(kind="none", M=M)
+    rep = CertificateReport(kind="none", M=M,
+                            ok=steps.kind in ("nesterov", "constant"))
     dist0 = trace.dist0_qhat
     if not np.isfinite(dist0):
         raise InvalidParams(

@@ -27,6 +27,7 @@ and two triangular solves with ``T_i``.  A majorizer's only factor is
 its actions go through ``Y`` and the ``T_i`` and run no sweep.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 from itertools import accumulate
@@ -144,7 +145,7 @@ class BlockVector:
         return BlockVector(self.partition, self.data.copy())
 
     def norm(self):
-        return float(np.linalg.norm(self.data))
+        return vec_norm(self.data)
 
     def __array__(self, dtype=None, copy=None):
         """The numpy array protocol: ``np.asarray(v)`` is ``v.data``,
@@ -153,6 +154,13 @@ class BlockVector:
 
     def __repr__(self):
         return f"BlockVector(dims={self.partition.dims}, data={self.data!r})"
+
+
+def vec_norm(v):
+    """``np.linalg.norm`` of a 1-D real array, bit for bit, as a float: its
+    ``ravel(order="K")`` (a strided ``dot`` may sum otherwise), ``dot``, ``sqrt``."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def finite(arr, what):
@@ -483,14 +491,16 @@ class Majorizer:
         cached: ``c^{-1/2} (a Dhat + U) T^{-T}``, ``T_i = J L_i J`` the
         operator's factors (:meth:`BlockSymOperator.diag_factors`), so its
         diagonal blocks are ``(a / sqrt(c)) T_i`` and the panels above them
-        ``c^{-1/2} U_{:,i} T_i^{-T}``."""
+        ``c^{-1/2} U_{:,i} T_i^{-T}``; a unit scale is skipped (exact)."""
         if self._factor is None:
             S, off, r = self.eff.panels()[0], self.partition.offsets, self._c ** -0.5
             self._factor = Y = np.zeros(S.shape, order="F")
             for L, lo, hi in zip(self.eff.diag_factors(), off, off[1:]):
                 Ti = L[::-1, ::-1]
-                Y[lo:hi, lo:hi] = (self._a * r) * Ti
-                Y[:lo, lo:hi] = S[:lo, lo:hi] @ (r * dtrtri(Ti)[0].T)
+                Y[lo:hi, lo:hi] = Ti if r == self._a == 1.0 else (self._a * r) * Ti
+                if lo:      # block 0 has no panel
+                    Tinv = dtrtri(Ti)[0].T
+                    Y[:lo, lo:hi] = S[:lo, lo:hi] @ (Tinv if r == 1.0 else r * Tinv)
         return self._factor
 
     # -- public operator interface -----------------------------------

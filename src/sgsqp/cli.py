@@ -116,13 +116,28 @@ def _finish(trace):
             "nonfinite": EXIT_NONFINITE}.get(trace.termination, EXIT_MAXITER)
 
 
+# Each loop's own flags and their defaults; not given, a flag parses to None.
+_LOOP_FLAGS = {"schedule": ("composite", "nesterov"), "mode": ("composite", "exact"),
+               "variant": ("composite", "sgs"), "eps0": ("composite", 1e-2),
+               "eps_power": ("composite", 1.5), "sigma": ("multiplier", 1.0),
+               "tau": ("multiplier", 1.6), "multiplier_update": ("multiplier", "new")}
+
+
 def cmd_solve(args):
+    given = [dest for dest in _LOOP_FLAGS if getattr(args, dest) is not None]
+    for dest in set(_LOOP_FLAGS) - set(given):
+        setattr(args, dest, _LOOP_FLAGS[dest][1])
     # parsed before the instance is read, so a bad flag fails on every instance
     steps = _parse_schedule(args.schedule)
     mode, rtol_cap = _parse_mode(args.mode)
     omega = _parse_omega(args.variant)
     inst = _read(args.instance)
-    if inst.has_constraints():
+    loop = "multiplier" if inst.has_constraints() else "composite"
+    for dest in given:
+        if _LOOP_FLAGS[dest][0] != loop:
+            raise ValueError(f"--{dest.replace('_', '-')} does not apply to "
+                             f"the {loop} loop")
+    if loop == "multiplier":
         _, _, trace = palm_solve(
             inst.lincon_problem(), args.sigma, args.tau,
             stop=PalmStop(kkt_tol=args.kkt_tol, max_iter=args.max_iter),
@@ -274,22 +289,20 @@ def _build_parser():
 
     s = sub.add_parser("solve", help="solve an instance file")
     s.add_argument("instance")
-    s.add_argument("--schedule", default="nesterov",
-                   help="constant | nesterov | restart:P")
-    s.add_argument("--mode", default="exact",
-                   help="exact | inexact | inexact:RTOL")
-    s.add_argument("--variant", default="sgs", help="sgs | ssor:OMEGA")
-    s.add_argument("--eps0", type=float, default=1e-2)
-    s.add_argument("--eps-power", type=float, default=1.5)
     s.add_argument("--kkt-tol", type=float, default=1e-8)
     s.add_argument("--max-iter", type=int, default=1000)
     s.add_argument("--trace", default=None, metavar="PATH")
-    s.add_argument("--sigma", type=float, default=1.0,
-                   help="penalty parameter (constrained instances)")
-    s.add_argument("--tau", type=float, default=1.6,
-                   help="multiplier step length (constrained instances)")
-    s.add_argument("--multiplier-update", default="new",
-                   choices=["new", "previous"])
+    c = s.add_argument_group("composite loop; refused on a constrained instance")
+    c.add_argument("--schedule", help="nesterov (default) | constant | restart:P")
+    c.add_argument("--mode", help="exact (default) | inexact | inexact:RTOL")
+    c.add_argument("--variant", help="sgs (default) | ssor:OMEGA")
+    c.add_argument("--eps0", type=float, help="inexact budget scale (default 1e-2)")
+    c.add_argument("--eps-power", type=float, help="its decay power (default 1.5)")
+    m = s.add_argument_group("multiplier loop; refused on a composite instance")
+    m.add_argument("--sigma", type=float, help="penalty parameter (default 1)")
+    m.add_argument("--tau", type=float, help="multiplier step length (default 1.6)")
+    m.add_argument("--multiplier-update", choices=["new", "previous"],
+                   help="default new")
     s.set_defaults(func=cmd_solve)
 
     v = sub.add_parser("verify", help="run the identity checks on an instance")

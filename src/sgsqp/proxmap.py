@@ -16,6 +16,7 @@ eigenvectors and the certificates read the kernel off its ends.
 """
 
 import functools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, eigvalsh
 from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
-from .blockla import finite, finite_real, int_at_least
+from .blockla import finite, finite_real, int_at_least, vec_norm
 from .errors import (DiagonalNotPD, DimensionMismatch, InvalidParams, NeedsShift,
                      ShapeMismatch)
 
@@ -247,9 +248,9 @@ def prox(spec, mu, v):
 
 def prox_value(spec, x):
     """``p(x)``; ``+inf`` for an infeasible indicator argument."""
-    x = _head_vec(spec, x)
     if spec.kind == "zero":
         return 0.0
+    x = _head_vec(spec, x)
     if spec.kind == "l1":
         return spec.lam * float(np.abs(x).sum())
     if spec.kind == "nonneg":
@@ -278,18 +279,18 @@ def subgrad_residual(spec, x, g):
     if x.shape != g.shape:
         raise ShapeMismatch(f"x has shape {x.shape}, g has shape {g.shape}")
     if spec.kind == "zero":
-        return float(np.linalg.norm(g))
+        return vec_norm(g)
     if spec.kind == "l1":
         lam = spec.lam
         on = x != 0.0
         d = np.where(on, g - lam * np.sign(x), np.maximum(np.abs(g) - lam, 0.0))
-        return float(np.linalg.norm(d))
+        return vec_norm(d)
     if spec.kind == "nonneg":
         if np.any(x < 0.0):
             return np.inf
         free = x > 0.0
         d = np.where(free, g, np.maximum(g, 0.0))
-        return float(np.linalg.norm(d))
+        return vec_norm(d)
     if spec.kind == "box":
         lo, hi = spec._bounds()
         if np.any(x < lo) or np.any(x > hi):
@@ -299,7 +300,7 @@ def subgrad_residual(spec, x, g):
         d = np.where(at_lo & at_hi, 0.0,
                      np.where(at_lo, np.maximum(g, 0.0),
                               np.where(at_hi, np.minimum(g, 0.0), g)))
-        return float(np.linalg.norm(d))
+        return vec_norm(d)
     if spec.kind == "psd_cone":
         w, V = _saved_eig(x) or eigh(smat(x, spec.side))
         scale = _psd_scale(w)
@@ -326,9 +327,9 @@ def kkt_distance(spec, x, r, n1):
     ``r_1`` the first ``n1`` entries; ``inf`` when the head's distance
     (:func:`subgrad_residual`) is not finite."""
     head = subgrad_residual(spec, x[:n1], r[:n1])
-    if not np.isfinite(head):
+    if not math.isfinite(head):
         return np.inf
-    return float(np.hypot(head, np.linalg.norm(r[n1:])))
+    return float(np.hypot(head, vec_norm(r[n1:])))
 
 
 def _identity_multiple(A):

@@ -179,7 +179,7 @@ class CompositeQP:
         vec = np.asarray(x, dtype=float)
         n1 = self.partition.dims[0]
         head = prox_value(self.prox, vec[:n1])
-        if not np.isfinite(head):
+        if not math.isfinite(head):
             return np.inf
         if Qx is None:
             Qx = self.Q.matvec(vec)
@@ -317,10 +317,11 @@ def _factored_step(prob, xb, r, maj):
     part = prob.partition
     Y = maj.factor()
     z = dtrsv(Y, r)
+    dprime, delta = np.zeros((2, part.total))     # exact: no residuals
     return CycleResult(
         x_plus=BlockVector(part, xb + dtrsv(Y, z, trans=1)),
         backward=(xb.copy(), z),
-        delta_prime=BlockVector.zeros(part), delta=BlockVector.zeros(part),
+        delta_prime=BlockVector(part, dprime), delta=BlockVector(part, delta),
         gamma1=np.zeros(part.dims[0]), maj=maj, inner_iters=(0,) * part.s)
 
 

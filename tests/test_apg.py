@@ -339,6 +339,33 @@ def test_attempt_over_budget_on_one_sweep_is_retried(monkeypatch, over):
     assert max(row.delta_tilde, row.delta) <= eps0
 
 
+def test_inexact_row_carries_the_norms_of_its_accepted_attempt(monkeypatch):
+    """Each attempt's residuals are normed once; the row takes the norms of
+    the attempt that was accepted, not of one that was rejected."""
+    prob, eps0 = random_problem(2), 1e-3
+    part = prob.partition
+    unit = np.zeros(part.total)
+    unit[-1] = 1.0
+    attempts = []
+
+    def doctored(prob, xbar, mode, maj, **kwargs):
+        res = sgs._cycle(prob, xbar, mode, maj, **kwargs)
+        f = 4.0 if not attempts else 0.25     # the first is over the budget
+        res = dataclasses.replace(res, delta_prime=BlockVector(part, f * eps0 * unit),
+                                  delta=BlockVector(part, 0.5 * f * eps0 * unit))
+        attempts.append(res)
+        return res
+
+    monkeypatch.setattr(apg, "_cycle", doctored)
+    tr = solve(prob, mode="inexact", tols=ToleranceSchedule.geometric(eps0, 0.5),
+               stop=StopRule(kkt_tol=0.0, max_iter=1))
+    assert tr.iterations == 1 and len(attempts) == 2
+    row, accepted = tr.rows[0], attempts[1]
+    assert (row.delta_tilde, row.delta) == (accepted.delta_prime.norm(),
+                                            accepted.delta.norm())
+    assert 0.0 < row.delta < row.delta_tilde <= eps0
+
+
 def test_stop_target_scales_with_the_norm_of_b():
     """With ``||b||`` near 1e4, ``solve`` stops at the first iteration
     whose KKT residual is at most ``kkt_tol (1 + ||b||)``, and not before.
@@ -478,6 +505,19 @@ class TestTrace:
             assert np.isnan(r.dist_qhat)
             assert r.y_norm > 0.0 and r.primal_inf > 0.0
 
+    @pytest.mark.parametrize("prox_kind,path", [("zero", tuple), ("l1", BlockVector)])
+    def test_exact_rows_record_zero_residuals(self, prox_kind, path, monkeypatch):
+        """An exact run, by the factored step (zero head) or by the sweep
+        (``l1`` head), records ``delta_tilde = delta = 0.0`` on every row."""
+        seen = _spy_cycles(monkeypatch)
+        tr = solve(random_problem(1, prox_kind=prox_kind),
+                   stop=StopRule(kkt_tol=1e-10, max_iter=200))
+        assert tr.termination == "tol" and tr.iterations > 3
+        assert all(type(res.backward) is path for *_, res in seen)
+        for r in tr.rows:
+            assert r.delta_tilde == r.delta == 0.0
+            assert type(r.delta_tilde) is float and type(r.delta) is float
+
     def test_distance_column_needs_reference(self):
         prob = random_problem(0)
         tr = solve(prob, stop=StopRule(kkt_tol=1e-9, max_iter=200))
@@ -574,6 +614,21 @@ class TestCertificates:
             assert cur / prev <= rho + 1e-8
             checked += 1
         assert checked >= 3
+
+
+    def test_restart_schedule_is_reported_uncertified(self):
+        """No closed-form bound covers restarted momentum: the report has
+        kind ``"none"``, no rows, and is not ``ok``."""
+        prob = random_problem(1, prox_kind="l1")
+        xs, fs = dense_optimum(prob)
+        steps, tols = StepSchedule.restart(5), ToleranceSchedule.exact()
+        tr = solve(prob, steps=steps, tols=tols,
+                   stop=StopRule(kkt_tol=1e-10, max_iter=500), x_star=xs)
+        assert tr.termination == "tol"
+        rep = complexity_certificates(tr, prob, steps, tols, fs)
+        assert rep.kind == "none"
+        assert rep.rows == [] and rep.linear_rows == []
+        assert rep.ok is False
 
 
 class TestContractionFactor:

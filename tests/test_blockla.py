@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from sgsqp import (
     BlockPartition,
@@ -10,6 +11,7 @@ from sgsqp import (
     BlockVector,
     sgs_operator,
 )
+from sgsqp.blockla import vec_norm
 from sgsqp.errors import (
     DiagonalNotPD,
     DimensionMismatch,
@@ -89,6 +91,32 @@ class TestPartitionAndVector:
         np.testing.assert_array_equal(w.data, [1.0, 5.0, 6.0])
         assert np.dot(v, w) == pytest.approx(25.0 + 36.0)
         assert v.norm() == pytest.approx(np.hypot(5.0, 6.0))
+
+
+_EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, np.inf,
+             -np.inf, np.nan)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(base=st.lists(st.one_of(st.sampled_from(_EXTREMES), st.floats()),
+                     max_size=40),
+       start=st.integers(0, 3), step=st.sampled_from((1, 2, 3, -1, -2)))
+@example(base=[], start=0, step=1)
+@example(base=[-0.0, -0.0], start=0, step=1)
+@example(base=[5e-324, 1.0, -5e-324], start=0, step=2)
+@example(base=[1.797e308, -1.797e308], start=0, step=-1)
+@example(base=[np.inf, 1.0], start=0, step=1)
+@example(base=[2.0, np.nan], start=1, step=1)
+def test_vec_norm_is_numpys_norm_bit_for_bit(base, start, step):
+    """``vec_norm`` returns what ``np.linalg.norm`` returns for a 1-D real
+    vector, contiguous or strided (reversed too), empty, or holding signed
+    zeros, subnormals, the largest finite values, infinities and NaN.  A
+    square that overflows warns in both, so warnings are off here."""
+    v = np.array(base, dtype=float)[start::step]
+    with np.errstate(all="ignore"):
+        got, want = vec_norm(v), np.linalg.norm(v)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestOperator:

@@ -169,6 +169,29 @@ class TestSolve:
                                 r"kkt=\S+ primal_inf=\S+\n", out)
         assert heads[0] == heads[1]
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--mode", "exact"), ("--schedule", "nesterov"), ("--variant", "sgs"),
+        ("--eps0", "1e-2"), ("--eps-power", "1.5")])
+    def test_multiplier_loop_refuses_composite_flags(self, tmp_path, capsys,
+                                                     flag, value):
+        for name, args in (("c.json", ("--dims", "2,2", "--lincon", "2")),
+                           ("q.json", ("--qsdp", "3,2"))):
+            path = _gen(tmp_path, name, *args)
+            capsys.readouterr()
+            assert main(["solve", path, flag, value]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {flag} does not apply to the multiplier loop\n")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--sigma", "1"), ("--tau", "1.6"), ("--multiplier-update", "new")])
+    def test_composite_loop_refuses_multiplier_flags(self, tmp_path, capsys,
+                                                     flag, value):
+        path = _gen(tmp_path, "a.json", "--dims", "2,2")
+        capsys.readouterr()
+        assert main(["solve", path, flag, value]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} does not apply to the composite loop\n")
+
     def test_ssor_variant_flag(self, tmp_path):
         path = _gen(tmp_path, "a.json", "--dims", "2,2")
         assert main(["solve", path, "--variant", "ssor:1.5"]) == 0

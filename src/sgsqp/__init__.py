@@ -10,15 +10,12 @@ verifiable identities, over-relaxation through one ``omega``, a proximal
 augmented Lagrangian driver for linearly constrained problems including
 quadratic SDP, dense brute-force oracles, and a CLI with a reproducible
 instance format.
+
+The top level exports what the demos and acceptance criteria use, plus
+every error type; everything else lives in ``sgsqp.<module>``.
 """
 
-from .blockla import (
-    BlockPartition,
-    BlockSymOperator,
-    BlockVector,
-    Majorizer,
-    sgs_operator,
-)
+from .blockla import BlockPartition, BlockSymOperator, BlockVector
 from .errors import (
     DiagonalNotPD,
     DimensionMismatch,
@@ -37,32 +34,18 @@ from .errors import (
     TauOutOfRange,
     UnboundedObjective,
 )
-from .proxmap import (
-    ProxSpec,
-    prox,
-    prox_value,
-    smat,
-    solve_block1,
-    subgrad_residual,
-    svec,
-    svec_dim,
-)
+from .proxmap import ProxSpec, smat, svec, svec_dim
 from .sgs import (
     CompositeQP,
-    CycleResult,
-    ExactMode,
     IterativeMode,
     NoisyMode,
-    SsorTuning,
     classical_sgs_step,
     sgs_cycle,
     ssor_tuning,
     subproblem_kkt,
 )
-from .scb import ScbFactors, ScbResult, build_factors, scb_eliminate, verify_identities
+from .scb import build_factors, scb_eliminate, verify_identities
 from .apg import (
-    CertificateReport,
-    SolveTrace,
     StepSchedule,
     StopRule,
     ToleranceSchedule,
@@ -70,45 +53,22 @@ from .apg import (
     contraction_factor,
     solve,
 )
-from .palm import (
-    LinConQP,
-    PalmStop,
-    QsdpData,
-    assemble_penalized,
-    palm_solve,
-    qsdp_to_lincon,
-)
-from .instances import (
-    Instance,
-    gen,
-    gen_lincon,
-    gen_qsdp,
-    read_instance,
-    write_instance,
-)
+from .palm import PalmStop, palm_solve, qsdp_to_lincon
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockPartition", "BlockSymOperator", "BlockVector", "Majorizer",
-    "sgs_operator",
+    "BlockPartition", "BlockSymOperator", "BlockVector",
     "SgsQpError", "DimensionMismatch", "ShapeMismatch", "NotSymmetric",
     "NotPD", "DiagonalNotPD", "ShiftNotPSD", "OmegaOutOfRange",
     "TauOutOfRange", "NeedsShift",
     "IdentityViolation", "RangeDeficiency", "InvalidParams",
     "UnboundedObjective", "NotConverged", "NonFinite",
-    "ProxSpec", "prox", "prox_value", "subgrad_residual", "solve_block1",
-    "svec", "smat", "svec_dim",
-    "CompositeQP", "CycleResult", "ExactMode", "IterativeMode", "NoisyMode",
-    "sgs_cycle", "classical_sgs_step", "subproblem_kkt",
-    "SsorTuning", "ssor_tuning",
-    "ScbFactors", "ScbResult", "build_factors", "scb_eliminate",
-    "verify_identities",
-    "SolveTrace", "StepSchedule", "StopRule", "ToleranceSchedule",
+    "ProxSpec", "svec", "smat", "svec_dim",
+    "CompositeQP", "IterativeMode", "NoisyMode",
+    "sgs_cycle", "classical_sgs_step", "subproblem_kkt", "ssor_tuning",
+    "build_factors", "scb_eliminate", "verify_identities",
+    "StepSchedule", "StopRule", "ToleranceSchedule",
     "solve", "contraction_factor", "complexity_certificates",
-    "CertificateReport",
-    "LinConQP", "PalmStop", "QsdpData", "assemble_penalized", "palm_solve",
-    "qsdp_to_lincon",
-    "Instance", "gen", "gen_lincon", "gen_qsdp", "read_instance",
-    "write_instance",
+    "PalmStop", "palm_solve", "qsdp_to_lincon",
 ]

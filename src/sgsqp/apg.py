@@ -23,7 +23,7 @@ from scipy.linalg import eigh
 from .blockla import (BlockVector, dense_pd, finite, finite_real, int_at_least,
                       is_real)
 from .errors import IdentityViolation, InvalidParams, NotPD
-from .sgs import ExactMode, IterativeMode, _cycle
+from .sgs import IterativeMode, _cycle
 
 __all__ = [
     "StepSchedule",
@@ -270,12 +270,11 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
     # exactly, so the start value of ``Qx_cur`` drops out
     Qxt, Qx_cur = None if x0.data.any() else np.zeros(part.total), 0.0
     t = 1.0
-    exact = ExactMode()
     t0 = time.perf_counter()
 
     for k in range(1, stop.max_iter + 1):
         if mode == "exact":
-            res = _cycle(prob, xt, exact, maj, Qxbar=Qxt)
+            res = _cycle(prob, xt, "exact", maj, Qxbar=Qxt)
             delta_tilde = delta = 0.0       # an exact cycle's residuals are zero
         else:
             budget = tols.value(k) / t

@@ -86,7 +86,10 @@ def _read(path):
 def cmd_gen(args):
     dims = _parse_int_list(args.dims)
     if args.qsdp:
-        n, p = _parse_int_list(args.qsdp)
+        try:
+            n, p = _parse_int_list(args.qsdp)
+        except ValueError:
+            raise ValueError(f"bad --qsdp {args.qsdp!r} (N,P)") from None
         inst = instances.gen_qsdp(n, p, seed=args.seed, rank_H=args.rank_h)
     elif args.lincon is not None:
         inst = instances.gen_lincon(dims, args.lincon, prox_kind=args.prox,
@@ -120,7 +123,7 @@ def _finish(trace):
 _LOOP_FLAGS = {"schedule": ("composite", "nesterov"), "mode": ("composite", "exact"),
                "variant": ("composite", "sgs"), "eps0": ("composite", 1e-2),
                "eps_power": ("composite", 1.5), "sigma": ("multiplier", 1.0),
-               "tau": ("multiplier", 1.6), "multiplier_update": ("multiplier", "new")}
+               "tau": ("multiplier", 1.6)}
 
 
 def cmd_solve(args):
@@ -140,9 +143,7 @@ def cmd_solve(args):
     if loop == "multiplier":
         _, _, trace = palm_solve(
             inst.lincon_problem(), args.sigma, args.tau,
-            stop=PalmStop(kkt_tol=args.kkt_tol, max_iter=args.max_iter),
-            multiplier_update=args.multiplier_update,
-        )
+            stop=PalmStop(kkt_tol=args.kkt_tol, max_iter=args.max_iter))
     else:
         if mode == "exact":
             tols = ToleranceSchedule.exact()
@@ -301,8 +302,6 @@ def _build_parser():
     m = s.add_argument_group("multiplier loop; refused on a composite instance")
     m.add_argument("--sigma", type=float, help="penalty parameter (default 1)")
     m.add_argument("--tau", type=float, help="multiplier step length (default 1.6)")
-    m.add_argument("--multiplier-update", choices=["new", "previous"],
-                   help="default new")
     s.set_defaults(func=cmd_solve)
 
     v = sub.add_parser("verify", help="run the identity checks on an instance")

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigvalsh, qr
 
-from .blockla import BlockPartition, BlockSymOperator, BlockVector, int_at_least
+from .blockla import (BlockPartition, BlockSymOperator, BlockVector, finite_real,
+                      int_at_least)
 from .errors import InvalidParams
 from .palm import LinConQP, QsdpData, qsdp_to_lincon
 from .proxmap import ProxSpec, prox, smat, svec, svec_dim
@@ -350,6 +351,15 @@ def _spd_block(rng, n, kappa):
     return 0.5 * (M + M.T)
 
 
+def _condition(kappa):
+    """``kappa`` as a float if it is a finite real ``>= 1``;
+    :class:`InvalidParams` otherwise."""
+    kappa = finite_real(kappa, "kappa")
+    if kappa < 1.0:
+        raise InvalidParams(f"kappa must be >= 1, got {kappa!r}")
+    return kappa
+
+
 def _spd_blocks(rng, dims, kappa, coupling, identity_first=False):
     """Diagonal SPD blocks plus scaled random coupling, PD overall."""
     s = len(dims)
@@ -402,8 +412,7 @@ def gen(dims, kappa=10.0, coupling=0.5, prox_kind="zero", seed=0,
     term (only the trivial nonsmooth term is supported there).
     """
     dims = BlockPartition(dims).dims
-    if kappa < 1.0:
-        raise InvalidParams("kappa must be >= 1")
+    kappa = _condition(kappa)
     rng = np.random.default_rng(seed)
     N = sum(dims)
     meta = {"seed": int(seed), "kappa": float(kappa),
@@ -449,6 +458,7 @@ def gen(dims, kappa=10.0, coupling=0.5, prox_kind="zero", seed=0,
 def gen_lincon(dims, m, prox_kind="zero", kappa=10.0, coupling=0.5, seed=0):
     """Feasible linearly constrained instance with PD quadratic part."""
     dims = BlockPartition(dims).dims
+    kappa = _condition(kappa)
     N = sum(dims)
     m = int(m)
     if not (1 <= m < N):

@@ -130,16 +130,13 @@ class PalmStop(StopRule):
     max_iter: int = 10000
 
 
-def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
-               multiplier_update="new"):
+def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None):
     """Run the proximal augmented Lagrangian loop.
 
     Each iteration takes one exact sweep cycle on the penalized operator
     with right hand side ``g + A^T (sigma d - y)`` and the previous
     iterate as proximal center, then updates the multiplier
-    ``y <- y + tau sigma (A x - d)``.  ``multiplier_update`` selects
-    which iterate enters that update: ``"new"`` (default) uses the
-    freshly computed x, ``"previous"`` the proximal center.
+    ``y <- y + tau sigma (A x - d)`` at the freshly computed x.
 
     The right hand side is ``(g + A^T (sigma d)) - A^T y``, with ``A^T y``
     shared with the previous iteration's :meth:`LinConQP.kkt`, and the
@@ -159,8 +156,6 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
         raise InvalidParams(f"tau must be a real number, got {tau!r}")
     if not (0.0 < tau < 2.0):
         raise TauOutOfRange(f"tau must lie in (0, 2), got {tau}")
-    if multiplier_update not in ("new", "previous"):
-        raise InvalidParams(f"unknown multiplier_update {multiplier_update!r}")
     stop = stop if stop is not None else PalmStop()
     part = prob.partition
     inner = assemble_penalized(prob, sigma)
@@ -177,7 +172,6 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
         raise DimensionMismatch(
             f"y0 has length {y.size} for {prob.A.shape[0]} constraints")
 
-    fresh = multiplier_update == "new"
     gd = prob.g + prob.A.T @ (sigma * prob.d)
     ATy = prob.A.T @ y
     Qx = None if x.data.any() else np.zeros(part.total)
@@ -188,22 +182,21 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None,
         inner.b.data[:] = gd - ATy
         res = sgs_cycle(inner, x, mode="exact", Qxbar=Qx)
         x_new = res.x_plus
-        # Step 2: multiplier ascent; kkt and the next centre reuse resid_new
-        resid = prob.constraint_residual((x_new if fresh else x).data)
+        # Step 2: multiplier ascent; kkt and the next centre reuse resid
+        resid = prob.constraint_residual(x_new.data)
         y_new = y + tau * sigma * resid
-        resid_new = resid if fresh else prob.constraint_residual(x_new.data)
 
         Px = prob.P.matvec(x_new.data)
         with np.errstate(over="ignore", invalid="ignore"):
             # a diverging run overflows here first; the stop below names it
             ATy_new = prob.A.T @ y_new
-            dual, primal = prob.kkt(x_new.data, y_new, Px, resid_new, ATy_new)
+            dual, primal = prob.kkt(x_new.data, y_new, Px, resid, ATy_new)
             F = prob.objective(x_new.data, Px)
             y_norm = np.linalg.norm(y_new)
             if np.isinf(y_norm) and np.isfinite(y_new).all():
                 top = np.abs(y_new).max()       # the squares overflowed
                 y_norm = top * np.linalg.norm(y_new / top)
-            Qx_new = Px + prob.A.T @ (sigma * (resid_new + prob.d))
+            Qx_new = Px + prob.A.T @ (sigma * (resid + prob.d))
         if not (np.isfinite(dual) and np.isfinite(primal)):
             # diverged (e.g. an indefinite penalized operator): keep the
             # last finite pair

@@ -43,7 +43,6 @@ from .proxmap import (ProxSpec, head_scale, kkt_distance, prox_value,
 __all__ = [
     "CompositeQP",
     "CycleResult",
-    "ExactMode",
     "IterativeMode",
     "NoisyMode",
     "sgs_cycle",
@@ -52,11 +51,6 @@ __all__ = [
     "SsorTuning",
     "ssor_tuning",
 ]
-
-
-@dataclass(frozen=True)
-class ExactMode:
-    """Solve every block system with the cached factorization."""
 
 
 @dataclass(frozen=True)
@@ -95,14 +89,6 @@ class NoisyMode:
     def __post_init__(self):
         finite_real(self.scale, "scale")
         int_at_least(self.seed, "seed", 0)
-
-
-def _as_mode(mode):
-    if isinstance(mode, (ExactMode, IterativeMode, NoisyMode)):
-        return mode
-    if mode == "exact":
-        return ExactMode()
-    raise InvalidParams(f"unknown cycle mode {mode!r}")
 
 
 class CompositeQP:
@@ -221,10 +207,6 @@ class CycleResult:
     reused: tuple = ()
     inner_iters: tuple = ()
 
-    @property
-    def omega(self):
-        return self.maj.omega
-
     @cached_property
     def x_prime(self):
         if isinstance(self.backward, BlockVector):
@@ -301,12 +283,11 @@ def _cycle(prob, xbar, mode, maj, reuse_c=None, Qxbar=None):
     and the relaxation ``omega`` (None for Gauss-Seidel).  Both
     paths take the residual ``r`` from ``Qxbar = Q xbar`` (unshifted ``Q``),
     one product when it is not handed over."""
-    mode = _as_mode(mode)
     if not isinstance(xbar, BlockVector):
         xbar = BlockVector(prob.partition, xbar)
     xb, be = xbar.data, prob.effective_b(xbar).data
     r = be - maj.plus_shift(prob.Q.matvec(xb) if Qxbar is None else Qxbar, xb)
-    if isinstance(mode, ExactMode) and prob.prox.kind == "zero" and reuse_c is None:
+    if mode == "exact" and prob.prox.kind == "zero" and reuse_c is None:
         return _factored_step(prob, xb, r, maj)
     return _sweep_cycle(prob, xb, r, mode, maj, reuse_c)
 
@@ -440,7 +421,9 @@ def sgs_cycle(prob, xbar, mode="exact", *, omega=None, forward_reuse=None,
     ----------
     prob : CompositeQP
     xbar : BlockVector or array_like
-    mode : ExactMode, IterativeMode, NoisyMode or "exact"
+    mode : "exact", IterativeMode or NoisyMode
+        ``"exact"`` solves every block system with the cached
+        factorization; anything else raises :class:`InvalidParams`.
     omega : float or None
         ``None`` for the Gauss-Seidel majorizer, a real in ``[1, 2)`` for
         the over-relaxed one (:meth:`CompositeQP.majorizer`); at ``omega =
@@ -465,6 +448,8 @@ def sgs_cycle(prob, xbar, mode="exact", *, omega=None, forward_reuse=None,
 
     A centre or ``Qxbar`` holding NaN or inf raises :class:`NonFinite`.
     """
+    if not (isinstance(mode, (IterativeMode, NoisyMode)) or mode == "exact"):
+        raise InvalidParams(f"unknown cycle mode {mode!r}")
     maj = prob.majorizer(omega)
     if forward_reuse is not None:
         if maj.omega is not None:

@@ -8,9 +8,9 @@ from sgsqp import (
     BlockSymOperator,
     BlockVector,
     CompositeQP,
-    LinConQP,
 )
 from sgsqp.instances import _prox_for, _spd_blocks, gen
+from sgsqp.palm import LinConQP
 
 
 def conservative_shifts(Q):

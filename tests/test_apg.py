@@ -10,9 +10,7 @@ from sgsqp import (
     BlockSymOperator,
     BlockVector,
     CompositeQP,
-    Majorizer,
     PalmStop,
-    SolveTrace,
     StepSchedule,
     StopRule,
     ToleranceSchedule,
@@ -21,10 +19,10 @@ from sgsqp import (
     contraction_factor,
     palm_solve,
     solve,
-    sgs_operator,
 )
 from sgsqp import apg, sgs
-from sgsqp.apg import TraceRow
+from sgsqp.apg import SolveTrace, TraceRow
+from sgsqp.blockla import Majorizer, sgs_operator
 from sgsqp.errors import InvalidParams, NotPD
 from sgsqp.instances import gen, gen_lincon
 from sgsqp.oracle import dense_optimum, dense_subproblem_solve
@@ -425,8 +423,9 @@ class TestFactoredIteration:
         # every cycle is handed its product, zeros at the zero start
         assert [handed for _, handed, _ in seen] == [True] * len(seen)
         for xbar, _, res in seen:
-            kind = "sgs" if res.omega is None else "ssor"
-            ref = dense_subproblem_solve(prob, xbar, kind=kind, omega=res.omega)
+            kind = "sgs" if res.maj.omega is None else "ssor"
+            ref = dense_subproblem_solve(prob, xbar, kind=kind,
+                                         omega=res.maj.omega)
             assert np.linalg.norm(res.x_plus.data - ref.data) <= 1e-9 * (
                 1.0 + np.linalg.norm(ref.data))
 

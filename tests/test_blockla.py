@@ -9,9 +9,8 @@ from sgsqp import (
     BlockPartition,
     BlockSymOperator,
     BlockVector,
-    sgs_operator,
 )
-from sgsqp.blockla import vec_norm
+from sgsqp.blockla import sgs_operator, vec_norm
 from sgsqp.errors import (
     DiagonalNotPD,
     DimensionMismatch,

@@ -59,6 +59,11 @@ class TestGen:
         p2 = _gen(tmp_path, "b.json", "--dims", "2,2", "--seed", "3")
         assert open(p1).read() == open(p2).read()
 
+    @pytest.mark.parametrize("sizes", ["4", "4,2,1", "4,x"])
+    def test_qsdp_takes_two_sizes(self, tmp_path, capsys, sizes):
+        assert main(["gen", "--qsdp", sizes]) == 1
+        assert capsys.readouterr().err == f"error: bad --qsdp {sizes!r} (N,P)\n"
+
 
 class TestSolve:
     def test_composite_reaches_tolerance(self, tmp_path, capsys):
@@ -183,7 +188,7 @@ class TestSolve:
                 f"error: {flag} does not apply to the multiplier loop\n")
 
     @pytest.mark.parametrize("flag,value", [
-        ("--sigma", "1"), ("--tau", "1.6"), ("--multiplier-update", "new")])
+        ("--sigma", "1"), ("--tau", "1.6")])
     def test_composite_loop_refuses_multiplier_flags(self, tmp_path, capsys,
                                                      flag, value):
         path = _gen(tmp_path, "a.json", "--dims", "2,2")
@@ -206,6 +211,10 @@ class TestSolve:
         rc = main(["solve", path, "--sigma", "10", "--tau", "1.6"])
         assert rc == 0
         assert "primal" in capsys.readouterr().out
+
+    def test_multiplier_update_flag_is_gone(self, tmp_path):
+        path = _gen(tmp_path, "q.json", "--qsdp", "4,2", "--seed", "1")
+        assert main(["solve", path, "--multiplier-update", "new"]) == 1
 
     def test_qsdp_instance(self, tmp_path):
         path = _gen(tmp_path, "q.json", "--qsdp", "3,2")

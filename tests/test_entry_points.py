@@ -21,7 +21,6 @@ from sgsqp import (
     DimensionMismatch,
     InvalidParams,
     IterativeMode,
-    LinConQP,
     NoisyMode,
     PalmStop,
     ProxSpec,
@@ -30,13 +29,14 @@ from sgsqp import (
     ToleranceSchedule,
     classical_sgs_step,
     palm_solve,
-    prox,
     scb_eliminate,
     sgs_cycle,
     solve,
     subproblem_kkt,
 )
 from sgsqp.instances import gen_lincon
+from sgsqp.palm import LinConQP
+from sgsqp.proxmap import prox
 
 from conftest import random_point, random_problem
 
@@ -167,6 +167,10 @@ BAD_OPTIONS = {
                      lambda: solve(SMALL, mode="fast", stop=StopRule(max_iter=0))),
     "l1-nan": (InvalidParams, lambda: ProxSpec.l1(np.nan)),
     "box-nan": (InvalidParams, lambda: ProxSpec.box(0.0, np.nan)),
+    "cycle-mode-unknown": (InvalidParams,
+                           lambda: sgs_cycle(SMALL, np.zeros(7), mode="inexact")),
+    "cycle-mode-none": (InvalidParams,
+                        lambda: sgs_cycle(SMALL, np.zeros(7), mode=None)),
     "forward-reuse-nan": (InvalidParams,
                           lambda: sgs_cycle(SMALL, np.zeros(7), forward_reuse=np.nan)),
     "forward-reuse-with-omega": (InvalidParams, lambda: sgs_cycle(

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sgsqp import (LinConQP, PalmStop, ProxSpec, QsdpData, StopRule,
-                   palm_solve, read_instance, solve, write_instance)
+from sgsqp import PalmStop, ProxSpec, StopRule, palm_solve, solve
 from sgsqp.errors import InvalidParams
 from sgsqp.instances import (
     Instance,
@@ -20,8 +19,11 @@ from sgsqp.instances import (
     gen_lincon,
     gen_qsdp,
     loads_instance,
+    read_instance,
+    write_instance,
 )
 from sgsqp.oracle import dense_optimum
+from sgsqp.palm import LinConQP, QsdpData
 
 
 class TestGen:
@@ -80,6 +82,13 @@ class TestGen:
             gen((2, 0), seed=0)
         with pytest.raises(InvalidParams):
             gen((2, 2.5), seed=0)
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, 0.0, 0.5])
+    @pytest.mark.parametrize("make", [gen, lambda dims, kappa: gen_lincon(
+        dims, m=2, kappa=kappa)], ids=["gen", "gen_lincon"])
+    def test_kappa_validation(self, make, kappa):
+        with pytest.raises(InvalidParams, match="kappa"):
+            make((2, 2), kappa=kappa)
 
     def test_singular_branch(self):
         inst = gen((2, 2, 2), seed=3, singular=True)

@@ -12,10 +12,8 @@ from sgsqp import (
     BlockSymOperator,
     BlockVector,
     CompositeQP,
-    LinConQP,
     NonFinite,
     ProxSpec,
-    QsdpData,
     classical_sgs_step,
     palm_solve,
     sgs_cycle,
@@ -23,6 +21,7 @@ from sgsqp import (
 )
 from sgsqp import proxmap
 from sgsqp.instances import gen_lincon, gen_qsdp
+from sgsqp.palm import LinConQP, QsdpData
 from sgsqp.proxmap import kkt_distance, prox, prox_value, subgrad_residual, svec
 
 from conftest import random_problem

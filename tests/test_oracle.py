@@ -78,7 +78,7 @@ class TestQpMinimize:
         np.testing.assert_allclose(x, np.linalg.solve(H, c), atol=1e-10)
 
     def test_l1_head_kkt(self, rng):
-        from sgsqp import subgrad_residual
+        from sgsqp.proxmap import subgrad_residual
         A = rng.standard_normal((5, 5))
         H = A @ A.T + 2 * np.eye(5)
         c = 3 * rng.standard_normal(5)
@@ -108,7 +108,7 @@ class TestSubproblemSolve:
             np.testing.assert_allclose(got.data, xstar.data, atol=1e-9)
 
     def test_minimizer_satisfies_subproblem_kkt(self, rng):
-        from sgsqp import subgrad_residual
+        from sgsqp.proxmap import subgrad_residual
         prob = random_problem(3, prox_kind="nonneg")
         part = prob.partition
         n1 = part.dims[0]

@@ -5,14 +5,9 @@ from sgsqp import (
     BlockPartition,
     BlockSymOperator,
     BlockVector,
-    LinConQP,
-    Majorizer,
     PalmStop,
     ProxSpec,
-    QsdpData,
-    assemble_penalized,
     palm_solve,
-    prox_value,
     qsdp_to_lincon,
     sgs_cycle,
     smat,
@@ -20,10 +15,13 @@ from sgsqp import (
     svec_dim,
 )
 from sgsqp import palm, proxmap
+from sgsqp.blockla import Majorizer
 from sgsqp.errors import InvalidParams, TauOutOfRange
 from sgsqp.instances import gen_lincon, gen_qsdp
 from sgsqp.oracle import (dense_kkt_solve, psd_project, qsdp_assemble,
                           qsdp_sgs_step)
+from sgsqp.palm import LinConQP, QsdpData, assemble_penalized
+from sgsqp.proxmap import prox_value
 
 from conftest import indefinite_lincon_2x2
 
@@ -89,8 +87,7 @@ class TestLinConQP:
         assert lp.kkt(x, y, Px, lp.constraint_residual(x),
                       lp.A.T @ y) == lp.kkt(x, y)
 
-    @pytest.mark.parametrize("update,residuals", [("new", 1), ("previous", 2)])
-    def test_products_per_iteration(self, monkeypatch, update, residuals):
+    def test_products_per_iteration(self, monkeypatch):
         lp = gen_lincon((2, 3), m=2, seed=3).lincon_problem()
         calls = {"matvec": 0, "residual": 0}
         matvec, resid = lp.P.matvec, lp.constraint_residual
@@ -103,11 +100,10 @@ class TestLinConQP:
 
         monkeypatch.setattr(lp.P, "matvec", count("matvec", matvec))
         monkeypatch.setattr(lp, "constraint_residual", count("residual", resid))
-        _, _, tr = palm_solve(lp, 1.0, 1.0, multiplier_update=update,
+        _, _, tr = palm_solve(lp, 1.0, 1.0,
                               stop=PalmStop(kkt_tol=1e-8, max_iter=200))
         assert tr.termination == "tol"
-        assert calls == {"matvec": tr.iterations,
-                         "residual": residuals * tr.iterations}
+        assert calls == {"matvec": tr.iterations, "residual": tr.iterations}
 
     def test_eigendecompositions_per_iteration(self, monkeypatch):
         lp = gen_qsdp(4, 3).lincon_problem()
@@ -201,27 +197,15 @@ class TestPalmSolve:
         assert np.linalg.norm(resid) > 1e-3
         np.testing.assert_allclose(y, y0 + tau * sigma * resid, rtol=1e-14, atol=0)
 
-    def test_previous_multiplier_variant_converges(self):
-        lp = gen_lincon((2, 2), m=2, seed=4).lincon_problem()
-        x, y, tr = palm_solve(lp, sigma=8.0, tau=1.0,
-                              multiplier_update="previous",
-                              stop=PalmStop(kkt_tol=1e-8, max_iter=10000))
-        assert tr.termination == "tol"
+    def test_multiplier_update_is_not_an_option(self):
+        """The multiplier step always takes the fresh iterate; there is no
+        keyword to choose another."""
+        lp = _projection_problem()
+        with pytest.raises(TypeError):
+            palm_solve(lp, sigma=1.0, tau=1.0, multiplier_update="new")
 
-    def test_previous_multiplier_variant_matches_the_oracle(self):
-        lp = gen_lincon((2, 3, 2), m=3, seed=1).lincon_problem()
-        xs, ys = dense_kkt_solve(lp.P.dense(), lp.A, lp.g, lp.d)
-        x, y, tr = palm_solve(lp, sigma=10.0, tau=1.0,
-                              multiplier_update="previous",
-                              stop=PalmStop(kkt_tol=1e-9, max_iter=10000))
-        assert tr.termination == "tol"
-        assert np.linalg.norm(x.data - xs) <= 1e-6 * (1.0 + np.linalg.norm(xs))
-        assert np.linalg.norm(y - ys) <= 1e-6 * (1.0 + np.linalg.norm(ys))
-
-    @pytest.mark.parametrize("update", ["new", "previous"])
     @pytest.mark.parametrize("case", ["lincon", "qsdp"])
-    def test_cycles_are_handed_their_centre_product(self, monkeypatch, update,
-                                                    case):
+    def test_cycles_are_handed_their_centre_product(self, monkeypatch, case):
         """Every cycle gets ``Q_sigma xbar``, zeros at the zero start, and
         makes no product of its own."""
         lp = (gen_lincon((2, 3), m=2, seed=3) if case == "lincon"
@@ -233,18 +217,13 @@ class TestPalmSolve:
             return sgs_cycle(inner, xbar, mode=mode, Qxbar=Qxbar)
 
         monkeypatch.setattr(palm, "sgs_cycle", spy)
-        _, _, tr = palm_solve(lp, 2.0, 1.0, multiplier_update=update,
+        _, _, tr = palm_solve(lp, 2.0, 1.0,
                               stop=PalmStop(kkt_tol=1e-8, max_iter=300))
         assert len(seen) == tr.iterations > 3
         assert not seen[0][1].any()
         for want, got in seen:
             scale = 1.0 + np.linalg.norm(want)
             assert np.linalg.norm(got - want) <= 1e-12 * scale
-
-    def test_invalid_update_flag(self):
-        lp = _projection_problem()
-        with pytest.raises(InvalidParams):
-            palm_solve(lp, sigma=1.0, tau=1.0, multiplier_update="stale")
 
     @pytest.mark.parametrize("tau", [0.0, 2.0, -0.5, np.nan])
     def test_tau_range(self, tau):

@@ -5,17 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sgsqp import (
-    ProxSpec,
-    prox,
-    prox_value,
-    smat,
-    solve_block1,
-    subgrad_residual,
-    svec,
-    svec_dim,
-)
+from sgsqp import ProxSpec, smat, svec, svec_dim
 from sgsqp import proxmap
+from sgsqp.proxmap import prox, prox_value, solve_block1, subgrad_residual
 from sgsqp.errors import InvalidParams, NeedsShift, ShapeMismatch
 from sgsqp.oracle import dense_qp_minimize
 

@@ -12,7 +12,8 @@ import numpy as np
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from sgsqp import ProxSpec, prox, smat, svec, svec_dim
+from sgsqp import ProxSpec, smat, svec, svec_dim
+from sgsqp.proxmap import prox
 from sgsqp import proxmap
 
 PROPS = settings(max_examples=60, deadline=None, derandomize=True,

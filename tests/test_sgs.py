@@ -9,9 +9,7 @@ from sgsqp import (
     BlockSymOperator,
     BlockVector,
     CompositeQP,
-    ExactMode,
     IterativeMode,
-    Majorizer,
     NoisyMode,
     ProxSpec,
     classical_sgs_step,
@@ -19,6 +17,7 @@ from sgsqp import (
     ssor_tuning,
     subproblem_kkt,
 )
+from sgsqp.blockla import Majorizer
 from sgsqp.errors import (DiagonalNotPD, DimensionMismatch, InvalidParams,
                           NeedsShift, NotPD, NotSymmetric, OmegaOutOfRange,
                           ShapeMismatch, ShiftNotPSD)
@@ -41,7 +40,7 @@ class TestExactCycle:
         np.testing.assert_allclose(res.x_prime.data, [0.25, 0.5], atol=1e-15)
         np.testing.assert_allclose(res.Delta.data, 0.0, atol=1e-15)
         assert res.xi == 0.0
-        assert res.omega is None
+        assert res.maj.omega is None
 
     @pytest.mark.parametrize("shifted, omega", [(False, None), (True, None),
                                                 (False, 1.5)])
@@ -272,7 +271,7 @@ class TestCertificatesOnDemand:
         res = self.CASES[case](prob, xbar)
         maj = prob.majorizer(1.6 if case == "ssor" else None)
         assert res.maj is maj
-        assert res.omega == (1.6 if case == "ssor" else None)
+        assert res.maj.omega == (1.6 if case == "ssor" else None)
         assert bool(res.reused) == (case == "forward-reuse")
         dp, d = res.delta_prime, res.delta
         np.testing.assert_array_equal(dp.block(0), d.block(0))
@@ -321,7 +320,7 @@ class TestSsor:
                                      omega=omega)
         scale = 1.0 + np.linalg.norm(ref.data)
         assert np.linalg.norm(res.x_plus.data - ref.data) <= 1e-9 * scale
-        assert res.omega == omega
+        assert res.maj.omega == omega
 
     def test_shifted_ssor_matches_dense(self):
         prob = shifted_problem(4)

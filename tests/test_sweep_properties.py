@@ -25,7 +25,6 @@ from sgsqp import (
     IterativeMode,
     NoisyMode,
     ProxSpec,
-    prox_value,
     sgs_cycle,
 )
 from sgsqp import blockla, proxmap, sgs
@@ -33,6 +32,7 @@ from sgsqp.blockla import dpotrf, sweep
 from sgsqp.errors import (DiagonalNotPD, DimensionMismatch, InvalidParams,
                           NonFinite, NotSymmetric)
 from sgsqp.oracle import dense_sgs_weight, dense_ssor_weight, dense_subproblem_solve
+from sgsqp.proxmap import prox_value
 
 from conftest import conservative_shifts
 

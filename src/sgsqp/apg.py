@@ -204,6 +204,7 @@ class SolveTrace:
                                     for n in names[1:]])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
           mode="exact", inner_cap=1e-2, x_star=None):
     """Run the accelerated (or plain) outer loop on a composite program.
@@ -234,7 +235,7 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
         "nonfinite"}`` and the final iterate in ``x_final``; a
         ``"nonfinite"`` run stops at the first iterate whose KKT residual
         is not finite, records no row for it and returns the iterate
-        before it.
+        before it, with no overflow or invalid-value warning on the way.
     """
     part = prob.partition
     steps = steps if steps is not None else StepSchedule.nesterov()
@@ -249,8 +250,7 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
         from .proxmap import prox
         x0 = np.zeros(part.total)
         x0[:part.dims[0]] = prox(prob.prox, 1.0, x0[:part.dims[0]])
-    x0 = BlockVector(part, x0)
-    finite(x0.data, "x0")
+    x0 = BlockVector(part, finite(x0, "x0"))
 
     xs_vec = None
     dist0 = np.nan
@@ -262,19 +262,21 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
     bnorm = prob.b.norm()
     kkt_target = stop.kkt_tol * (1.0 + bnorm)
 
-    x_cur = x0.copy()
-    xt = x0.copy()
-    # ``Q xt`` for the cycle, formed by linearity from the monitoring
-    # products ``Q x_k`` and ``Q x_{k-1}``; the first cycle forms its own
-    # unless ``x0 = 0``, and ``beta = 0`` at ``k = 1`` hands over ``Q x_1``
-    # exactly, so the start value of ``Qx_cur`` drops out
-    Qxt, Qx_cur = None if x0.data.any() else np.zeros(part.total), 0.0
+    # ``x`` is the last iterate; the centre ``xt`` is a fresh array when it
+    # moves, as an exact cycle keeps it.  ``Q xt`` comes by linearity from
+    # ``Q x_k`` and ``Q x_{k-1}``, into ``Qbuf``; the first cycle forms its
+    # own unless ``x0 = 0``, and ``beta = 0`` at ``k = 1`` drops ``Qx_cur``
+    x = x0.copy()
+    xt, Qx_cur, Qbuf = x.data, 0.0, np.empty(part.total)
+    Qxt = None if xt.any() else np.zeros(part.total)
+    xbar = BlockVector(part, xt)    # re-pointed at each centre; no cycle keeps it
     t = 1.0
     t0 = time.perf_counter()
 
     for k in range(1, stop.max_iter + 1):
+        xbar.data = xt
         if mode == "exact":
-            res = _cycle(prob, xt, "exact", maj, Qxbar=Qxt)
+            res = _cycle(prob, xbar, "exact", maj, Qxbar=Qxt)
             delta_tilde = delta = 0.0       # an exact cycle's residuals are zero
         else:
             budget = tols.value(k) / t
@@ -282,9 +284,8 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
             res = None
             for _ in range(31):
                 if rt < 1e-15:
-                    res = None
                     break
-                res = _cycle(prob, xt, IterativeMode(rt), maj, Qxbar=Qxt)
+                res = _cycle(prob, xbar, IterativeMode(rt), maj, Qxbar=Qxt)
                 delta_tilde, delta = res.delta_prime.norm(), res.delta.norm()
                 if max(delta_tilde, delta) <= budget:
                     break
@@ -292,44 +293,40 @@ def solve(prob, x0=None, steps=None, tols=None, stop=None, omega=None,
                 res = None
             if res is None:
                 trace.termination = "stall"
-                trace.x_final = x_cur
-                return trace
+                break
 
-        x_new = res.x_plus
-        Qx = prob.Q.matvec(x_new.data)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # a diverging run overflows here first; the stop below names it
-            Fv = prob.objective(x_new.data, Qx)
-            kkt = prob.kkt_residual(x_new.data, Qx)
+        x_new = res.x_plus.data
+        Qx = prob.Q.matvec(x_new)
+        Fv = prob.objective(x_new, Qx)
+        kkt = prob.kkt_residual(x_new, Qx)
         if not math.isfinite(kkt):
             # diverged (e.g. an indefinite Q): keep the last finite iterate
             trace.termination = "nonfinite"
-            trace.x_final = x_cur
-            return trace
+            break
         t_next, restarted = steps.advance(t, k)
         beta = 0.0 if restarted else (t - 1.0) / t_next
         dist = np.nan
         if xs_vec is not None:
-            dist = maj.quad_norm(x_new.data - xs_vec, "Qhat")
-        trace.rows.append(TraceRow(
-            k=k, F=Fv, kkt=kkt, primal_inf=0.0, y_norm=0.0,
-            delta_tilde=delta_tilde, delta=delta,
-            t=t, beta=beta, dist_qhat=dist,
-            time_s=time.perf_counter() - t0,
-        ))
+            dist = maj.quad_norm(x_new - xs_vec, "Qhat")
+        # positional, which is cheaper: no constraint, so primal_inf = y_norm = 0
+        trace.rows.append(TraceRow(k, Fv, kkt, 0.0, 0.0, delta_tilde, delta, t, beta,
+                                   dist, time.perf_counter() - t0))
         if kkt <= kkt_target:
-            trace.termination = "tol"
-            trace.x_final = x_new
-            return trace
+            trace.termination, x = "tol", res.x_plus
+            break
         if restarted:
-            xt, Qxt = x_new.copy(), Qx
+            xt, Qxt = x_new, Qx
         else:
-            xt = BlockVector(part, x_new.data + beta * (x_new.data - x_cur.data))
-            Qxt = Qx + beta * (Qx - Qx_cur)
-        x_cur, Qx_cur, t = x_new, Qx, t_next
+            # ``x_new + beta (x_new - x)`` and its product, bit for bit
+            xt = np.subtract(x_new, x.data)
+            xt *= beta
+            xt += x_new
+            Qxt = np.subtract(Qx, Qx_cur, out=Qbuf)
+            Qxt *= beta
+            Qxt += Qx
+        x, Qx_cur, t = res.x_plus, Qx, t_next
 
-    trace.termination = "max_iter"
-    trace.x_final = x_cur
+    trace.x_final = x
     return trace
 
 

@@ -78,14 +78,11 @@ class BlockPartition:
             raise InvalidParams(f"block sizes must be integers >= 1, got {dims!r}")
         object.__setattr__(self, "dims", tuple(int(n) for n in dims))
         object.__setattr__(self, "offsets", (0, *accumulate(self.dims)))
+        object.__setattr__(self, "total", self.offsets[-1])
 
     @property
     def s(self):
         return len(self.dims)
-
-    @property
-    def total(self):
-        return self.offsets[-1]
 
     def slice(self, i):
         return slice(self.offsets[i], self.offsets[i + 1])
@@ -476,6 +473,9 @@ class Majorizer:
         self._c = c               # diagonal scale in the middle inverse
         self.partition = base.partition
         self._factor = None
+        # read-only zeros, shared by the residuals of every exact cycle
+        self.zero = BlockVector(self.partition, np.zeros(self.partition.total))
+        self.zero.data.flags.writeable = False
 
     def relaxed(self, omega):
         """The over-relaxed majorizer, ``omega in [1, 2)`` (checked by
@@ -491,16 +491,34 @@ class Majorizer:
         cached: ``c^{-1/2} (a Dhat + U) T^{-T}``, ``T_i = J L_i J`` the
         operator's factors (:meth:`BlockSymOperator.diag_factors`), so its
         diagonal blocks are ``(a / sqrt(c)) T_i`` and the panels above them
-        ``c^{-1/2} U_{:,i} T_i^{-T}``; a unit scale is skipped (exact)."""
+        ``c^{-1/2} U_{:,i} T_i^{-T}``; a unit scale is skipped (exact).
+        Blocks are written in place, right to left; ``dtrtri`` inverts a copy
+        of ``T_i``, which, when over a sixteenth of ``Y``, goes into ``Y``'s
+        first columns, still unwritten, if it fits (their strict lower
+        triangle is zeroed at the end)."""
         if self._factor is None:
             S, off, r = self.eff.panels()[0], self.partition.offsets, self._c ** -0.5
+            N, ar, dims = len(S), self._a * r, self.partition.dims
             self._factor = Y = np.zeros(S.shape, order="F")
-            for L, lo, hi in zip(self.eff.diag_factors(), off, off[1:]):
-                Ti = L[::-1, ::-1]
-                Y[lo:hi, lo:hi] = Ti if r == self._a == 1.0 else (self._a * r) * Ti
-                if lo:      # block 0 has no panel
-                    Tinv = dtrtri(Ti)[0].T
-                    Y[:lo, lo:hi] = S[:lo, lo:hi] @ (Tinv if r == 1.0 else r * Tinv)
+            free, factors = Y.reshape(-1, order="F"), self.eff.diag_factors()
+            for i in reversed(range(len(dims))):
+                lo, hi, n, Ti = off[i], off[i + 1], dims[i], factors[i][::-1, ::-1]
+                Y[lo:hi, lo:hi] = Ti
+                if ar != 1.0:       # the column band is contiguous
+                    Y[:, lo:hi] *= ar
+                if not lo:      # block 0 has no panel
+                    continue
+                if N * N < 16 * n * n <= 16 * lo * N:
+                    Tinv = free[:n * n].reshape(n, n).T
+                    Tinv[...] = Ti
+                    dtrtri(Tinv, overwrite_c=1)
+                else:
+                    Tinv = dtrtri(Ti)[0]
+                if r != 1.0:
+                    Tinv *= r
+                np.matmul(S[:lo, lo:hi], Tinv.T, out=Y[:lo, lo:hi])
+            for j in range(-(-max(dims) ** 2 // N)):     # what a copy may reach
+                Y[j + 1:, j] = 0.0
         return self._factor
 
     # -- public operator interface -----------------------------------

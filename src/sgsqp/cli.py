@@ -39,12 +39,8 @@ def _setup_logging():
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _parse_int_list(text):
-    return [int(t) for t in text.split(",") if t.strip() != ""]
-
-
-def _parse_float_list(text):
-    return [float(t) for t in text.split(",") if t.strip() != ""]
+def _parse_list(text, conv=int):
+    return [conv(t) for t in text.split(",") if t.strip() != ""]
 
 
 def _parse_flag(flag, forms, text, fixed, tag, conv):
@@ -84,10 +80,10 @@ def _read(path):
 
 
 def cmd_gen(args):
-    dims = _parse_int_list(args.dims)
+    dims = _parse_list(args.dims)
     if args.qsdp:
         try:
-            n, p = _parse_int_list(args.qsdp)
+            n, p = _parse_list(args.qsdp)
         except ValueError:
             raise ValueError(f"bad --qsdp {args.qsdp!r} (N,P)") from None
         inst = instances.gen_qsdp(n, p, seed=args.seed, rank_H=args.rank_h)
@@ -172,14 +168,11 @@ def cmd_verify(args):
     try:
         rep = verify_identities(Q, corruption=args.corrupt)
     except IdentityViolation as exc:
-        lines.append(("elimination identity family", float(exc.magnitude),
-                      1e-11))
+        lines.append(("elimination identity family", float(exc.magnitude), 1e-11))
     else:
-        lines.append(("elimination stage-product identity", rep.lemma_rel,
-                      1e-11))
-        lines.append(("elimination factorization identity", rep.factor_rel,
-                      1e-11))
-        lines.append(("completion equals sweep weight", rep.weight_rel, 1e-11))
+        lines += [("elimination stage-product identity", rep.lemma_rel, 1e-11),
+                  ("elimination factorization identity", rep.factor_rel, 1e-11),
+                  ("completion equals sweep weight", rep.weight_rel, 1e-11)]
         for j, r in enumerate(rep.schur_rels, start=1):
             lines.append((f"stage {j} Schur reconstruction", r, 1e-12))
 
@@ -215,9 +208,9 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
-    seeds = _parse_int_list(args.seeds)
-    dims = _parse_int_list(args.dims)
-    omegas = _parse_float_list(args.omegas)
+    seeds = _parse_list(args.seeds)
+    dims = _parse_list(args.dims)
+    omegas = _parse_list(args.omegas, float)
     rows = []
     for seed in seeds:
         inst = instances.gen(dims, kappa=args.kappa, coupling=args.coupling,
@@ -234,17 +227,13 @@ def cmd_bench(args):
                           stop=StopRule(kkt_tol=args.kkt_tol,
                                         max_iter=args.max_iter),
                           omega=om, x_star=xs)
-            if steps.kind == "constant":
-                predicted = contraction_factor(prob.majorizer(om))
-            else:
-                predicted = float("nan")
+            predicted = (contraction_factor(prob.majorizer(om))
+                         if steps.kind == "constant" else float("nan"))
             dists = [r.dist_qhat for r in trace.rows]
             floor = 1e-13 * max(trace.dist0_qhat, 1.0)
             usable = [d for d in dists if d > floor]
-            if len(usable) >= 2:
-                observed = (usable[-1] / usable[0]) ** (1.0 / (len(usable) - 1))
-            else:
-                observed = float("nan")
+            observed = ((usable[-1] / usable[0]) ** (1.0 / (len(usable) - 1))
+                        if len(usable) >= 2 else float("nan"))
             rows.append({
                 "seed": seed, "method": name,
                 "omega": "" if om is None else repr(float(om)),

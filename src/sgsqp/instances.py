@@ -177,15 +177,9 @@ def _dec_blocks(doc, what):
 
 
 def _enc_meta(meta):
-    out = {}
-    for k, v in sorted(meta.items()):
-        if isinstance(v, bool) or isinstance(v, (int, np.integer)):
-            out[k] = int(v) if not isinstance(v, bool) else v
-        elif isinstance(v, (float, np.floating)):
-            out[k] = _e(v)
-        else:
-            out[k] = v
-    return out
+    return {k: _e(v) if isinstance(v, (float, np.floating))
+            else int(v) if isinstance(v, np.integer) else v
+            for k, v in sorted(meta.items())}
 
 
 @dataclass
@@ -351,13 +345,13 @@ def _spd_block(rng, n, kappa):
     return 0.5 * (M + M.T)
 
 
-def _condition(kappa):
-    """``kappa`` as a float if it is a finite real ``>= 1``;
-    :class:`InvalidParams` otherwise."""
-    kappa = finite_real(kappa, "kappa")
-    if kappa < 1.0:
-        raise InvalidParams(f"kappa must be >= 1, got {kappa!r}")
-    return kappa
+def _in_range(value, what, lo, hi=np.inf):
+    """``value`` as a float if it is a finite real in ``[lo, hi]``;
+    :class:`InvalidParams` naming ``what`` otherwise."""
+    value = finite_real(value, what)
+    if not lo <= value <= hi:
+        raise InvalidParams(f"{what} must lie in [{lo}, {hi}], got {value!r}")
+    return value
 
 
 def _spd_blocks(rng, dims, kappa, coupling, identity_first=False):
@@ -412,7 +406,8 @@ def gen(dims, kappa=10.0, coupling=0.5, prox_kind="zero", seed=0,
     term (only the trivial nonsmooth term is supported there).
     """
     dims = BlockPartition(dims).dims
-    kappa = _condition(kappa)
+    kappa = _in_range(kappa, "kappa", 1.0)
+    coupling = _in_range(coupling, "coupling", 0.0, 1.0)
     rng = np.random.default_rng(seed)
     N = sum(dims)
     meta = {"seed": int(seed), "kappa": float(kappa),
@@ -433,16 +428,13 @@ def gen(dims, kappa=10.0, coupling=0.5, prox_kind="zero", seed=0,
         for _ in range(20):
             G = rng.standard_normal((K, N))
             Qd = G.T @ G
-            ok = all(eigvalsh(Qd[part.slice(i), part.slice(i)]).min()
-                     > 1e-8 * np.linalg.norm(Qd, 2) for i in range(len(dims)))
-            if ok:
+            if all(eigvalsh(Qd[part.slice(i), part.slice(i)]).min()
+                   > 1e-8 * np.linalg.norm(Qd, 2) for i in range(len(dims))):
                 break
         else:
             raise InvalidParams("failed to draw a usable singular instance")
-        blocks = {}
-        for i in range(len(dims)):
-            for j in range(i, len(dims)):
-                blocks[(i, j)] = Qd[part.slice(i), part.slice(j)].copy()
+        blocks = {(i, j): Qd[part.slice(i), part.slice(j)].copy()
+                  for i in range(len(dims)) for j in range(i, len(dims))}
         x_true = rng.standard_normal(N)
         b = Qd @ x_true
         return Instance(dims=dims, Q=blocks, b=b, prox=ProxSpec.zero(),
@@ -458,7 +450,8 @@ def gen(dims, kappa=10.0, coupling=0.5, prox_kind="zero", seed=0,
 def gen_lincon(dims, m, prox_kind="zero", kappa=10.0, coupling=0.5, seed=0):
     """Feasible linearly constrained instance with PD quadratic part."""
     dims = BlockPartition(dims).dims
-    kappa = _condition(kappa)
+    kappa = _in_range(kappa, "kappa", 1.0)
+    coupling = _in_range(coupling, "coupling", 0.0, 1.0)
     N = sum(dims)
     m = int(m)
     if not (1 <= m < N):

@@ -260,10 +260,8 @@ def prox_value(spec, x):
         return 0.0 if np.all(x >= lo) and np.all(x <= hi) else np.inf
     if spec.kind == "psd_cone":
         saved = _saved_eig(x)
-        if saved is None:
-            w = eigvalsh(smat(finite(x, "PSD head"), spec.side))
-        else:
-            w = saved[0]
+        w = (eigvalsh(smat(finite(x, "PSD head"), spec.side)) if saved is None
+             else saved[0])
         return np.inf if _psd_scale(w) is None else 0.0
     raise InvalidParams(f"unknown prox kind {spec.kind!r}")
 

@@ -85,8 +85,7 @@ def build_factors(Q):
     f = ScbFactors(partition=part, D=D, U=U)
     acc = np.zeros((N, N))
     for j in range(1, part.s):
-        m = part.offsets[j]
-        nj = part.dims[j]
+        m, nj = part.offsets[j], part.dims[j]
         Rj = Qd[:m, m:m + nj]
         W = la.solve(Qd[m:m + nj, m:m + nj], Rj.T, assume_a="pos").T
         Ohat = Rj @ W.T
@@ -160,8 +159,7 @@ def verify_identities(Q, corruption=0.0):
 
     schur_rels = []
     for j in range(1, part.s):
-        m = part.offsets[j]
-        nj = part.dims[j]
+        m, nj = part.offsets[j], part.dims[j]
         lead = Qd[:m + nj, :m + nj]
         inner = np.zeros((m + nj, m + nj))
         inner[:m, :m] = lead[:m, :m] - f.Ohat[j]

@@ -9,8 +9,8 @@ and a forward block sweep.  Its output is not an approximation: it is the
 
 where ``T`` is the cycle's majorizer weight and ``Delta`` aggregates the
 per-block solve errors.  Exact block solves give ``Delta = 0``; inexact
-ones report honest residual vectors, from which the result forms ``Delta``
-and its weighted norm bound when they are first read.
+ones report honest residual vectors.  A result forms ``Delta``, its norm
+bound and the factored step's ``x'`` when they are first read.
 
 By the block sGS decomposition theorem a cycle is the step ``x+ = xbar +
 Qhat^{-1}(b_e - A xbar)``, ``A = Q + diag(J)`` and ``b_e = b + diag(J)
@@ -22,7 +22,8 @@ e = r - U d - (1 - tau) Dhat d`` for ``e = x+ - xbar``: each reads one
 triangle, so each off-diagonal block is read once (Eisenstat's trick).
 With ``p = 0`` and exact solves the step is two solves with ``Y``, the
 majorizer's only factor (``Qhat = Y Y^T``): ``z = Y^{-1} r``, ``x+ = xbar
-+ Y^{-T} z``, and on first read ``x' = xbar + c^{-1/2} T^{-T} z``.
++ Y^{-T} z``, and on first read ``x' = xbar + c^{-1/2} T^{-T} z``; its
+residuals are the majorizer's read-only zeros.
 """
 
 import math
@@ -35,7 +36,7 @@ from scipy.linalg.blas import dtrsv
 
 from .blockla import (BlockVector, Majorizer, block_split, dense_pd, finite,
                       finite_real, int_at_least, relaxation, sgs_operator,
-                      sweep)
+                      sweep, vec_norm)
 from .errors import DimensionMismatch, InvalidParams
 from .proxmap import (ProxSpec, head_scale, kkt_distance, prox_value,
                       solve_block1)
@@ -161,22 +162,31 @@ class CompositeQP:
 
     def objective(self, x, Qx=None):
         """``F(x) = p(x_1) + 0.5 <x, Q x> - <b, x>`` (original operator);
-        ``Qx``, when given, is the precomputed product ``Q x``."""
+        ``Qx``, when given, is the precomputed product ``Q x``.  A zero head
+        adds ``0.0`` without a call."""
         vec = np.asarray(x, dtype=float)
-        n1 = self.partition.dims[0]
-        head = prox_value(self.prox, vec[:n1])
-        if not math.isfinite(head):
-            return np.inf
+        head = 0.0
+        if self.prox.kind != "zero":
+            head = prox_value(self.prox, vec[:self.partition.dims[0]])
+            if not math.isfinite(head):
+                return np.inf
         if Qx is None:
             Qx = self.Q.matvec(vec)
-        return float(head + 0.5 * (vec @ Qx) - self.b.data @ vec)
+        return float(head + 0.5 * vec.dot(Qx) - self.b.data.dot(vec))
 
     def kkt_residual(self, x, Qx=None):
-        """Distance of ``b - Q x`` from ``partial p(x_1) x {0} x ...``;
-        ``Qx`` as in :meth:`objective`."""
+        """Distance of ``r = b - Q x`` from ``partial p(x_1) x {0} x ...``;
+        ``Qx`` as in :meth:`objective`.  A zero head's is ``hypot(||r_1||,
+        ||r_2..s||)`` (``inf`` for a non-finite ``||r_1||``), written out."""
         vec = np.asarray(x, dtype=float)
         r = self.b.data - (self.Q.matvec(vec) if Qx is None else Qx)
-        return kkt_distance(self.prox, vec, r, self.partition.dims[0])
+        n1 = self.partition.dims[0]
+        if self.prox.kind != "zero":
+            return kkt_distance(self.prox, vec, r, n1)
+        head = vec_norm(r[:n1])
+        if not math.isfinite(head):
+            return np.inf
+        return float(np.hypot(head, vec_norm(r[n1:])))
 
 
 @dataclass
@@ -184,17 +194,17 @@ class CycleResult:
     """Everything one cycle produced; its certificates on demand.
 
     ``x_prime`` holds the backward-sweep intermediates (its first block
-    equals ``x_plus``'s when ``omega`` is None or 1).  ``backward`` is the
-    sweep's ``x_prime`` itself, or the factored step's pair ``(xbar, z)``
-    from which ``x_prime = xbar + c^{-1/2} T^{-T} z`` is solved on first
-    read by the operator's ``factor_solve``; ``xbar`` is a copy, so a
-    caller may reuse its centre.  ``delta_prime`` and ``delta`` are the
-    realized backward/forward residuals, equal on block 1 by construction,
-    and ``maj`` is the cycle's majorizer.  ``Delta``, their aggregate
-    perturbation, and ``xi``/``xi_bound``, the exact and bounding values of
-    ``||Qhat^{-1/2} Delta||``, are computed from ``maj`` when first read;
-    the bound is ``||M^{-1/2}(delta - delta')|| + ||Qhat^{-1/2} delta'||``,
-    ``M`` the majorizer's middle diagonal.
+    equals ``x_plus``'s when ``omega`` is None or 1).  ``delta_prime`` and
+    ``delta`` are the realized backward/forward residuals, equal on block 1
+    by construction, and ``maj`` is the cycle's majorizer.  The factored
+    step forms only ``x_plus``: ``backward`` is its pair ``(xbar, z)``, the
+    centre it was given (no caller writes into it after), from which
+    ``x_prime = xbar + c^{-1/2} T^{-T} z`` is solved on first read; both
+    residuals and ``gamma1`` share ``maj.zero``, read-only, and
+    ``inner_iters`` is empty.  ``Delta``, the aggregate perturbation, and
+    ``xi``/``xi_bound``, the exact and bounding values of ``||Qhat^{-1/2}
+    Delta||``, are formed on first read; the bound is ``||M^{-1/2}(delta -
+    delta')|| + ||Qhat^{-1/2} delta'||``, ``M`` the middle diagonal.
     """
 
     x_plus: BlockVector
@@ -288,22 +298,15 @@ def _cycle(prob, xbar, mode, maj, reuse_c=None, Qxbar=None):
     xb, be = xbar.data, prob.effective_b(xbar).data
     r = be - maj.plus_shift(prob.Q.matvec(xb) if Qxbar is None else Qxbar, xb)
     if mode == "exact" and prob.prox.kind == "zero" and reuse_c is None:
-        return _factored_step(prob, xb, r, maj)
+        # the factored step of the module docstring; ``z`` overwrites ``r``
+        Y, zero = maj.factor(), maj.zero
+        z = dtrsv(Y, r, overwrite_x=1)
+        step = dtrsv(Y, z, trans=1)
+        step += xb
+        return CycleResult(x_plus=BlockVector(prob.partition, step), backward=(xb, z),
+                           delta_prime=zero, delta=zero,
+                           gamma1=zero.data[:prob.partition.dims[0]], maj=maj)
     return _sweep_cycle(prob, xb, r, mode, maj, reuse_c)
-
-
-def _factored_step(prob, xb, r, maj):
-    """The exact cycle with no head term: the factored step of the module
-    docstring, two solves with ``Y`` on the residual ``r``."""
-    part = prob.partition
-    Y = maj.factor()
-    z = dtrsv(Y, r)
-    dprime, delta = np.zeros((2, part.total))     # exact: no residuals
-    return CycleResult(
-        x_plus=BlockVector(part, xb + dtrsv(Y, z, trans=1)),
-        backward=(xb.copy(), z),
-        delta_prime=BlockVector(part, dprime), delta=BlockVector(part, delta),
-        gamma1=np.zeros(part.dims[0]), maj=maj, inner_iters=(0,) * part.s)
 
 
 def _sweep_cycle(prob, xb, r, mode, maj, reuse_c):
@@ -457,8 +460,8 @@ def sgs_cycle(prob, xbar, mode="exact", *, omega=None, forward_reuse=None,
         finite_real(forward_reuse, "forward_reuse", positive=True)
     if Qxbar is not None:
         Qxbar = BlockVector(prob.partition, finite(Qxbar, "Qxbar")).data
-    return _cycle(prob, finite(xbar, "xbar"), mode, maj,
-                  reuse_c=forward_reuse, Qxbar=Qxbar)
+    xbar = BlockVector(prob.partition, finite(xbar, "xbar")).copy()   # kept for x'
+    return _cycle(prob, xbar, mode, maj, reuse_c=forward_reuse, Qxbar=Qxbar)
 
 
 def classical_sgs_step(Q, b, xk, maj=None):

@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 from sgsqp import (
     BlockPartition,
@@ -18,6 +19,7 @@ from sgsqp import (
     complexity_certificates,
     contraction_factor,
     palm_solve,
+    sgs_cycle,
     solve,
 )
 from sgsqp import apg, sgs
@@ -214,6 +216,13 @@ class TestSolve:
         assert prob.objective(x, Qx) == prob.objective(x)
         assert prob.kkt_residual(x, Qx) == prob.kkt_residual(x)
 
+    def test_infeasible_nonneg_head_monitors_inf(self):
+        prob = random_problem(3, prox_kind="nonneg")
+        x = random_point(prob, 4).data
+        x[0] = -1.0
+        Qx = prob.Q.matvec(x)
+        assert prob.objective(x, Qx) == prob.kkt_residual(x, Qx) == np.inf
+
     def test_one_product_per_iteration(self, monkeypatch):
         prob = random_problem(1, prox_kind="l1")
         calls = []
@@ -380,6 +389,32 @@ def test_stop_target_scales_with_the_norm_of_b():
     assert any(target < r.kkt <= 100 * target for r in tr.rows)
 
 
+_ENTRIES = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 40), shifted=st.booleans(),
+       dims=st.lists(st.integers(1, 4), min_size=2, max_size=5),
+       b_scale=st.sampled_from([1.0, 0.0, -0.0]), data=st.data())
+def test_zero_head_monitoring_is_its_formula(seed, shifted, dims, b_scale, data):
+    """A zero head's ``objective`` and ``kkt_residual`` make no head call,
+    and each is still its formula to the bit, a zero's sign included:
+    ``0.0 + 0.5 <x, Q x> - <b, x>`` and ``hypot(||r_1||, ||r_2..s||)``
+    with ``r = b - Q x``, shifted or not."""
+    prob = (shifted_problem(seed, dims=tuple(dims), prox_kind="zero") if shifted
+            else random_problem(seed, dims=tuple(dims)))
+    prob.b.data[:] *= b_scale
+    n, n1, b = prob.partition.total, dims[0], prob.b.data
+    x = np.array(data.draw(st.lists(_ENTRIES, min_size=n, max_size=n)))
+    Qx = prob.Q.matvec(x)
+    r = b - Qx
+    want = (0.0 + 0.5 * (x @ Qx) - b @ x,
+            np.hypot(np.linalg.norm(r[:n1]), np.linalg.norm(r[n1:])))
+    got = (prob.objective(x, Qx), prob.kkt_residual(x, Qx))
+    assert [type(v) for v in got] == [float, float]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 class TestFactoredIteration:
     """An exact zero-prox iteration takes ``Q xbar`` by linearity from the
     monitoring products, so it costs one product and two solves with
@@ -428,6 +463,34 @@ class TestFactoredIteration:
                                          omega=res.maj.omega)
             assert np.linalg.norm(res.x_plus.data - ref.data) <= 1e-9 * (
                 1.0 + np.linalg.norm(ref.data))
+
+    @pytest.mark.parametrize("steps", [StepSchedule.nesterov(), StepSchedule.restart(3)],
+                             ids=["nesterov", "restart3"])
+    def test_cycle_fields_hold_after_the_loop_moves_on(self, steps, monkeypatch):
+        """Each exact cycle keeps its centre uncopied and shares read-only
+        zero residuals; read after the run, its ``x_prime``, residuals and
+        ``Delta`` are those of the same cycle run afresh, to the bit."""
+        prob = random_problem(5)
+        seen = []
+
+        def spy(prob, xbar, mode, maj, Qxbar=None):
+            res = sgs._cycle(prob, xbar, mode, maj, Qxbar=Qxbar)
+            seen.append((xbar.data.copy(), Qxbar.copy(), res))
+            return res
+
+        monkeypatch.setattr(apg, "_cycle", spy)
+        tr = solve(prob, steps=steps, stop=StopRule(kkt_tol=1e-10, max_iter=40))
+        assert tr.termination == "tol" and len(seen) == tr.iterations > 3
+        for xbar, Qxbar, res in seen:
+            want = sgs_cycle(prob, xbar, Qxbar=Qxbar)
+            for name in ("x_plus", "x_prime", "delta_prime", "delta", "Delta"):
+                np.testing.assert_array_equal(getattr(res, name).data,
+                                              getattr(want, name).data)
+            np.testing.assert_array_equal(res.gamma1, want.gamma1)
+            assert res.xi == want.xi == 0.0
+            assert not (res.delta.data.flags.writeable
+                        or res.delta_prime.data.flags.writeable
+                        or res.gamma1.flags.writeable)
 
     def test_nonzero_start_forms_its_first_product(self, monkeypatch):
         prob = random_problem(5)

@@ -306,6 +306,25 @@ class TestMajorizerActions:
             tracemalloc.stop()
         assert peak < part.total ** 2 * 8 / 4
 
+    @pytest.mark.parametrize("omega", [None, 1.6], ids=["sgs", "ssor"])
+    def test_factor_makes_no_panel_temporary(self, omega, rng):
+        """Building ``Y`` at N = 400 allocates less than a tenth of ``Y``
+        beyond ``Y`` itself: each panel is written in place, and the
+        150-wide block is inverted inside ``Y``."""
+        part, blocks, _ = _dense_blocks(rng, [100, 150, 50, 100])
+        Q = BlockSymOperator(part, blocks)
+        maj = sgs_operator(Q) if omega is None else sgs_operator(Q).relaxed(omega)
+        tracemalloc.start()
+        try:
+            Y = maj.factor()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * part.total ** 2 * 8
+        assert np.array_equal(Y, np.triu(Y))
+        Qhat = maj.densify("Qhat")
+        assert np.linalg.norm(Y @ Y.T - Qhat, 2) <= 1e-12 * np.linalg.norm(Qhat, 2)
+
     def test_quad_norm_matches_dense(self, rng):
         part, blocks, _ = _dense_blocks(rng, [2, 2])
         maj = sgs_operator(BlockSymOperator(part, blocks))

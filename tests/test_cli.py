@@ -64,6 +64,12 @@ class TestGen:
         assert main(["gen", "--qsdp", sizes]) == 1
         assert capsys.readouterr().err == f"error: bad --qsdp {sizes!r} (N,P)\n"
 
+    def test_coupling_outside_unit_interval_exits_one(self, capsys):
+        assert main(["gen", "--coupling", "2"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: coupling must lie in [0.0, 1.0], got 2.0\n"
+
 
 class TestSolve:
     def test_composite_reaches_tolerance(self, tmp_path, capsys):

@@ -90,6 +90,15 @@ class TestGen:
         with pytest.raises(InvalidParams, match="kappa"):
             make((2, 2), kappa=kappa)
 
+    @pytest.mark.parametrize("coupling", [np.nan, np.inf, -1.0, 5.0])
+    @pytest.mark.parametrize("make", [gen, lambda dims, coupling: gen_lincon(
+        dims, m=2, coupling=coupling)], ids=["gen", "gen_lincon"])
+    def test_coupling_validation(self, make, coupling):
+        """A coupling probability outside ``[0, 1]`` is refused, not read as
+        "never" or "always" coupled."""
+        with pytest.raises(InvalidParams, match="coupling"):
+            make((2, 2), coupling=coupling)
+
     def test_singular_branch(self):
         inst = gen((2, 2, 2), seed=3, singular=True)
         Qd = inst.composite().Q.dense()

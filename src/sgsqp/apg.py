@@ -20,8 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.linalg import eigh
 
-from .blockla import (BlockVector, dense_pd, finite, finite_real, int_at_least,
-                      is_real)
+from .blockla import BlockVector, dense_pd, finite, finite_real, int_at_least, is_real
 from .errors import IdentityViolation, InvalidParams, NotPD
 from .sgs import IterativeMode, _cycle
 
@@ -372,13 +371,10 @@ def complexity_certificates(trace, prob, steps, tols, fstar, slack=1e-8):
     """
     maj = prob.majorizer(trace.omega)
     M = maj.m_constant()
-    rep = CertificateReport(kind="none", M=M,
-                            ok=steps.kind in ("nesterov", "constant"))
+    rep = CertificateReport(kind="none", M=M, ok=steps.kind in ("nesterov", "constant"))
     dist0 = trace.dist0_qhat
     if not np.isfinite(dist0):
-        raise InvalidParams(
-            "certificates need dist_qhat data; run solve with x_star"
-        )
+        raise InvalidParams("certificates need dist_qhat data; run solve with x_star")
     if steps.kind == "nesterov":
         rep.kind = "nesterov"
         acc = 0.0
@@ -404,6 +400,5 @@ def complexity_certificates(trace, prob, steps, tols, fstar, slack=1e-8):
             for r in trace.rows:
                 env = rho * env + tols.value(r.k)
                 geo = rho * geo
-                rep._note(rep.linear_rows, r.k, r.dist_qhat, geo + M * env,
-                          slack)
+                rep._note(rep.linear_rows, r.k, r.dist_qhat, geo + M * env, slack)
     return rep

@@ -124,9 +124,7 @@ class BlockVector:
     @classmethod
     def from_blocks(cls, partition, blocks):
         if len(blocks) != partition.s:
-            raise DimensionMismatch(
-                f"expected {partition.s} blocks, got {len(blocks)}"
-            )
+            raise DimensionMismatch(f"expected {partition.s} blocks, got {len(blocks)}")
         return cls(partition, np.concatenate([np.ravel(b) for b in blocks]))
 
     def block(self, i):
@@ -154,7 +152,7 @@ class BlockVector:
 
 
 def vec_norm(v):
-    """``np.linalg.norm`` of a 1-D real array, bit for bit, as a float: its
+    """``np.linalg.norm`` of a real array, bit for bit, as a float: its
     ``ravel(order="K")`` (a strided ``dot`` may sum otherwise), ``dot``, ``sqrt``."""
     v = v.ravel(order="K")
     return math.sqrt(v.dot(v))
@@ -611,9 +609,7 @@ class Majorizer:
 
     def m_constant(self):
         """``2 ||M^{-1/2}||_2 + ||Qhat^{-1/2}||_2`` for the error analysis."""
-        lam_d = min(
-            eigvalsh(self.eff.block(i, i)).min() for i in range(self.eff.s)
-        )
+        lam_d = min(eigvalsh(self.eff.block(i, i)).min() for i in range(self.eff.s))
         lam_qhat = eigvalsh(self.densify("Qhat")).min()
         return 2.0 / np.sqrt(self._c * lam_d) + 1.0 / np.sqrt(lam_qhat)
 

@@ -6,6 +6,7 @@ Quadratic SDP enters as data (:class:`QsdpData`) and is solved through
 its linearly constrained form (:func:`qsdp_to_lincon`).
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -14,7 +15,7 @@ from scipy.linalg import eigh
 
 from .apg import SolveTrace, StopRule, TraceRow
 from .blockla import (BlockPartition, BlockSymOperator, BlockVector, finite,
-                      finite_real, int_at_least, is_real)
+                      finite_real, int_at_least, is_real, vec_norm)
 from .errors import (DimensionMismatch, InvalidParams, NotSymmetric,
                      ShapeMismatch, TauOutOfRange)
 from .proxmap import (ProxSpec, _identity_multiple, kkt_distance, prox,
@@ -94,7 +95,7 @@ class LinConQP:
         dual = kkt_distance(self.prox, xd, r, self.partition.dims[0])
         if resid is None:
             resid = self.constraint_residual(xd)
-        return dual, np.linalg.norm(resid)
+        return dual, vec_norm(resid)
 
 
 def assemble_penalized(prob, sigma):
@@ -130,6 +131,7 @@ class PalmStop(StopRule):
     max_iter: int = 10000
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None):
     """Run the proximal augmented Lagrangian loop.
 
@@ -138,19 +140,21 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None):
     iterate as proximal center, then updates the multiplier
     ``y <- y + tau sigma (A x - d)`` at the freshly computed x.
 
-    The right hand side is ``(g + A^T (sigma d)) - A^T y``, with ``A^T y``
-    shared with the previous iteration's :meth:`LinConQP.kkt`, and the
-    cycle is handed ``Q_sigma x = P x + A^T (sigma (A x - d + d))`` from
-    the monitoring terms (zeros at a zero start): two ``A^T`` products and
-    one ``P`` product per iteration.  A PSD head's certificate reuses the
-    cycle's projection eigenpairs: one eigendecomposition per iteration.
+    The loop carries flat arrays.  Each iteration writes ``(g + A^T
+    (sigma d)) - A^T y`` into the penalized ``b`` and calls
+    :func:`~sgsqp.sgs.sgs_cycle`, :meth:`LinConQP.constraint_residual`,
+    :meth:`LinConQP.kkt` and :meth:`LinConQP.objective` once each.  The
+    cycle is handed ``Q_sigma x = P x + A^T (sigma (A x - d + d))`` (zeros
+    at a zero start) and the next ``A^T y`` is the certificate's: one
+    ``A``, two ``A^T`` and one ``P`` product.  A PSD head's certificate
+    reuses the cycle's eigenpairs: one eigendecomposition per iteration.
 
-    Returns ``(x, y, trace)``, ``trace`` a :class:`~sgsqp.apg.SolveTrace`
-    with ``x0`` and ``x_final`` set; termination is ``"tol"`` once both the
-    primal infeasibility and the dual KKT residual fall below
-    ``stop.kkt_tol``, and ``"nonfinite"`` at the first iterate whose KKT
-    residual is not finite: that iterate gets no row, and the pair before
-    it is returned.
+    Returns ``(x, y, trace)``, ``x`` a :class:`BlockVector` and ``trace``
+    a :class:`~sgsqp.apg.SolveTrace` with ``x0`` and ``x_final`` set;
+    termination is ``"tol"`` once both the primal infeasibility and the
+    dual KKT residual fall below ``stop.kkt_tol``, and ``"nonfinite"`` at
+    the first iterate whose KKT residual is not finite: that iterate gets
+    no row, and the pair before it is returned, warning-free.
     """
     if not is_real(tau):
         raise InvalidParams(f"tau must be a real number, got {tau!r}")
@@ -161,57 +165,48 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None):
     inner = assemble_penalized(prob, sigma)
 
     if x0 is None:
-        x = BlockVector.zeros(part)
-        if prob.prox.kind != "zero":
-            x.set_block(0, prox(prob.prox, 1.0, np.zeros(part.dims[0])))
-    else:
-        x = BlockVector(part, np.array(x0, dtype=float))
-        finite(x.data, "x0")
+        x0 = np.zeros(part.total)
+        x0[:part.dims[0]] = prox(prob.prox, 1.0, x0[:part.dims[0]])
+    x = finite(BlockVector(part, np.array(x0, dtype=float)).data, "x0")
     y = np.zeros(prob.A.shape[0]) if y0 is None else np.array(finite(y0, "y0")).ravel()
     if y.shape != (prob.A.shape[0],):
         raise DimensionMismatch(
             f"y0 has length {y.size} for {prob.A.shape[0]} constraints")
 
-    gd = prob.g + prob.A.T @ (sigma * prob.d)
-    ATy = prob.A.T @ y
-    Qx = None if x.data.any() else np.zeros(part.total)
-    trace = SolveTrace(x0=x.copy())
+    AT, d, b = prob.A.T, prob.d, inner.b.data
+    gd = prob.g + AT @ (sigma * d)
+    ATy = AT @ y
+    Qx = None if x.any() else np.zeros(part.total)
+    trace = SolveTrace(x0=BlockVector(part, x))     # no iterate is written in place
     t0 = time.perf_counter()
     for k in range(1, stop.max_iter + 1):
         # Step 1: one cycle of the T-weighted subproblem at the current x
-        inner.b.data[:] = gd - ATy
-        res = sgs_cycle(inner, x, mode="exact", Qxbar=Qx)
-        x_new = res.x_plus
+        np.subtract(gd, ATy, out=b)
+        x_new = sgs_cycle(inner, x, mode="exact", Qxbar=Qx).x_plus.data
         # Step 2: multiplier ascent; kkt and the next centre reuse resid
-        resid = prob.constraint_residual(x_new.data)
+        resid = prob.constraint_residual(x_new)
         y_new = y + tau * sigma * resid
-
-        Px = prob.P.matvec(x_new.data)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # a diverging run overflows here first; the stop below names it
-            ATy_new = prob.A.T @ y_new
-            dual, primal = prob.kkt(x_new.data, y_new, Px, resid, ATy_new)
-            F = prob.objective(x_new.data, Px)
-            y_norm = np.linalg.norm(y_new)
-            if np.isinf(y_norm) and np.isfinite(y_new).all():
-                top = np.abs(y_new).max()       # the squares overflowed
-                y_norm = top * np.linalg.norm(y_new / top)
-            Qx_new = Px + prob.A.T @ (sigma * (resid + prob.d))
-        if not (np.isfinite(dual) and np.isfinite(primal)):
-            # diverged (e.g. an indefinite penalized operator): keep the
-            # last finite pair
-            trace.termination = "nonfinite"
+        # a diverging run overflows here first; the stop below names it
+        Px = prob.P.matvec(x_new)
+        ATy_new = AT @ y_new
+        dual, primal = prob.kkt(x_new, y_new, Px, resid, ATy_new)
+        F = prob.objective(x_new, Px)
+        if not (math.isfinite(dual) and math.isfinite(primal)):
+            trace.termination = "nonfinite"     # diverged: keep the last pair
             break
-        x, y, ATy, Qx = x_new, y_new, ATy_new, Qx_new
-        trace.rows.append(TraceRow(
-            k=k, F=F, kkt=dual, primal_inf=primal, y_norm=y_norm,
-            delta_tilde=0.0, delta=0.0, t=1.0, beta=0.0, dist_qhat=np.nan,
-            time_s=time.perf_counter() - t0,
-        ))
+        y_norm = vec_norm(y_new)
+        if math.isinf(y_norm) and np.isfinite(y_new).all():
+            top = np.abs(y_new).max()       # the squares overflowed
+            y_norm = top * vec_norm(y_new / top)
+        x, y, ATy = x_new, y_new, ATy_new
+        # positional, which is cheaper; no momentum, exact cycles
+        trace.rows.append(TraceRow(k, F, dual, primal, y_norm, 0.0, 0.0, 1.0, 0.0,
+                                   np.nan, time.perf_counter() - t0))
         if max(dual, primal) <= stop.kkt_tol:
             trace.termination = "tol"
             break
-    trace.x_final = x
+        Qx = Px + AT @ (sigma * (resid + d))
+    x = trace.x_final = BlockVector(part, x)
     return x, y, trace
 
 
@@ -276,8 +271,7 @@ def qsdp_to_lincon(q):
     d = q.dim
     if r > 0:
         part = BlockPartition((d, q.p, r))
-        P = BlockSymOperator(part, {(2, 2): V.T @ q.H @ V},
-                             factor_diag=False)
+        P = BlockSymOperator(part, {(2, 2): V.T @ q.H @ V}, factor_diag=False)
         A = np.hstack([np.eye(d), q.B.T, q.H @ V])
         g = np.concatenate([np.zeros(d), q.h, np.zeros(r)])
     else:

@@ -48,8 +48,7 @@ _PSD_FEAS_RTOL = 1e-10
 _PSD_RANK_RTOL = 1e-8
 _IDENT_RTOL = 1e-10
 
-_syevr, _syevr_lwork = get_lapack_funcs(("syevr", "syevr_lwork"),
-                                        dtype=np.float64)
+_syevr, _syevr_lwork = get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
 
 # ``_last.psd``: (output, clipped ascending eigenvalues, eigenvectors) of this
 # thread's last PSD prox, replaced in one assignment; certificates reuse it
@@ -62,7 +61,8 @@ def _saved_eig(x):
     """The saved ``(w, V)`` when ``x`` is this thread's last PSD projection,
     else None."""
     last = getattr(_last, "psd", None)
-    return last[1:] if last is not None and np.array_equal(last[0], x) else None
+    hit = last is not None and last[0].shape == x.shape and (last[0] == x).all()
+    return last[1:] if hit else None
 
 
 @functools.lru_cache(maxsize=64)
@@ -123,7 +123,7 @@ def svec(S):
     ``sqrt(2)``, so that ``<svec(A), svec(B)> = <A, B>_F``."""
     S = np.asarray(S, dtype=float)
     flat, mul, _, _ = _pack(S.shape[0])
-    v = np.take(S, flat)
+    v = S.take(flat)
     v *= mul
     return v
 
@@ -136,7 +136,7 @@ def smat(v, n):
             f"expected packed length {svec_dim(n)} for side {n}, got {v.shape}"
         )
     _, _, packed, div = _pack(n)
-    S = np.take(v, packed)
+    S = v.take(packed)
     S /= div
     return S
 
@@ -310,13 +310,13 @@ def subgrad_residual(spec, x, g):
         # a prefix of V: split the eigenbasis there, project, measure.
         k = int(w.searchsorted(_PSD_RANK_RTOL * scale, "right"))
         Gt = V.T @ G @ V
-        acc = np.linalg.norm(Gt[k:, k:]) ** 2
-        acc += 2.0 * np.linalg.norm(Gt[k:, :k]) ** 2
+        acc = vec_norm(Gt[k:, k:]) ** 2
+        acc += 2.0 * vec_norm(Gt[k:, :k]) ** 2
         if k:
             Ck = 0.5 * (Gt[:k, :k] + Gt[:k, :k].T)
             wk = eigvalsh(Ck)
             acc += float((np.maximum(wk, 0.0) ** 2).sum())
-        return float(np.sqrt(acc))
+        return math.sqrt(acc)
     raise InvalidParams(f"unknown prox kind {spec.kind!r}")
 
 

@@ -23,7 +23,9 @@ triangle, so each off-diagonal block is read once (Eisenstat's trick).
 With ``p = 0`` and exact solves the step is two solves with ``Y``, the
 majorizer's only factor (``Qhat = Y Y^T``): ``z = Y^{-1} r``, ``x+ = xbar
 + Y^{-T} z``, and on first read ``x' = xbar + c^{-1/2} T^{-T} z``; its
-residuals are the majorizer's read-only zeros.
+residuals are the majorizer's read-only zeros, as are an exact sweep's
+(the forward ones unless reuse writes them).  :func:`sgs_cycle` copies
+its centre only for the factored step, which keeps it for ``x'``.
 """
 
 import math
@@ -38,8 +40,7 @@ from .blockla import (BlockVector, Majorizer, block_split, dense_pd, finite,
                       finite_real, int_at_least, relaxation, sgs_operator,
                       sweep, vec_norm)
 from .errors import DimensionMismatch, InvalidParams
-from .proxmap import (ProxSpec, head_scale, kkt_distance, prox_value,
-                      solve_block1)
+from .proxmap import ProxSpec, head_scale, kkt_distance, prox_value, solve_block1
 
 __all__ = [
     "CompositeQP",
@@ -198,13 +199,16 @@ class CycleResult:
     ``delta`` are the realized backward/forward residuals, equal on block 1
     by construction, and ``maj`` is the cycle's majorizer.  The factored
     step forms only ``x_plus``: ``backward`` is its pair ``(xbar, z)``, the
-    centre it was given (no caller writes into it after), from which
+    centre it was given (:func:`sgs_cycle` hands it a copy), from which
     ``x_prime = xbar + c^{-1/2} T^{-T} z`` is solved on first read; both
     residuals and ``gamma1`` share ``maj.zero``, read-only, and
-    ``inner_iters`` is empty.  ``Delta``, the aggregate perturbation, and
-    ``xi``/``xi_bound``, the exact and bounding values of ``||Qhat^{-1/2}
-    Delta||``, are formed on first read; the bound is ``||M^{-1/2}(delta -
-    delta')|| + ||Qhat^{-1/2} delta'||``, ``M`` the middle diagonal.
+    ``inner_iters`` is empty.  A sweep's ``backward`` is ``x_prime``, no
+    field views its centre, and an exact one's residuals are ``maj.zero``
+    (``delta`` not under forward reuse).  ``Delta``, the aggregate
+    perturbation, and ``xi``/``xi_bound``, the exact and bounding values of
+    ``||Qhat^{-1/2} Delta||``, are formed on first read; the bound is
+    ``||M^{-1/2}(delta - delta')|| + ||Qhat^{-1/2} delta'||``, ``M`` the
+    middle diagonal.
     """
 
     x_plus: BlockVector
@@ -287,18 +291,22 @@ def cg(A, b, *, rtol, maxiter, callback):
     return x, maxiter
 
 
+def _factored(prob, mode, reuse_c):
+    """Whether a cycle takes the factored step of the module docstring."""
+    return mode == "exact" and prob.prox.kind == "zero" and reuse_c is None
+
+
 def _cycle(prob, xbar, mode, maj, reuse_c=None, Qxbar=None):
     """One cycle of ``prob`` at ``xbar`` with the majorizer ``maj`` of
     ``prob``, which fixes the outer scale ``tau``, the middle scale ``rho``
-    and the relaxation ``omega`` (None for Gauss-Seidel).  Both
-    paths take the residual ``r`` from ``Qxbar = Q xbar`` (unshifted ``Q``),
-    one product when it is not handed over."""
+    and the relaxation ``omega`` (None for Gauss-Seidel).  Both paths take
+    the residual ``r`` from ``Qxbar = Q xbar`` (unshifted ``Q``), one product
+    when not handed over.  Only the factored step keeps ``xbar``, uncopied."""
     if not isinstance(xbar, BlockVector):
         xbar = BlockVector(prob.partition, xbar)
     xb, be = xbar.data, prob.effective_b(xbar).data
     r = be - maj.plus_shift(prob.Q.matvec(xb) if Qxbar is None else Qxbar, xb)
-    if mode == "exact" and prob.prox.kind == "zero" and reuse_c is None:
-        # the factored step of the module docstring; ``z`` overwrites ``r``
+    if _factored(prob, mode, reuse_c):     # ``z`` overwrites ``r``
         Y, zero = maj.factor(), maj.zero
         z = dtrsv(Y, r, overwrite_x=1)
         step = dtrsv(Y, z, trans=1)
@@ -320,7 +328,10 @@ def _sweep_cycle(prob, xb, r, mode, maj, reuse_c):
     mu = None if prob._mu is None else h * prob._mu
     rng = np.random.default_rng(mode.seed) if isinstance(mode, NoisyMode) else None
 
-    dprime, delta = np.zeros((2, part.total))     # backward/forward residuals
+    # residuals: an exact cycle's are the read-only zeros, unless reuse writes
+    out_p = maj.zero if mode == "exact" else BlockVector.zeros(part)
+    out = out_p if out_p is maj.zero and reuse_c is None else BlockVector.zeros(part)
+    dprime, delta = out_p.data, out.data
     rb = np.empty(part.total)         # backward right-hand sides, r - U d
     stalled, inner = [], [0] * s
     x1 = gamma1 = None
@@ -330,8 +341,7 @@ def _sweep_cycle(prob, xb, r, mode, maj, reuse_c):
             inner[i] += 1
 
         # through the module global, so a wrapper installed on ``cg`` sees it
-        x, info = cg(M, rhs, rtol=mode.rel_tol, maxiter=mode.max_inner,
-                     callback=count)
+        x, info = cg(M, rhs, rtol=mode.rel_tol, maxiter=mode.max_inner, callback=count)
         resid[off[i]:off[i + 1]] = M @ x - rhs
         if info:
             stalled.append(i)
@@ -346,7 +356,9 @@ def _sweep_cycle(prob, xb, r, mode, maj, reuse_c):
         its honest residual into block ``i`` of ``resid``."""
         if scaled is not None:
             return cg_block(i, scaled[i], rhs, resid)
-        d = A.diag_solve(i, rhs) / tau
+        d = A.diag_solve(i, rhs)
+        if tau != 1.0:
+            d /= tau
         if rng is not None:
             # exact solve plus a relative perturbation, honest residual
             noise = rng.standard_normal(d.shape[0])
@@ -369,10 +381,10 @@ def _sweep_cycle(prob, xb, r, mode, maj, reuse_c):
             x1, gamma1 = solve_block1(prob.prox, mu, rhs + mu * xb1)
         elif scaled is not None:
             x1, gamma1 = xb1 + cg_block(0, scaled[0], rhs, dprime), np.zeros(n1)
+            delta[:n1] = dprime[:n1]
         else:       # zero head: ``e = H^{-1} rhs`` by the operator's factor
             e = A.diag_solve(0, rhs) * (maj._c / tau ** 2)
             x1, gamma1 = xb1 + e, rhs - (h * diag[0]) @ e
-        delta[:n1] = dprime[:n1]
         if tau == 1.0:
             return x1 - xb1
         # backward row-1 identity recovers the intermediate's correction
@@ -402,18 +414,19 @@ def _sweep_cycle(prob, xb, r, mode, maj, reuse_c):
         # error budget remains certifiable
         return A.diag_solve(i, rhs) / tau
 
-    step = np.concatenate((x1 - xb[:n1], np.empty(part.total - n1)))
+    step = np.empty(part.total)
+    np.subtract(x1, xb[:n1], out=step[:n1])
     sweep(A, rb, tau, lower=True, solve=forward, start=1, out=step)
 
-    xplus, xp = xb + step, xb + d
-    xplus[:n1] = x1
+    step += xb      # ``x+`` and ``x'`` over their corrections
+    d += xb
+    step[:n1] = x1
     if tau == 1.0:
-        xp[:n1] = x1
+        d[:n1] = x1
     return CycleResult(
-        x_plus=BlockVector(part, xplus), backward=BlockVector(part, xp),
-        delta_prime=BlockVector(part, dprime), delta=BlockVector(part, delta),
-        gamma1=gamma1, maj=maj, stalled=tuple(sorted(stalled)),
-        reused=tuple(reused), inner_iters=tuple(inner))
+        x_plus=BlockVector(part, step), backward=BlockVector(part, d),
+        delta_prime=out_p, delta=out, gamma1=gamma1, maj=maj,
+        stalled=tuple(sorted(stalled)), reused=tuple(reused), inner_iters=tuple(inner))
 
 
 def sgs_cycle(prob, xbar, mode="exact", *, omega=None, forward_reuse=None,
@@ -460,7 +473,9 @@ def sgs_cycle(prob, xbar, mode="exact", *, omega=None, forward_reuse=None,
         finite_real(forward_reuse, "forward_reuse", positive=True)
     if Qxbar is not None:
         Qxbar = BlockVector(prob.partition, finite(Qxbar, "Qxbar")).data
-    xbar = BlockVector(prob.partition, finite(xbar, "xbar")).copy()   # kept for x'
+    xbar = BlockVector(prob.partition, finite(xbar, "xbar"))
+    if _factored(prob, mode, forward_reuse):
+        xbar = xbar.copy()      # the factored step keeps it for ``x'``
     return _cycle(prob, xbar, mode, maj, reuse_c=forward_reuse, Qxbar=Qxbar)
 
 

@@ -5,6 +5,7 @@ from sgsqp import (
     BlockPartition,
     BlockSymOperator,
     BlockVector,
+    CompositeQP,
     PalmStop,
     ProxSpec,
     palm_solve,
@@ -213,7 +214,7 @@ class TestPalmSolve:
         seen = []
 
         def spy(inner, xbar, mode="exact", Qxbar=None):
-            seen.append((inner.Q.matvec(xbar.data), Qxbar))
+            seen.append((inner.Q.matvec(np.asarray(xbar)), Qxbar))
             return sgs_cycle(inner, xbar, mode=mode, Qxbar=Qxbar)
 
         monkeypatch.setattr(palm, "sgs_cycle", spy)
@@ -224,6 +225,29 @@ class TestPalmSolve:
         for want, got in seen:
             scale = 1.0 + np.linalg.norm(want)
             assert np.linalg.norm(got - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("case", ["qsdp", "box"])
+    def test_each_iteration_calls_the_traced_names_once(self, monkeypatch, case):
+        """The benchmark's tracer wraps these names where their owners hold
+        them: each iteration calls the cycle, the shift term and the three
+        monitoring methods once, and a solve assembles once."""
+        lp = (gen_qsdp(4, 3) if case == "qsdp"
+              else gen_lincon((3, 4, 2), m=2, prox_kind="box", seed=1)).lincon_problem()
+        calls = {}
+        for owner, attr in [(palm, "sgs_cycle"), (palm, "assemble_penalized"),
+                            (LinConQP, "kkt"), (LinConQP, "objective"),
+                            (LinConQP, "constraint_residual"),
+                            (CompositeQP, "effective_b")]:
+            def counted(*args, _fn=owner.__dict__[attr], _name=attr, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+        _, _, tr = palm_solve(lp, 1.0, 1.6, stop=PalmStop(kkt_tol=1e-8, max_iter=300))
+        assert tr.termination == "tol" and tr.iterations > 3
+        per_iter = ("sgs_cycle", "effective_b", "kkt", "objective", "constraint_residual")
+        assert calls == {"assemble_penalized": 1,
+                         **{name: tr.iterations for name in per_iter}}
 
     @pytest.mark.parametrize("tau", [0.0, 2.0, -0.5, np.nan])
     def test_tau_range(self, tau):

@@ -21,7 +21,9 @@ from sgsqp.blockla import Majorizer
 from sgsqp.errors import (DiagonalNotPD, DimensionMismatch, InvalidParams,
                           NeedsShift, NotPD, NotSymmetric, OmegaOutOfRange,
                           ShapeMismatch, ShiftNotPSD)
+from sgsqp.instances import gen_qsdp
 from sgsqp.oracle import dense_subproblem_solve
+from sgsqp.palm import assemble_penalized
 
 from conftest import anchor_2x2, random_problem, random_point, shifted_problem
 
@@ -62,6 +64,39 @@ class TestExactCycle:
         xbar.data[:] = np.nan
         np.testing.assert_array_equal(res.x_prime.data, want)
         assert res.x_prime is res.x_prime
+
+    @pytest.mark.parametrize("head, mode, kw", [
+        ("l1", "exact", {}),
+        ("psd_cone", "exact", {}),
+        ("zero", IterativeMode(rel_tol=1e-6), {}),
+        ("nonneg", NoisyMode(seed=3, scale=1e-3), {}),
+        ("zero", "exact", {"forward_reuse": 1.0}),
+        ("l1", "exact", {"omega": 1.5}),
+    ], ids=["l1", "psd_cone", "iterative", "noisy", "forward_reuse", "omega"])
+    def test_sweep_result_keeps_nothing_of_its_centre(self, head, mode, kw):
+        """A sweep-path cycle is not handed a copy of its centre: overwritten
+        after the call, the centre leaves ``x_plus``, ``x_prime``, ``Delta``
+        and ``xi_bound`` those of a cycle on an untouched copy, to the bit.
+        An exact sweep's residuals are the majorizer's zeros, except the
+        forward ones that block reuse writes."""
+        if head == "psd_cone":
+            prob = assemble_penalized(gen_qsdp(4, 3).lincon_problem(), 1.0)
+            prob.b.data[:] = np.random.default_rng(2).standard_normal(
+                prob.partition.total)
+        else:
+            prob = random_problem(3, prox_kind=head)
+        xbar = random_point(prob, 4)
+        want = sgs_cycle(prob, xbar.copy(), mode=mode, **kw)
+        res = sgs_cycle(prob, xbar, mode=mode, **kw)
+        xbar.data[:] = np.nan
+        assert isinstance(res.backward, BlockVector)
+        for name in ("x_plus", "x_prime", "Delta"):
+            np.testing.assert_array_equal(getattr(res, name).data,
+                                          getattr(want, name).data)
+        assert res.xi_bound == want.xi_bound
+        zero = res.maj.zero
+        assert (res.delta_prime is zero) == (mode == "exact")
+        assert (res.delta is zero) == (mode == "exact" and not kw.get("forward_reuse"))
 
     @pytest.mark.parametrize("prox_kind", ["zero", "l1", "nonneg"])
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -426,7 +426,8 @@ def sweep(op, y, a, lower, solve=None, start=0, out=None):
     only the lower panels, a backward pass (blocks ``s-1..start``) ``(a D +
     U) z = y`` and reads only the upper ones.  Per block: one panel product
     and one ``solve(i, rhs)`` returning ``z_i`` (default: ``a Q_ii z_i =
-    rhs`` by the cached factor).  ``z`` is written into ``out``, whose
+    rhs`` by the cached factor), ``rhs`` a view of ``y``, not to be written,
+    when no block is known yet.  ``z`` is written into ``out``, whose
     blocks before ``start`` a forward pass reads as known.
     """
     _, low, up, _ = op.panels()
@@ -437,8 +438,8 @@ def sweep(op, y, a, lower, solve=None, start=0, out=None):
             return op.diag_solve(i, rhs) / a
     for i in range(start, op.s) if lower else range(op.s - 1, start - 1, -1):
         lo, hi = off[i], off[i + 1]
-        known = low[i] @ z[:lo] if lower else up[i] @ z[hi:]
-        z[lo:hi] = solve(i, y[lo:hi] - known)
+        panel, known = (low[i], z[:lo]) if lower else (up[i], z[hi:])
+        z[lo:hi] = solve(i, y[lo:hi] - panel @ known if known.size else y[lo:hi])
     return z
 
 

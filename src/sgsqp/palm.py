@@ -38,6 +38,10 @@ class LinConQP:
     ``P`` is block symmetric PSD (diagonal blocks may be singular — they
     are never factored here); ``A`` maps the full variable to the
     constraint space.  All data must be finite (:class:`NonFinite`).
+    ``A`` stays dense.  When its first ``m`` columns (``m`` rows) are exactly
+    the identity, as a QSDP's ``Z`` block, ``e = m`` (else 0), and products
+    read a copy of ``A[:, e:]`` taken here: ``A x - d = A[:, e:] x[e:] + x[:e]
+    - d`` and ``A^T y = (y[:e], A[:, e:]^T y)``.
     """
 
     def __init__(self, P, A, g, d, prox=None):
@@ -51,6 +55,9 @@ class LinConQP:
                 f"A has {A.shape[1]} columns for a variable of size {part.total}"
             )
         self.A = A
+        m = A.shape[0]
+        self._e = m if np.array_equal(A[:, :m], np.eye(m)) else 0
+        self._A_rest = np.ascontiguousarray(A[:, m:]) if self._e else A
         g = finite(g, "g")
         if g.shape != (part.total,):
             raise DimensionMismatch("g length does not match the partition")
@@ -77,7 +84,13 @@ class LinConQP:
 
     def constraint_residual(self, x):
         xd = np.asarray(x, dtype=float)
-        return self.A @ xd - self.d
+        r = self._A_rest @ xd[self._e:]
+        r[:self._e] += xd[:self._e]
+        return r - self.d
+
+    def rmatvec(self, y):
+        """``A^T y``, with ``y`` itself on the identity block."""
+        return np.concatenate((y[:self._e], self._A_rest.T @ y))
 
     def kkt(self, x, y, Px=None, resid=None, ATy=None):
         """(dual residual, primal infeasibility) at a primal-dual pair.
@@ -91,7 +104,7 @@ class LinConQP:
         xd = np.asarray(x, dtype=float)
         if Px is None:
             Px = self.P.matvec(xd)
-        r = self.g - Px - (self.A.T @ y if ATy is None else ATy)
+        r = self.g - Px - (self.rmatvec(y) if ATy is None else ATy)
         dual = kkt_distance(self.prox, xd, r, self.partition.dims[0])
         if resid is None:
             resid = self.constraint_residual(xd)
@@ -101,10 +114,10 @@ class LinConQP:
 def assemble_penalized(prob, sigma):
     """CompositeQP for the x-subproblem at penalty ``sigma`` (rhs zeroed).
 
-    Blocks are ``P_ij + sigma A_i^T A_j``; when the nonsmooth term is
-    nontrivial and the first diagonal block is not a multiple of the
-    identity, a conservative first-block shift is attached so the prox
-    step applies.
+    Blocks are ``P_ij + sigma A_i^T A_j``, ``A_i^T A_j`` read as rows of
+    ``A_j`` when ``A_i`` lies in ``A``'s identity block; when the nonsmooth
+    term is nontrivial and the first diagonal block is not a multiple of the
+    identity, a conservative first-block shift lets the prox step apply.
     """
     sigma = finite_real(sigma, "sigma", positive=True)
     part = prob.partition
@@ -112,7 +125,8 @@ def assemble_penalized(prob, sigma):
     # ``block`` reads zeros for a block ``P`` does not store; the operator
     # symmetrizes each diagonal block exactly
     Q = BlockSymOperator(part, {
-        (i, j): sigma * (cols[i].T @ cols[j]) + prob.P.block(i, j)
+        (i, j): sigma * (cols[j][part.slice(i)] if part.offsets[i + 1] <= prob._e
+                         else cols[i].T @ cols[j]) + prob.P.block(i, j)
         for i in range(part.s) for j in range(i, part.s)})
     shifts = None
     if prob.prox.kind != "zero":
@@ -146,8 +160,10 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None):
     :meth:`LinConQP.kkt` and :meth:`LinConQP.objective` once each.  The
     cycle is handed ``Q_sigma x = P x + A^T (sigma (A x - d + d))`` (zeros
     at a zero start) and the next ``A^T y`` is the certificate's: one
-    ``A``, two ``A^T`` and one ``P`` product.  A PSD head's certificate
-    reuses the cycle's eigenpairs: one eigendecomposition per iteration.
+    ``A``, two ``A^T`` and one ``P`` product.  Those with ``A`` and ``A^T``
+    read only the columns past a leading identity block (a QSDP's ``Z``,
+    :class:`LinConQP`).  A PSD head's certificate reuses the cycle's
+    eigenpairs: one eigendecomposition per iteration.
 
     Returns ``(x, y, trace)``, ``x`` a :class:`BlockVector` and ``trace``
     a :class:`~sgsqp.apg.SolveTrace` with ``x0`` and ``x_final`` set;
@@ -173,9 +189,9 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None):
         raise DimensionMismatch(
             f"y0 has length {y.size} for {prob.A.shape[0]} constraints")
 
-    AT, d, b = prob.A.T, prob.d, inner.b.data
-    gd = prob.g + AT @ (sigma * d)
-    ATy = AT @ y
+    rmatvec, d, b = prob.rmatvec, prob.d, inner.b.data
+    gd = prob.g + rmatvec(sigma * d)
+    ATy = rmatvec(y)
     Qx = None if x.any() else np.zeros(part.total)
     trace = SolveTrace(x0=BlockVector(part, x))     # no iterate is written in place
     t0 = time.perf_counter()
@@ -188,7 +204,7 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None):
         y_new = y + tau * sigma * resid
         # a diverging run overflows here first; the stop below names it
         Px = prob.P.matvec(x_new)
-        ATy_new = AT @ y_new
+        ATy_new = rmatvec(y_new)
         dual, primal = prob.kkt(x_new, y_new, Px, resid, ATy_new)
         F = prob.objective(x_new, Px)
         if not (math.isfinite(dual) and math.isfinite(primal)):
@@ -205,7 +221,7 @@ def palm_solve(prob, sigma, tau, x0=None, y0=None, stop=None):
         if max(dual, primal) <= stop.kkt_tol:
             trace.termination = "tol"
             break
-        Qx = Px + AT @ (sigma * (resid + d))
+        Qx = Px + rmatvec(sigma * (resid + d))
     x = trace.x_final = BlockVector(part, x)
     return x, y, trace
 
@@ -265,18 +281,12 @@ class QsdpData:
 
 
 def qsdp_to_lincon(q):
-    """The QSDP as a linearly constrained composite QP (W in Range(H))."""
+    """The QSDP as a linearly constrained composite QP (W in Range(H)), with
+    ``A = [I, B^T, H V]`` dense; :class:`LinConQP`'s products skip its ``I``."""
     V = q.range_coords()
-    r = V.shape[1]
-    d = q.dim
-    if r > 0:
-        part = BlockPartition((d, q.p, r))
-        P = BlockSymOperator(part, {(2, 2): V.T @ q.H @ V}, factor_diag=False)
-        A = np.hstack([np.eye(d), q.B.T, q.H @ V])
-        g = np.concatenate([np.zeros(d), q.h, np.zeros(r)])
-    else:
-        part = BlockPartition((d, q.p))
-        P = BlockSymOperator(part, {}, factor_diag=False)
-        A = np.hstack([np.eye(d), q.B.T])
-        g = np.concatenate([np.zeros(d), q.h])
+    r, d = V.shape[1], q.dim
+    part = BlockPartition((d, q.p, r) if r else (d, q.p))     # no empty W block
+    P = BlockSymOperator(part, {(2, 2): V.T @ q.H @ V} if r else {}, factor_diag=False)
+    A = np.hstack([np.eye(d), q.B.T, q.H @ V])
+    g = np.concatenate([np.zeros(d), q.h, np.zeros(r)])
     return LinConQP(P, A, g, svec(q.C), prox=ProxSpec.psd_cone(q.n))

@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError, eigvalsh
+from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
 from .blockla import finite, finite_real, int_at_least, vec_norm
@@ -48,7 +48,8 @@ _PSD_FEAS_RTOL = 1e-10
 _PSD_RANK_RTOL = 1e-8
 _IDENT_RTOL = 1e-10
 
-_syevr, _syevr_lwork = get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
+_syevr, _syevr_lwork, _syevd, _syevd_lwork = get_lapack_funcs(
+    ("syevr", "syevr_lwork", "syevd", "syevd_lwork"), dtype=np.float64)
 
 # ``_last.psd``: (output, clipped ascending eigenvalues, eigenvectors) of this
 # thread's last PSD prox, replaced in one assignment; certificates reuse it
@@ -66,12 +67,12 @@ def _saved_eig(x):
 
 
 @functools.lru_cache(maxsize=64)
-def _syevr_work(n):
-    """``(lwork, liwork)`` for side ``n``, as ``scipy.linalg.eigh`` queries
-    them (lower triangle), asked of LAPACK once per side."""
-    work, iwork, info = _syevr_lwork(n=n, lower=1)
+def _work(query, n, **kw):
+    """``(lwork, liwork)`` for side ``n`` from the workspace ``query`` of a
+    LAPACK driver, asked as scipy asks it (lower triangle), once per side."""
+    work, iwork, info = query(n=n, lower=1, **kw)
     if info:
-        raise LinAlgError(f"dsyevr workspace query failed with info {info}")
+        raise LinAlgError(f"workspace query failed with info {info}")
     return int(work), int(iwork)
 
 
@@ -81,11 +82,21 @@ def eigh(M):
     workspace ``scipy.linalg.eigh`` uses, so both agree bit for bit;
     :class:`NonFinite` if ``M`` holds NaN or inf."""
     M = finite(M, "PSD head")
-    lwork, liwork = _syevr_work(M.shape[0])
+    lwork, liwork = _work(_syevr_lwork, M.shape[0])
     w, V, _, _, info = _syevr(M, lower=1, lwork=lwork, liwork=liwork)
     if info:
         raise LinAlgError(f"dsyevr failed with info {info}")
     return w, V
+
+
+def eigvalsh(M):
+    """Ascending eigenvalues of the symmetric ``M`` by LAPACK ``dsyevd`` (lower
+    triangle), bit for bit as ``scipy.linalg.eigvalsh(M, driver="evd")``."""
+    lwork, liwork = _work(_syevd_lwork, M.shape[0], compute_v=0)
+    w, _, info = _syevd(M, compute_v=0, lower=1, lwork=lwork, liwork=liwork)
+    if info:
+        raise LinAlgError(f"dsyevd failed with info {info}")
+    return w
 
 
 def _psd_scale(w):

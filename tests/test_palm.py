@@ -158,6 +158,86 @@ class TestAssemblePenalized:
         np.testing.assert_allclose(eff, mu * np.eye(2), atol=1e-10 * mu)
 
 
+class TestIdentityBlock:
+    """A QSDP's ``A = [I, B^T, H V]``: products skip the leading identity,
+    and any other ``A`` keeps the plain products, bit for bit."""
+
+    @staticmethod
+    def _point(lp, seed=5):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(lp.partition.total), rng.standard_normal(lp.A.shape[0])
+
+    @pytest.mark.parametrize("rank", [None, 0])
+    def test_qsdp_products_match_the_dense_ones(self, rank):
+        lp = gen_qsdp(5, 3, seed=1, rank_H=rank).lincon_problem()
+        m = lp.A.shape[0]
+        assert lp._e == m and lp.partition.s == (3 if rank is None else 2)
+        assert lp.A.shape == (m, lp.partition.total)       # still dense
+        x, y = self._point(lp)
+        want_r, want_ATy = lp.A @ x - lp.d, lp.A.T @ y
+        got_r = lp.constraint_residual(x)
+        assert np.linalg.norm(got_r - want_r) <= 1e-14 * np.linalg.norm(want_r)
+        assert (np.linalg.norm(lp.rmatvec(y) - want_ATy)
+                <= 1e-14 * np.linalg.norm(want_ATy))
+        n1 = lp.partition.dims[0]
+        r = lp.g - lp.P.matvec(x) - want_ATy
+        want = (proxmap.kkt_distance(lp.prox, x, r, n1), np.linalg.norm(want_r))
+        assert lp.kkt(x, y) == pytest.approx(want, rel=1e-14)
+
+    def test_a_leading_block_one_ulp_from_the_identity_keeps_the_plain_products(self):
+        lp = gen_qsdp(4, 3, seed=2).lincon_problem()
+        A = lp.A.copy()
+        A[1, 1] = np.nextafter(1.0, 2.0)
+        near = LinConQP(lp.P, A, lp.g, lp.d, prox=lp.prox)
+        assert near._e == 0
+        x, y = self._point(near)
+        np.testing.assert_array_equal(near.constraint_residual(x), A @ x - near.d)
+        np.testing.assert_array_equal(near.rmatvec(y), A.T @ y)
+        Px = near.P.matvec(x)
+        assert near.kkt(x, y) == near.kkt(x, y, Px, A @ x - near.d, A.T @ y)
+        inner, part = assemble_penalized(near, 1.5), near.partition
+        for i in range(part.s):
+            for j in range(i, part.s):
+                Ai, Aj = A[:, part.slice(i)], A[:, part.slice(j)]
+                assert inner.Q.block(i, j).tobytes() == (
+                    1.5 * (Ai.T @ Aj) + near.P.block(i, j)).tobytes()
+
+    def test_a_lincon_problem_has_no_identity_block(self):
+        lp = gen_lincon((3, 4, 2), m=3, prox_kind="box", seed=1).lincon_problem()
+        assert lp._e == 0 and lp._A_rest is lp.A
+
+    @pytest.mark.parametrize("rank", [None, 0])
+    def test_penalized_identity_blocks_are_the_scaled_rows(self, rank):
+        lp = gen_qsdp(4, 3, seed=3, rank_H=rank).lincon_problem()
+        sigma, part = 1.7, lp.partition
+        inner = assemble_penalized(lp, sigma)
+        eye = np.eye(lp.A.shape[0])
+        for j in range(part.s):
+            Aj = lp.A[:, part.slice(j)]
+            assert inner.Q.block(0, j).tobytes() == (
+                sigma * (eye @ Aj) + lp.P.block(0, j)).tobytes()
+        # the blocks off the identity are still the plain products
+        for i in range(1, part.s):
+            for j in range(i, part.s):
+                Ai, Aj = lp.A[:, part.slice(i)], lp.A[:, part.slice(j)]
+                assert inner.Q.block(i, j).tobytes() == (
+                    sigma * (Ai.T @ Aj) + lp.P.block(i, j)).tobytes()
+
+    @pytest.mark.parametrize("rank", [None, 0])
+    def test_split_products_keep_the_dense_run(self, rank):
+        """The loop through the split products stops where the one
+        through the dense ``A`` does, at the same objective."""
+        lp = gen_qsdp(5, 3, seed=4, rank_H=rank).lincon_problem()
+        dense = LinConQP(lp.P, lp.A, lp.g, lp.d, prox=lp.prox)
+        dense._e, dense._A_rest = 0, dense.A
+        stop = PalmStop(kkt_tol=1e-8, max_iter=2000)
+        _, _, split_tr = palm_solve(lp, 1.0, 1.6, stop=stop)
+        _, _, dense_tr = palm_solve(dense, 1.0, 1.6, stop=stop)
+        assert split_tr.termination == dense_tr.termination == "tol"
+        assert split_tr.iterations == dense_tr.iterations
+        assert split_tr.rows[-1].F == pytest.approx(dense_tr.rows[-1].F, rel=1e-12)
+
+
 class TestPalmSolve:
     def test_projection_in_one_sweep(self):
         lp = _projection_problem()

@@ -2,10 +2,12 @@
 
 ``proxmap.eigh`` calls LAPACK ``dsyevr`` itself; it must return what
 ``scipy.linalg.eigh`` returns, bit for bit, on sides wide enough for
-LAPACK's blocked reduction.  The PSD projection keeps a suffix of the
-ascending spectrum, and packing is a gather from cached tables; both are
-checked bit for bit against references written here: boolean masks over
-``scipy.linalg.eigh``, and index scatters over ``np.triu_indices``.
+LAPACK's blocked reduction, and ``proxmap.eigvalsh``, which calls
+``dsyevd``, what ``scipy.linalg.eigvalsh`` returns with that driver.  The
+PSD projection keeps a suffix of the ascending spectrum, and packing is a
+gather from cached tables; both are checked bit for bit against references
+written here: boolean masks over ``scipy.linalg.eigh``, and index scatters
+over ``np.triu_indices``.
 """
 
 import numpy as np
@@ -73,6 +75,14 @@ def test_eigh_is_scipy_eigh_bit_for_bit(case):
     w_ref, V_ref = scipy.linalg.eigh(M)
     np.testing.assert_array_equal(w, w_ref)
     np.testing.assert_array_equal(V, V_ref)
+
+
+@PROPS
+@given(matrices(30))
+def test_eigvalsh_is_scipy_evd_bit_for_bit(case):
+    _, M = case
+    np.testing.assert_array_equal(proxmap.eigvalsh(M),
+                                  scipy.linalg.eigvalsh(M, driver="evd"))
 
 
 @PROPS

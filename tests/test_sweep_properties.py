@@ -252,6 +252,29 @@ def test_forward_pass_reads_known_head():
     np.testing.assert_allclose(out[2:], want, rtol=0, atol=1e-12)
 
 
+class _NoProduct:
+    def __matmul__(self, other):
+        raise AssertionError("an empty panel was multiplied")
+
+
+@pytest.mark.parametrize("lower", [False, True])
+def test_a_block_with_none_known_multiplies_no_panel(lower):
+    """The first block of a backward pass, or of a forward pass from block
+    0, has an empty panel: the pass forms no product with it, leaves
+    ``y`` unwritten and solves as through every panel."""
+    Q, _ = _operator((2, 1, 3), [(0, 1), (0, 2), (1, 2)], 1.0,
+                     np.random.default_rng(0), False)
+    y = np.arange(6.0)
+    want = sweep(Q, y, 1.0, lower)
+    S, low, up, diag = Q.panels()
+    side = list(low if lower else up)
+    side[0 if lower else -1] = _NoProduct()
+    panels = (S, side, up, diag) if lower else (S, low, side, diag)
+    Q.panels = lambda: panels
+    np.testing.assert_array_equal(sweep(Q, y, 1.0, lower), want)
+    np.testing.assert_array_equal(y, np.arange(6.0))
+
+
 def _diag_part(part, A):
     D = np.zeros_like(A)
     for i in range(part.s):

@@ -15,14 +15,14 @@ triangle, ``D`` the block diagonal) induces the majorizers handled here:
 In every case ``Qhat = Q + T`` and ``Qhat`` is positive definite as soon
 as the diagonal blocks are.
 
-An operator's one copy of ``Q`` is a dense row-major store written at
-construction, which also factors each diagonal block once, ``Q_ii = T_i
-T_i^T`` with ``T_i`` upper triangular.  ``Q x`` reads only the store's upper
-triangle (``dsymv``) when the stored blocks span the operator, else one
-product on the principal sub-block they span.  Every sweep runs through
-:func:`sweep`, one block substitution kernel for ``(a D + U) z = y`` or
-``(a D + U^*) z = y``: per block one product with a panel of that triangle
-and two triangular solves with ``T_i``.  A majorizer's only factor is
+An operator's one copy of ``Q`` is the upper block triangle of a dense
+row-major store written at construction, which also factors each diagonal
+block once, ``Q_ii = T_i T_i^T`` with ``T_i`` upper triangular.  ``Q x``
+reads only the upper triangle of the principal sub-block spanned by the
+stored blocks (``dsymv``).  Every sweep runs through :func:`sweep`, one
+block substitution kernel for ``(a D + U) z = y`` or ``(a D + U^*) z = y``:
+per block one product with a row panel of ``U`` or a transposed column band
+of it, and two triangular solves with ``T_i``.  A majorizer's only factor is
 ``Y``, upper triangular with ``Qhat = Y Y^T`` (:meth:`Majorizer.factor`);
 its actions go through ``Y`` and the ``T_i`` and run no sweep.
 """
@@ -223,14 +223,16 @@ def _check_symmetric(M, what):
 class BlockSymOperator:
     """Symmetric operator given by its upper block triangle.
 
-    Only blocks ``(i, j)`` with ``i <= j`` may be supplied, all finite; the
-    lower triangle is their transpose.  Diagonal blocks must be symmetric
+    Only blocks ``(i, j)`` with ``i <= j`` may be supplied, all finite; only
+    they are stored, each once, the strict lower block triangle of the store
+    is never written nor read, and :meth:`block` reads a block below the
+    diagonal as the transpose of its mirror.  Diagonal blocks must be symmetric
     (relative tolerance 1e-12) and positive definite: each is factored
     once, ``Q_ii = T_i T_i^T`` with ``T_i = J L_i J`` and ``L_i`` the lower
     Cholesky factor of the reversed block ``J Q_ii J``, the only factor of
     ``Q_ii`` (:meth:`diag_solve`, :meth:`factor_solve`).  The dense store
-    (:meth:`panels`), written here, is the one copy of ``Q``; it aliases no input.
-    Semidefiniteness of the full operator is *not* assumed.
+    (:meth:`panels`), written here, holds the one copy of ``Q``; it aliases
+    no input.  Semidefiniteness of the full operator is *not* assumed.
 
     Parameters
     ----------
@@ -261,8 +263,7 @@ class BlockSymOperator:
                 raise DimensionMismatch(
                     f"block {key} has shape {arr.shape}, expected {want}"
                 )
-            S[off[j]:off[j + 1], off[i]:off[i + 1]] = arr.T
-            S[off[i]:off[i + 1], off[j]:off[j + 1]] = arr   # written last for i == j
+            S[off[i]:off[i + 1], off[j]:off[j + 1]] = arr
         # per-block sums of |Q|: zero for an all-zero block, NaN or inf for
         # a non-finite one (or, harmlessly, one whose sum overflows)
         mass = np.add.reduceat(np.add.reduceat(np.abs(S), off[:-1], axis=1),
@@ -272,11 +273,8 @@ class BlockSymOperator:
                 if not np.isfinite(S[P.slice(i), P.slice(j)]).all():
                     raise NonFinite(f"block {(i, j)} contains NaN or inf")
         self._keys = tuple((i, j) for i, j in blocks if mass[i, j] > 0.0)
-        # rows/columns of the principal sub-block holding every stored block
-        live = np.flatnonzero(mass.any(axis=0))
-        self._span = (off[live[0]], off[live[-1] + 1]) if live.size else (0, 0)
         cuts = list(zip(off, off[1:]))
-        self._panels = (S, [S[lo:hi, :lo] for lo, hi in cuts],
+        self._panels = (S, [S[:lo, lo:hi] for lo, hi in cuts],
                         [S[lo:hi, hi:] for lo, hi in cuts],
                         [S[lo:hi, lo:hi] for lo, hi in cuts])
         self._rchol = [] if factor_diag else None
@@ -293,6 +291,11 @@ class BlockSymOperator:
                 if info != 0:
                     raise DiagonalNotPD(i)
                 self._rchol.append(L)
+        # the principal sub-block holding every stored block, and the array
+        # whose transpose ``matvec`` hands ``dsymv``: ``S`` or a copy of it
+        live = np.flatnonzero((mass + mass.T).any(axis=0))
+        lo, hi = (off[live[0]], off[live[-1] + 1]) if live.size else (0, 0)
+        self._span = lo, hi, S if hi - lo == P.total else S[lo:hi, lo:hi].copy()
 
     # -- basic access -------------------------------------------------
 
@@ -305,8 +308,11 @@ class BlockSymOperator:
         return self.partition.total
 
     def block(self, i, j):
-        """The ``(i, j)`` block, a view into the dense store."""
+        """The ``(i, j)`` block, a view into the dense store (of ``(j, i)``,
+        transposed, below the block diagonal)."""
         P = self.partition
+        if i > j:
+            return self.block(j, i).T
         return self._panels[0][P.slice(i), P.slice(j)]
 
     def stored_items(self):
@@ -314,30 +320,35 @@ class BlockSymOperator:
         return [(key, self.block(*key)) for key in self._keys]
 
     def panels(self):
-        """``(S, lower, upper, diag)``: the dense row-major store ``S`` of
-        ``Q`` and, per block ``i``, views of ``Q[i, :i]``, ``Q[i, i+1:]``
-        and ``Q_ii`` into it."""
+        """``(S, cols, upper, diag)``: the dense row-major store ``S`` of
+        ``Q``, of which only the upper block triangle is written and read,
+        and, per block ``i``, views of the column band ``Q[:i, i]`` above
+        it, the row panel ``Q[i, i+1:]`` and ``Q_ii`` into it."""
         return self._panels
 
     def dense(self):
-        """Full symmetric matrix (test/certification hook)."""
-        return self._panels[0].copy()
+        """Full symmetric matrix (test/certification hook): the store's upper
+        triangle and its mirror."""
+        S = self._panels[0]
+        return np.triu(S) + np.triu(S, 1).T
 
     # -- products -----------------------------------------------------
 
     def matvec(self, x):
-        """``Q x`` for a flat vector ``x``.  When the stored blocks span the
-        whole operator, one ``dsymv`` that reads only the upper triangle of
-        the store (``S.T`` is its Fortran-ordered view, no copy); otherwise
-        one product on the principal sub-block they span, zeros outside it."""
+        """``Q x`` for a flat vector ``x``: one ``dsymv`` that reads only the
+        upper triangle of the principal sub-block spanned by the stored
+        blocks, zeros outside it.  That is the store itself when they span
+        the operator (``S.T`` is its Fortran-ordered view, no copy), else a
+        copy taken at construction; no product when nothing is stored."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"expected length {self.n}, got shape {x.shape}")
-        lo, hi = self._span
+        lo, hi, sym = self._span
         if hi - lo == self.n:
-            return dsymv(1.0, self._panels[0].T, x, lower=1)
+            return dsymv(1.0, sym.T, x, lower=1)
         out = np.zeros(self.n)
-        out[lo:hi] = self._panels[0][lo:hi, lo:hi] @ x[lo:hi]
+        if hi > lo:
+            out[lo:hi] = dsymv(1.0, sym.T, x[lo:hi], lower=1)
         return out
 
     def apply(self, x):
@@ -352,9 +363,10 @@ class BlockSymOperator:
         return [upper[i] @ x[off[i + 1]:] for i in range(self.s)]
 
     def upper_t_matvec_blocks(self, xb):
-        """``U^* x`` blockwise, one lower panel product per block."""
-        x, off, lower = np.concatenate(xb), self.partition.offsets, self.panels()[1]
-        return [lower[i] @ x[:off[i]] for i in range(self.s)]
+        """``U^* x`` blockwise, one product per block with the transposed
+        column band above it."""
+        x, off, cols = np.concatenate(xb), self.partition.offsets, self.panels()[1]
+        return [cols[i].T @ x[:off[i]] for i in range(self.s)]
 
     def diag_matvec_blocks(self, xb):
         diag = self.panels()[3]
@@ -418,19 +430,20 @@ class BlockSymOperator:
 
 
 def sweep(op, y, a, lower, solve=None, start=0, out=None):
-    """Block substitution over the row panels of ``op``, the kernel of
-    every sweep.
+    """Block substitution over the upper block triangle of ``op``, the
+    kernel of every sweep.
 
     With ``L = U^*`` below the block diagonal ``D``, a forward pass
-    (``lower``, blocks ``start..s-1``) solves ``(a D + L) z = y`` and reads
-    only the lower panels, a backward pass (blocks ``s-1..start``) ``(a D +
-    U) z = y`` and reads only the upper ones.  Per block: one panel product
+    (``lower``, blocks ``start..s-1``) solves ``(a D + L) z = y`` through
+    the transposed column bands above the diagonal blocks, a backward pass
+    (blocks ``s-1..start``) ``(a D + U) z = y`` through the row panels
+    right of them: both read the same stored blocks.  Per block: one product
     and one ``solve(i, rhs)`` returning ``z_i`` (default: ``a Q_ii z_i =
     rhs`` by the cached factor), ``rhs`` a view of ``y``, not to be written,
     when no block is known yet.  ``z`` is written into ``out``, whose
     blocks before ``start`` a forward pass reads as known.
     """
-    _, low, up, _ = op.panels()
+    _, cols, up, _ = op.panels()
     off = op.partition.offsets
     z = np.zeros(op.n) if out is None else out
     if solve is None:
@@ -438,7 +451,7 @@ def sweep(op, y, a, lower, solve=None, start=0, out=None):
             return op.diag_solve(i, rhs) / a
     for i in range(start, op.s) if lower else range(op.s - 1, start - 1, -1):
         lo, hi = off[i], off[i + 1]
-        panel, known = (low[i], z[:lo]) if lower else (up[i], z[hi:])
+        panel, known = (cols[i].T, z[:lo]) if lower else (up[i], z[hi:])
         z[lo:hi] = solve(i, y[lo:hi] - panel @ known if known.size else y[lo:hi])
     return z
 

@@ -171,7 +171,58 @@ def _polish(H, c, spec, n1, x):
         if np.any(cand[:n1] < lo) or np.any(cand[:n1] > hi):
             return None
         return cand
+    if spec.kind == "psd_cone":
+        return _psd_newton(H, c, spec, n1, x)
     return None
+
+
+def _psd_newton(H, c, spec, n1, x, steps=20):
+    """Semismooth Newton on ``F(x) = x - Pi(x - (H x - c)/L)``, ``Pi`` the
+    projection onto the PSD cone on the head (the identity elsewhere) and
+    ``L = ||H||_2``: the iterate with the least KKT residual, if below that
+    of ``x``, else None.
+
+    At most ``steps`` steps, while ``||F||`` falls, each solving ``(I - M (I
+    - H/L)) dx = -F(x)`` with ``M`` the generalized Jacobian of ``Pi`` at
+    ``W = x - (Hx - c)/L``: on the head, in packed coordinates, ``E -> P
+    (Omega o (P^T E P)) P^T`` for ``W = P diag(lam) P^T``, ``Omega`` 1 on
+    pairs of positive eigenvalues, 0 on pairs of non-positive ones and
+    ``lam+ / (lam+ - lam-)`` across.  A Newton iterate may leave the cone by
+    rounding, so the one kept is the best by KKT residual, not the last.
+    Each step costs ``O(N^3)``, ``N >= d = n(n+1)/2`` the variable's and
+    the head's lengths: ``O(d n^4) = O(d^3)`` to form ``M``, ``O(N^3)`` to
+    solve.
+    """
+    N, n = H.shape[0], spec.side
+    L = max(spectral_norm(H), np.finfo(float).tiny)
+    # ``vec(E) = unpack svec(E)``, so ``B^T svec(E) = vec(P^T E P)`` below
+    unpack = np.stack([smat(e, n).ravel() for e in np.eye(n1)], axis=1)
+    best, best_res, fnorm = None, _kkt_of(H, c, spec, n1, x), np.inf
+    for _ in range(steps):
+        w = x - (H @ x - c) / L
+        W = smat(w[:n1], n)
+        F = x - w
+        F[:n1] = x[:n1] - svec(psd_project(W))
+        if not np.linalg.norm(F) < fnorm:
+            break
+        fnorm = np.linalg.norm(F)
+        lam, P = eigh_checked(W)
+        pos = lam > 0.0
+        Omega = (pos[:, None] & pos).astype(float)
+        lp = np.maximum(lam, 0.0)
+        np.divide(np.abs(lp[:, None] - lp), np.abs(lam[:, None] - lam), out=Omega,
+                  where=pos[:, None] != pos)
+        B = unpack.T @ np.kron(P, P)
+        M = np.eye(N)
+        M[:n1, :n1] = (B * Omega.ravel()) @ B.T
+        try:
+            x = x + np.linalg.solve(np.eye(N) - M + M @ H / L, -F)
+        except np.linalg.LinAlgError:
+            break
+        res = _kkt_of(H, c, spec, n1, x)
+        if res < best_res:
+            best, best_res = x, res
+    return best
 
 
 def dense_qp_minimize(H, c, spec, n1, tol=1e-12, max_iter=200000):

@@ -16,10 +16,9 @@ from scipy.linalg import eigh
 from .apg import SolveTrace, StopRule, TraceRow
 from .blockla import (BlockPartition, BlockSymOperator, BlockVector, finite,
                       finite_real, int_at_least, is_real, vec_norm)
-from .errors import (DimensionMismatch, InvalidParams, NotSymmetric,
-                     ShapeMismatch, TauOutOfRange)
-from .proxmap import (ProxSpec, _identity_multiple, kkt_distance, prox,
-                      prox_value, svec, svec_dim)
+from .errors import (DimensionMismatch, InvalidParams, NeedsShift,
+                     NotSymmetric, ShapeMismatch, TauOutOfRange)
+from .proxmap import ProxSpec, kkt_distance, prox, prox_value, svec, svec_dim
 from .sgs import CompositeQP, sgs_cycle
 
 __all__ = [
@@ -128,13 +127,13 @@ def assemble_penalized(prob, sigma):
         (i, j): sigma * (cols[j][part.slice(i)] if part.offsets[i + 1] <= prob._e
                          else cols[i].T @ cols[j]) + prob.P.block(i, j)
         for i in range(part.s) for j in range(i, part.s)})
-    shifts = None
-    if prob.prox.kind != "zero":
-        Q00 = np.asarray(Q.block(0, 0))
-        if _identity_multiple(Q00) is None:
-            J1 = np.linalg.norm(Q00, 2) * np.eye(part.dims[0]) - Q00
-            shifts = [J1] + [None] * (part.s - 1)
-    return CompositeQP(Q, BlockVector.zeros(part), prob.prox, shifts=shifts)
+    try:        # tests the head block once, for a nonsmooth term only
+        return CompositeQP(Q, BlockVector.zeros(part), prob.prox)
+    except NeedsShift:
+        Q00 = Q.block(0, 0)
+        J1 = np.linalg.norm(Q00, 2) * np.eye(part.dims[0]) - Q00
+        return CompositeQP(Q, BlockVector.zeros(part), prob.prox,
+                           shifts=[J1] + [None] * (part.s - 1))
 
 
 @dataclass(frozen=True)

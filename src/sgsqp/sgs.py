@@ -18,8 +18,11 @@ xbar``, with the head prox in the middle.  So a cycle works on the
 residual ``r = b_e - A xbar``, from ``Q xbar`` or a caller's hand-over of
 it.  With ``A = Dhat + U + U^*`` the backward sweep solves ``(tau Dhat +
 U) d = r`` for ``d = x' - xbar`` and the forward sweep ``(tau Dhat + U^*)
-e = r - U d - (1 - tau) Dhat d`` for ``e = x+ - xbar``: each reads one
-triangle, so each off-diagonal block is read once (Eisenstat's trick).
+e = r - U d - (1 - tau) Dhat d`` for ``e = x+ - xbar``.  The backward
+sweep keeps ``r - U d``, its own right-hand sides (Eisenstat's trick), and
+reads ``U`` by row panels, the forward sweep by transposed column bands of
+the same stored blocks: each off-diagonal block is stored once and read
+once per sweep.
 With ``p = 0`` and exact solves the step is two solves with ``Y``, the
 majorizer's only factor (``Qhat = Y Y^T``): ``z = Y^{-1} r``, ``x+ = xbar
 + Y^{-T} z``, and on first read ``x' = xbar + c^{-1/2} T^{-T} z``; its

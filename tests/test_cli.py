@@ -249,6 +249,11 @@ class TestVerify:
         path = _gen(tmp_path, "a.json", "--dims", "2,2", "--lincon", "2")
         assert main(["verify", path]) == 0
 
+    def test_qsdp_instance_verifies(self, tmp_path, capsys):
+        path = _gen(tmp_path, "sdp.json", "--qsdp", "4,2", "--seed", "1")
+        assert main(["verify", path]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
 
 class TestBench:
     def test_table_with_rate_columns(self, capsys):

@@ -12,8 +12,13 @@ from sgsqp import (
     CompositeQP,
     ProxSpec,
 )
+from sgsqp import sgs_cycle
 from sgsqp.errors import NotSymmetric, UnboundedObjective
+from sgsqp.instances import gen_qsdp
+from sgsqp.proxmap import prox
 from sgsqp.oracle import (
+    _kkt_of,
+    _polish,
     dense_kkt_solve,
     dense_optimum,
     dense_qp_minimize,
@@ -22,6 +27,7 @@ from sgsqp.oracle import (
     dense_subproblem_solve,
     eigh_checked,
     psd_project,
+    qsdp_assemble,
     range_basis,
     spectral_norm,
 )
@@ -121,6 +127,41 @@ class TestSubproblemSolve:
         scale = 1e-9 * (1.0 + np.linalg.norm(prob.b.data))
         assert subgrad_residual(prob.prox, x[:n1], -grad[:n1]) <= scale
         np.testing.assert_allclose(grad[n1:], 0.0, atol=scale)
+
+
+class TestQsdpSubproblems:
+    """The PSD head's Newton polish: the oracle minimizes QSDP subproblems
+    to its own target, and one cycle's output is their minimizer."""
+
+    @pytest.mark.parametrize("rank_H", [None, 0])
+    @pytest.mark.parametrize("n, p, seed", [(3, 1, 0), (4, 2, 1), (5, 2, 2)])
+    def test_subproblem_optimum_and_cycle(self, n, p, seed, rank_H):
+        q = gen_qsdp(n, p, seed=seed, rank_H=rank_H).qsdp
+        Y = np.random.default_rng(seed).standard_normal((n, n))
+        prob = qsdp_assemble(q, 1.5, Y + Y.T)
+        x, _ = dense_optimum(prob)
+        bnorm = np.linalg.norm(prob.b.data)
+        assert prob.kkt_residual(x) <= 1e-10 * (1.0 + bnorm)
+        xbar = np.random.default_rng(seed + 1).standard_normal(prob.Q.n)
+        res = sgs_cycle(prob, xbar)
+        ref = dense_subproblem_solve(prob, xbar)
+        assert np.linalg.norm(res.x_plus.data - ref.data) <= 1e-9 * (
+            1.0 + np.linalg.norm(ref.data))
+
+    @pytest.mark.parametrize("rank_H", [None, 0])
+    def test_newton_polish_reaches_the_target_near_the_minimizer(self, rank_H):
+        """From a feasible point 1e-4 off the minimizer the polish returns
+        a point within the oracle's target; from zero, where no Newton
+        iterate beats the start, it returns nothing."""
+        q = gen_qsdp(4, 2, seed=1, rank_H=rank_H).qsdp
+        prob = qsdp_assemble(q, 1.0, np.zeros((4, 4)))
+        H, c, spec, n1 = prob.Q.dense(), prob.b.data, prob.prox, prob.partition.dims[0]
+        x = dense_qp_minimize(H, c, spec, n1)
+        x += 1e-4 * np.random.default_rng(0).standard_normal(x.size)
+        x[:n1] = prox(spec, 1.0, x[:n1])
+        cand = _polish(H, c, spec, n1, x)
+        assert _kkt_of(H, c, spec, n1, cand) <= 1e-12 * (1.0 + np.linalg.norm(c))
+        assert _polish(H, c, spec, n1, np.zeros_like(x)) is None
 
 
 class TestWeights:

@@ -158,6 +158,25 @@ class TestAssemblePenalized:
         np.testing.assert_allclose(eff, mu * np.eye(2), atol=1e-10 * mu)
 
 
+    @pytest.mark.parametrize("rank", [None, 0])
+    def test_head_block_is_tested_once(self, monkeypatch, rank):
+        """A QSDP's penalized head block, ``sigma I``, is tested for a
+        multiple of the identity once per assembly, and needs no shift."""
+        calls = []
+        real = proxmap._identity_multiple
+
+        def counted(A):
+            calls.append(A.shape)
+            return real(A)
+
+        monkeypatch.setattr(proxmap, "_identity_multiple", counted)
+        monkeypatch.setattr(palm, "_identity_multiple", counted, raising=False)
+        lp = gen_qsdp(4, 2, seed=0, rank_H=rank).lincon_problem()
+        inner = assemble_penalized(lp, 1.5)
+        assert calls == [(10, 10)]
+        assert inner.shifts is None and inner._mu == 1.5
+
+
 class TestIdentityBlock:
     """A QSDP's ``A = [I, B^T, H V]``: products skip the leading identity,
     and any other ``A`` keeps the plain products, bit for bit."""

@@ -10,7 +10,9 @@ perturbation against dense formulas from this file's own block split.
 The operator's dense store is checked against this file's own assembly
 of the input blocks, and against the same inputs with one bad block; a
 full-span product, against the dense one with NaN in the store's strict
-lower triangle.
+lower triangle.  Products, sweeps, cycles, ``Y`` and short solves with NaN
+in the store's strict lower block triangle match an untouched twin's to
+the bit: the operator stores each off-diagonal block once.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ from sgsqp import (
     ProxSpec,
     sgs_cycle,
 )
-from sgsqp import blockla, proxmap, sgs
+from sgsqp import apg, blockla, proxmap, sgs
 from sgsqp.blockla import dpotrf, sweep
 from sgsqp.errors import (DiagonalNotPD, DimensionMismatch, InvalidParams,
                           NonFinite, NotSymmetric)
@@ -161,9 +163,10 @@ class _Unread(list):
 
 
 def _one_sided(op, lower):
-    """``op.panels()`` with only the side a ``lower`` pass may read."""
-    _, low, up, _ = op.panels()
-    return (_Unread(), low if lower else _Unread(),
+    """``op.panels()`` with only the side a ``lower`` pass may read: the
+    column bands forward, the row panels backward."""
+    _, cols, up, _ = op.panels()
+    return (_Unread(), cols if lower else _Unread(),
             _Unread() if lower else up, _Unread())
 
 
@@ -172,8 +175,8 @@ def _one_sided(op, lower):
 @settings(PROPS, max_examples=3)
 @given(data=st.data())
 def test_cycle_sweeps_read_one_side_of_the_store(prox_kind, path, data):
-    """The backward sweep reads only upper panels, the forward sweep only
-    lower ones, and the cycle comes out the same."""
+    """The backward sweep reads only the row panels, the forward sweep only
+    the column bands, and the cycle comes out the same."""
     prob, xbar, mode, omega = data.draw(cycles(prox_kind, path))
     want = _run(prob, xbar, mode, omega, path)
     kernel = sgs.sweep
@@ -220,7 +223,7 @@ def test_qhat_apply_and_solve_match_dense_weights(op, omega, shifted):
 @given(operators(), st.floats(0.5, 1.0), st.booleans())
 def test_sweep_matches_dense_triangular_solve(op, a, lower):
     """``(a D + L) z = y`` forward, ``(a D + U) z = y`` backward, reading
-    only the panels of that side."""
+    only the column bands or the row panels of ``U``."""
     Q, M = op
     part = Q.partition
     D = np.zeros_like(M)
@@ -253,6 +256,13 @@ def test_forward_pass_reads_known_head():
 
 
 class _NoProduct:
+    """An empty panel, or the column band whose transpose a forward pass
+    multiplies, that must not be multiplied."""
+
+    @property
+    def T(self):
+        return self
+
     def __matmul__(self, other):
         raise AssertionError("an empty panel was multiplied")
 
@@ -260,16 +270,16 @@ class _NoProduct:
 @pytest.mark.parametrize("lower", [False, True])
 def test_a_block_with_none_known_multiplies_no_panel(lower):
     """The first block of a backward pass, or of a forward pass from block
-    0, has an empty panel: the pass forms no product with it, leaves
-    ``y`` unwritten and solves as through every panel."""
+    0, has an empty row panel or column band: the pass forms no product
+    with it, leaves ``y`` unwritten and solves as through every panel."""
     Q, _ = _operator((2, 1, 3), [(0, 1), (0, 2), (1, 2)], 1.0,
                      np.random.default_rng(0), False)
     y = np.arange(6.0)
     want = sweep(Q, y, 1.0, lower)
-    S, low, up, diag = Q.panels()
-    side = list(low if lower else up)
+    S, cols, up, diag = Q.panels()
+    side = list(cols if lower else up)
     side[0 if lower else -1] = _NoProduct()
-    panels = (S, side, up, diag) if lower else (S, low, side, diag)
+    panels = (S, side, up, diag) if lower else (S, cols, side, diag)
     Q.panels = lambda: panels
     np.testing.assert_array_equal(sweep(Q, y, 1.0, lower), want)
     np.testing.assert_array_equal(y, np.arange(6.0))
@@ -607,3 +617,83 @@ def test_one_bad_block_is_named(fault, data):
     assert name in str(info.value)
     if err is DiagonalNotPD:
         assert info.value.block == i
+
+
+def _poison_lower(op):
+    """Write NaN over the strict lower block triangle of ``op``'s store."""
+    S, off = op.panels()[0], op.partition.offsets
+    for lo, hi in zip(off, off[1:]):
+        S[hi:, lo:hi] = np.nan
+
+
+def _twin(prob):
+    """The same problem, built again from copies of its stored blocks."""
+    Q = BlockSymOperator(prob.partition,
+                         {k: B.copy() for k, B in prob.Q.stored_items()})
+    return CompositeQP(Q, prob.b.data.copy(), prob.prox, shifts=prob.shifts)
+
+
+@pytest.mark.parametrize("path", ("sgs", "ssor", "iterative"))
+@pytest.mark.parametrize("prox_kind", PROX)
+@settings(PROPS, max_examples=4)
+@given(data=st.data())
+def test_nothing_reads_the_strict_lower_block_triangle(prox_kind, path, data):
+    """With NaN over the strict lower block triangle of every store, a
+    product, both sweep directions, a cycle, ``Y`` and a short solve are
+    those of an untouched twin, bit for bit."""
+    prob, xbar, mode, omega = data.draw(cycles(prox_kind, path))
+    twin = _twin(prob)
+    for op in {id(o): o for o in (prob.Q, prob.majorizer().eff)}.values():
+        _poison_lower(op)
+    np.testing.assert_array_equal(prob.Q.matvec(xbar), twin.Q.matvec(xbar))
+    A, B = prob.majorizer(omega).eff, twin.majorizer(omega).eff
+    for lower in (False, True):
+        np.testing.assert_array_equal(sweep(A, xbar, 0.7, lower),
+                                      sweep(B, xbar, 0.7, lower))
+    got, want = (sgs_cycle(p, xbar, mode=mode, omega=omega) for p in (prob, twin))
+    for name in ("x_plus", "x_prime", "Delta"):
+        np.testing.assert_array_equal(getattr(got, name).data,
+                                      getattr(want, name).data)
+    np.testing.assert_array_equal(prob.majorizer(omega).factor(),
+                                  twin.majorizer(omega).factor())
+    kw = dict(omega=omega, stop=apg.StopRule(kkt_tol=1e-12, max_iter=4))
+    if mode != "exact":
+        kw.update(mode="inexact", tols=apg.ToleranceSchedule.power(1e-3, 2.0))
+    got, want = apg.solve(prob, **kw), apg.solve(twin, **kw)
+    assert got.iterations == want.iterations
+    np.testing.assert_array_equal(got.x_final.data, want.x_final.data)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 1), (3, 2, 4, 2)])
+def test_partial_span_matvec_is_the_dense_product(dims):
+    """Blocks (1, 1), (1, 2) and (2, 2) stored, block 0 missing: the
+    product over the spanned sub-block is the dense one; an operator that
+    stores no block returns zeros."""
+    rng = np.random.default_rng(len(dims) + sum(dims))
+    part = BlockPartition(dims)
+    G = rng.standard_normal((part.total, part.total))
+    M = G @ G.T
+    sl = part.slice
+    blocks = {(i, j): M[sl(i), sl(j)] for i, j in ((1, 1), (1, 2), (2, 2))}
+    Q = BlockSymOperator(part, blocks, factor_diag=False)
+    x = rng.standard_normal(part.total)
+    want = Q.dense() @ x
+    got = Q.matvec(x)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    assert not got[sl(0)].any()
+    empty = BlockSymOperator(part, {}, factor_diag=False)
+    assert np.array_equal(empty.matvec(x), np.zeros(part.total))
+
+
+@pytest.mark.parametrize("factor_diag", (True, False))
+@settings(PROPS, max_examples=20)
+@given(data=st.data())
+def test_lower_blocks_are_transposed_upper_ones(factor_diag, data):
+    """``block(j, i)`` is ``block(i, j).T`` and ``dense()`` is symmetric."""
+    part, blocks = data.draw(stores(factor_diag))
+    Q = BlockSymOperator(part, blocks, factor_diag=factor_diag)
+    for i in range(part.s):
+        for j in range(i, part.s):
+            assert np.array_equal(Q.block(j, i), Q.block(i, j).T)
+    D = Q.dense()
+    assert np.array_equal(D, D.T)

@@ -223,16 +223,18 @@ def _check_symmetric(M, what):
 class BlockSymOperator:
     """Symmetric operator given by its upper block triangle.
 
-    Only blocks ``(i, j)`` with ``i <= j`` may be supplied, all finite; only
-    they are stored, each once, the strict lower block triangle of the store
-    is never written nor read, and :meth:`block` reads a block below the
-    diagonal as the transpose of its mirror.  Diagonal blocks must be symmetric
+    Only blocks ``(i, j)`` with ``i <= j`` may be supplied, all finite, and
+    only they are stored, each once: the store's strict lower block triangle
+    is never written nor read (:meth:`block`).  Diagonal blocks must be symmetric
     (relative tolerance 1e-12) and positive definite: each is factored
     once, ``Q_ii = T_i T_i^T`` with ``T_i = J L_i J`` and ``L_i`` the lower
     Cholesky factor of the reversed block ``J Q_ii J``, the only factor of
     ``Q_ii`` (:meth:`diag_solve`, :meth:`factor_solve`).  The dense store
     (:meth:`panels`), written here, holds the one copy of ``Q``; it aliases
-    no input.  Semidefiniteness of the full operator is *not* assumed.
+    no input.  An operator whose stored blocks do not span it (a missing
+    diagonal block) also holds an F-ordered copy of the spanned principal
+    sub-block, which :meth:`matvec` reads.  Semidefiniteness of the full
+    operator is *not* assumed.
 
     Parameters
     ----------
@@ -327,10 +329,12 @@ class BlockSymOperator:
         return self._panels
 
     def dense(self):
-        """Full symmetric matrix (test/certification hook): the store's upper
-        triangle and its mirror."""
-        S = self._panels[0]
-        return np.triu(S) + np.triu(S, 1).T
+        """Full symmetric matrix (test/certification hook): a copy of the
+        store with each upper row panel mirrored below its diagonal block."""
+        D, off = self._panels[0].copy(), self.partition.offsets
+        for lo, hi in zip(off, off[1:]):
+            D[hi:, lo:hi] = D[lo:hi, hi:].T
+        return D
 
     # -- products -----------------------------------------------------
 

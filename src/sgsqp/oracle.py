@@ -176,13 +176,16 @@ def _polish(H, c, spec, n1, x):
     return None
 
 
-def _psd_newton(H, c, spec, n1, x, steps=20):
+_PSD_NEWTON_STEPS = 20
+
+
+def _psd_newton(H, c, spec, n1, x):
     """Semismooth Newton on ``F(x) = x - Pi(x - (H x - c)/L)``, ``Pi`` the
     projection onto the PSD cone on the head (the identity elsewhere) and
     ``L = ||H||_2``: the iterate with the least KKT residual, if below that
     of ``x``, else None.
 
-    At most ``steps`` steps, while ``||F||`` falls, each solving ``(I - M (I
+    At most ``_PSD_NEWTON_STEPS`` steps, while ``||F||`` falls, each solving ``(I - M (I
     - H/L)) dx = -F(x)`` with ``M`` the generalized Jacobian of ``Pi`` at
     ``W = x - (Hx - c)/L``: on the head, in packed coordinates, ``E -> P
     (Omega o (P^T E P)) P^T`` for ``W = P diag(lam) P^T``, ``Omega`` 1 on
@@ -198,7 +201,7 @@ def _psd_newton(H, c, spec, n1, x, steps=20):
     # ``vec(E) = unpack svec(E)``, so ``B^T svec(E) = vec(P^T E P)`` below
     unpack = np.stack([smat(e, n).ravel() for e in np.eye(n1)], axis=1)
     best, best_res, fnorm = None, _kkt_of(H, c, spec, n1, x), np.inf
-    for _ in range(steps):
+    for _ in range(_PSD_NEWTON_STEPS):
         w = x - (H @ x - c) / L
         W = smat(w[:n1], n)
         F = x - w

@@ -170,7 +170,6 @@ class TestAssemblePenalized:
             return real(A)
 
         monkeypatch.setattr(proxmap, "_identity_multiple", counted)
-        monkeypatch.setattr(palm, "_identity_multiple", counted, raising=False)
         lp = gen_qsdp(4, 2, seed=0, rank_H=rank).lincon_problem()
         inner = assemble_penalized(lp, 1.5)
         assert calls == [(10, 10)]
